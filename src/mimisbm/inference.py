@@ -42,6 +42,7 @@ from .metrics import map_assign
 __all__ = [
     "ConvergenceWarning",
     "FitReport",
+    "spectral_basis",
     "init_variational",
     "vbe_update_tau",
     "vbe_update_nu",
@@ -129,9 +130,10 @@ def _beta_log_moments(state: VariationalState):
 # initialization
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances point-to-center via the expanded product form."""
-    d = (x * x).sum(axis=1)[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
+def _sq_dists(x: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances point-to-center via the expanded product form;
+    x2 holds the squared norms of the rows of x."""
+    d = x2[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
     return np.maximum(d, 0.0)
 
 
@@ -141,6 +143,7 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, ma
     n = x.shape[0]
     if k >= n:
         return np.arange(n) % k if k > 0 else np.zeros(n, dtype=np.int64)
+    x2 = (x * x).sum(axis=1)
     best_labels = None
     best_inertia = np.inf
     for _ in range(n_init):
@@ -157,7 +160,7 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, ma
             d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
         labels = np.zeros(n, dtype=np.int64)
         for _ in range(max_iter):
-            dist = _sq_dists(x, centers)
+            dist = _sq_dists(x, x2, centers)
             new_labels = dist.argmin(axis=1)
             for c in range(k):
                 sel = new_labels == c
@@ -168,15 +171,51 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, ma
             if (new_labels == labels).all():
                 break
             labels = new_labels
-        inertia = float(_sq_dists(x, centers)[np.arange(n), labels].sum())
+        inertia = float(_sq_dists(x, x2, centers)[np.arange(n), labels].sum())
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
     return best_labels
 
 
-def _spectral_labels(a: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized spectral clustering of one layer's adjacency.
+def spectral_basis(g: MultilayerGraph, k_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-layer spectral basis for the per-view spectral init at any k <= k_max.
+
+    Each layer's normalized adjacency D^-1/2 A D^-1/2 (isolated nodes get a
+    zero row) is eigendecomposed once; only its m = min(k_max + 1, n)
+    largest eigenpairs are kept, in the ascending order eigh returns them.
+    Returns (vals, vecs) of shapes (V, m) and (V, N, m). The basis depends
+    on the graph alone, so one basis serves every restart and every grid
+    cell with k <= k_max, and keeps O(V N k_max) memory instead of O(V N^2).
+    """
+    if k_max < 1:
+        raise DomainError("k_max must be >= 1")
+    m = min(k_max + 1, g.n)
+    vals = np.empty((g.v, m))
+    vecs = np.empty((g.v, g.n, m))
+    for lay in range(g.v):
+        a = g.adj[:, :, lay].astype(float)
+        deg = a.sum(axis=1)
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+        w, u = np.linalg.eigh(inv_sqrt[:, None] * a * inv_sqrt[None, :])
+        vals[lay] = w[-m:]
+        vecs[lay] = u[:, -m:]
+    return vals, vecs
+
+
+def _check_basis(basis: Tuple[np.ndarray, np.ndarray], g: MultilayerGraph, k: int) -> None:
+    vals, vecs = basis
+    m = np.shape(vecs)[-1] if np.ndim(vecs) == 3 else 0
+    if np.shape(vals) != (g.v, m) or np.shape(vecs) != (g.v, g.n, m) or not min(k + 1, g.n) <= m <= g.n:
+        raise DomainError(
+            f"spectral basis of shapes {np.shape(vals)}, {np.shape(vecs)} does not cover"
+            f" k={k} on a graph with n={g.n}, v={g.v}"
+        )
+
+
+def _spectral_labels(vals: np.ndarray, vecs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized spectral clustering of one layer from its basis (one layer
+    of spectral_basis).
 
     The group count is the layer's own effective one, chosen by the largest
     eigengap among the top k eigenvalues of the normalized adjacency (capped
@@ -184,12 +223,7 @@ def _spectral_labels(a: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     true coarse co-membership instead of an arbitrary refinement, which is
     what makes co-membership features comparable across layers.
     """
-    n = a.shape[0]
-    deg = a.sum(axis=1).astype(float)
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    s = inv_sqrt[:, None] * a * inv_sqrt[None, :]
-    vals, vecs = np.linalg.eigh(s)
-    top = vals[::-1][: min(k + 1, n)]
+    top = vals[::-1][: min(k + 1, vecs.shape[0])]
     gaps = top[:-1] - top[1:]
     c = int(np.argmax(gaps)) + 1 if gaps.size else 1
     emb = vecs[:, -c:]
@@ -211,6 +245,7 @@ def init_variational(
     priors: PriorHyperparams,
     strategy: str = "random",
     rng: Optional[np.random.Generator] = None,
+    basis: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> VariationalState:
     """Build a starting state: responsibilities by the chosen strategy, the
     conjugate posteriors set to the priors (the first M-step absorbs the
@@ -219,7 +254,9 @@ def init_variational(
     random: rows drawn flat-Dirichlet. per_view_spectral: spectral labels
     per layer, layers grouped by k-means on their co-membership patterns,
     nodes by k-means on the mean co-membership matrix; both softened to
-    0.9 on the assigned cluster plus 0.1 spread uniformly.
+    0.9 on the assigned cluster plus 0.1 spread uniformly. The spectral
+    labels come from `basis`, the output of spectral_basis(g, k_max) for
+    some k_max >= k; when it is None it is computed here.
     """
     if k < 1 or q < 1:
         raise DomainError("k and q must be >= 1")
@@ -229,6 +266,8 @@ def init_variational(
         )
     if priors.k != k or priors.q != q:
         raise DomainError("prior shapes must match (k, q)")
+    if basis is not None:
+        _check_basis(basis, g, k)
     if rng is None:
         rng = rng_stream(0)
 
@@ -236,9 +275,10 @@ def init_variational(
         tau = rng.dirichlet(np.ones(k), size=g.n)
         nu = rng.dirichlet(np.ones(q), size=g.v)
     elif strategy == "per_view_spectral":
+        vals, vecs = spectral_basis(g, k) if basis is None else basis
         coms = np.empty((g.v, g.n, g.n))
         for lay in range(g.v):
-            labels = _spectral_labels(g.adj[:, :, lay].astype(float), k, rng)
+            labels = _spectral_labels(vals[lay], vecs[lay], k, rng)
             coms[lay] = labels[:, None] == labels[None, :]
         w_labels = _kmeans(coms.reshape(g.v, -1), q, rng)
         z_labels = _kmeans(coms.mean(axis=0), k, rng)
@@ -399,6 +439,7 @@ def fit(
     q: int,
     cfg: FitConfig,
     priors: Optional[PriorHyperparams] = None,
+    basis: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> FitReport:
     """Fit the model at fixed (k, q) with restarts; return the best restart.
 
@@ -407,6 +448,10 @@ def fit(
     any result. Restarts are ranked by final bound, ties toward the lower
     index. converged reflects the winning restart; when it ran into
     max_iter a ConvergenceWarning is emitted and the flag stays False.
+
+    With spectral init every restart slices one spectral basis: `basis` when
+    given (spectral_basis(g, k_max), k_max >= k, as a grid driver shares it
+    across cells), else one computed here before the first restart.
     """
     if k < 1 or q < 1:
         raise DomainError("k and q must be >= 1")
@@ -418,12 +463,14 @@ def fit(
         priors = PriorHyperparams.jeffreys(k, q)
     elif priors.k != k or priors.q != q:
         raise DomainError("prior shapes must match (k, q)")
+    if basis is None and cfg.init_strategy == "per_view_spectral":
+        basis = spectral_basis(g, k)
 
     best = None
     restart_elbos = []
     for r in range(cfg.n_restarts):
         rng = rng_stream(cfg.seed, k, q, r)
-        state = init_variational(g, k, q, priors, cfg.init_strategy, rng)
+        state = init_variational(g, k, q, priors, cfg.init_strategy, rng, basis)
         beta, theta, eta, xi = m_step(g, state, priors)
         state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
 

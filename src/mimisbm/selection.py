@@ -11,7 +11,9 @@ icl_variational  the same normalizer ratios at the soft counts, i.e. the
 icl_approx       the bound minus the asymptotic penalty pen(K, Q).
 
 The grid driver refits every cell from scratch; nothing is warm-started
-across cells, so a cell's result depends only on (data, K, Q, seed).
+across cells, so a cell's result depends only on (data, K, Q, seed). The
+one thing cells share is the spectral basis of the graph's layers, which
+depends on the data alone.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from math import log
 from typing import Dict, Iterable, Optional, Tuple
 
+import numpy as np
+
 from .core import (
     DomainError,
     FitConfig,
@@ -29,7 +33,7 @@ from .core import (
     PriorHyperparams,
     VariationalState,
 )
-from .inference import _xlogx, compute_elbo, fit, m_step
+from .inference import _xlogx, compute_elbo, fit, m_step, spectral_basis
 
 __all__ = [
     "pen",
@@ -110,8 +114,10 @@ def icl_approx(elbo: float, k: int, q: int, n: int, v: int) -> float:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One (k, q) cell's outcome. On failure `error` carries the message and
-    every criterion is None; failed cells never win the argmax."""
+    """One (k, q) cell's outcome. A cell fails on a DomainError, LinAlgError
+    or FloatingPointError; then `error` carries the message and every
+    criterion is None, and failed cells never win the argmax. Any other
+    exception propagates out of grid_search."""
 
     k: int
     q: int
@@ -136,10 +142,10 @@ class SelectionResult:
 
 
 def _run_cell(args) -> GridCell:
-    g, k, q, cfg = args
+    g, k, q, cfg, basis = args
     try:
         priors = PriorHyperparams.jeffreys(k, q)
-        report = fit(g, k, q, cfg)
+        report = fit(g, k, q, cfg, basis=basis)
         state = report.state
         bound = ilvb(state, priors)
         return GridCell(
@@ -152,7 +158,9 @@ def _run_cell(args) -> GridCell:
             converged=report.converged,
             iterations=report.iterations,
         )
-    except Exception as exc:  # a failed cell is data, not a crash
+    except (DomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        # a domain or numerical failure is data, not a crash; anything else
+        # is a bug and propagates
         return GridCell(k=k, q=q, ilvb=None, icl_exact=None, icl_variational=None,
                         icl_approx=None, converged=None, iterations=None,
                         error=f"{type(exc).__name__}: {exc}")
@@ -188,7 +196,10 @@ def grid_search(
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
 
-    tasks = [(g, k, q, cfg) for k in ks for q in qs]
+    # the spectral basis depends on the graph alone: computed once here, every
+    # cell (and worker process) slices it instead of eigendecomposing again
+    basis = spectral_basis(g, ks[-1]) if cfg.init_strategy == "per_view_spectral" else None
+    tasks = [(g, k, q, cfg, basis) for k in ks for q in qs]
     if jobs == 1:
         cells = [_run_cell(t) for t in tasks]
     else:

@@ -22,7 +22,9 @@ from mimisbm import (
     VariationalState,
     init_variational,
     m_step,
+    rng_stream,
 )
+from mimisbm.inference import _INIT_FLOOR, _floor_rows, _soften
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +351,119 @@ def w_planted(truth) -> bool:
         for m in truth.link_maps
     }
     return len(set(truth.component_k)) == 1 and len(partitions) == len(truth.link_maps)
+
+
+# ---------------------------------------------------------------------------
+# per-restart spectral init: the oracle for the shared spectral basis
+
+
+def kmeans_oracle(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, max_iter: int = 100) -> np.ndarray:
+    """Lloyd k-means with k-means++ seeding, recomputing the point norms at
+    every distance evaluation."""
+
+    def sq_dists(centers):
+        d = (x * x).sum(axis=1)[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
+        return np.maximum(d, 0.0)
+
+    n = x.shape[0]
+    if k >= n:
+        return np.arange(n) % k if k > 0 else np.zeros(n, dtype=np.int64)
+    best_labels = None
+    best_inertia = np.inf
+    for _ in range(n_init):
+        centers = np.empty((k, x.shape[1]))
+        centers[0] = x[int(rng.integers(n))]
+        d2 = np.sum((x - centers[0]) ** 2, axis=1)
+        for c in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                centers[c] = x[int(rng.integers(n))]
+            else:
+                r = rng.random() * total
+                centers[c] = x[int(np.searchsorted(np.cumsum(d2), r))]
+            d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
+        labels = np.zeros(n, dtype=np.int64)
+        for _ in range(max_iter):
+            dist = sq_dists(centers)
+            new_labels = dist.argmin(axis=1)
+            for c in range(k):
+                sel = new_labels == c
+                if sel.any():
+                    centers[c] = x[sel].mean(axis=0)
+                else:
+                    centers[c] = x[int(dist.min(axis=1).argmax())]
+            if (new_labels == labels).all():
+                break
+            labels = new_labels
+        inertia = float(sq_dists(centers)[np.arange(n), labels].sum())
+        if inertia < best_inertia:
+            best_inertia = inertia
+            best_labels = labels
+    return best_labels
+
+
+def spectral_labels_oracle(a: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Spectral labels of one layer's adjacency with its own full eigh: the
+    group count is the largest eigengap among the top min(k + 1, n)
+    eigenvalues of the normalized adjacency, then k-means on the row-normed
+    top eigenvectors."""
+    n = a.shape[0]
+    deg = a.sum(axis=1).astype(float)
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    s = inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    vals, vecs = np.linalg.eigh(s)
+    top = vals[::-1][: min(k + 1, n)]
+    gaps = top[:-1] - top[1:]
+    c = int(np.argmax(gaps)) + 1 if gaps.size else 1
+    emb = vecs[:, -c:]
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    emb = emb / np.where(norms > 0, norms, 1.0)
+    return kmeans_oracle(emb, c, rng)
+
+
+def init_variational_oracle(g, k, q, priors, strategy="random", rng=None, basis=None):
+    """init_variational with every call eigendecomposing each layer again.
+    Takes init_variational's arguments so it can stand in for it; `basis` is
+    ignored and random init is delegated."""
+    if strategy != "per_view_spectral":
+        return init_variational(g, k, q, priors, strategy, rng)
+    if rng is None:
+        rng = rng_stream(0)
+    coms = np.empty((g.v, g.n, g.n))
+    for lay in range(g.v):
+        labels = spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, rng)
+        coms[lay] = labels[:, None] == labels[None, :]
+    w_labels = kmeans_oracle(coms.reshape(g.v, -1), q, rng)
+    z_labels = kmeans_oracle(coms.mean(axis=0), k, rng)
+    return VariationalState(
+        tau=_floor_rows(_soften(z_labels, k), _INIT_FLOOR),
+        nu=_floor_rows(_soften(w_labels, q), _INIT_FLOOR),
+        beta=priors.beta0,
+        theta=priors.theta0,
+        eta=priors.eta0,
+        xi=priors.xi0,
+    )
+
+
+def with_isolated_node(g: MultilayerGraph, node: int, layer: int) -> MultilayerGraph:
+    """A copy of g in which `node` has degree 0 in `layer`."""
+    adj = np.array(g.adj, copy=True)
+    adj[node, :, layer] = 0
+    adj[:, node, layer] = 0
+    return MultilayerGraph(adj)
+
+
+def count_eigh(monkeypatch) -> list:
+    """Record the shape of every numpy.linalg.eigh call, as the inference
+    module sees it, for the rest of the test."""
+    import mimisbm.inference as inference
+
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(inference.np.linalg, "eigh", counting)
+    return calls

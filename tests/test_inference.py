@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mimisbm.inference as inference
 from mimisbm import (
     ConvergenceWarning,
     DomainError,
@@ -25,13 +26,18 @@ from mimisbm import (
     vbe_update_nu,
     vbe_update_tau,
 )
+from mimisbm.inference import spectral_basis
 from helpers import (
+    count_eigh,
+    init_variational_oracle,
     random_graph,
     random_post_m_state,
     scalar_elbo,
     scalar_m_step,
     scalar_nu_update,
     scalar_tau_sweep,
+    spectral_labels_oracle,
+    with_isolated_node,
 )
 
 
@@ -102,6 +108,86 @@ def test_init_rows_positive_and_normalized():
         assert np.all(st.tau > 0) and np.all(st.nu > 0)
         assert np.allclose(st.tau.sum(axis=1), 1.0, atol=1e-10)
         assert np.allclose(st.nu.sum(axis=1), 1.0, atol=1e-10)
+
+
+def _spectral_graphs():
+    """A planted dataset, a random graph with a node isolated in one layer,
+    and a graph small enough that k = n."""
+    planted, _ = generate_dataset(
+        SimulationConfig(n=40, v=6, k=4, q=2, p_in=0.9, p_out=0.05, component_k=(4, 2)), rng_stream(3)
+    )
+    isolated = with_isolated_node(random_graph(np.random.default_rng(61), 12, 3, p=0.4), node=5, layer=1)
+    tiny = random_graph(np.random.default_rng(62), 5, 2, p=0.5)
+    return [(planted, 4, 2), (isolated, 3, 2), (tiny, 5, 2)]
+
+
+def test_spectral_basis_shapes_and_spectrum():
+    g = random_graph(np.random.default_rng(63), 9, 3, p=0.4)
+    for k_max, m in ((2, 3), (8, 9), (9, 9)):
+        vals, vecs = spectral_basis(g, k_max)
+        assert vals.shape == (3, m) and vecs.shape == (3, 9, m)
+        assert np.all(np.diff(vals, axis=1) >= 0)
+    # at k_max = n the basis is the whole spectrum of D^-1/2 A D^-1/2 (zero
+    # rows for isolated nodes) of every layer
+    vals, vecs = spectral_basis(g, g.n)
+    for lay in range(g.v):
+        a = g.adj[:, :, lay].astype(float)
+        d = a.sum(axis=1)
+        inv = np.zeros_like(d)
+        inv[d > 0] = d[d > 0] ** -0.5
+        s = inv[:, None] * a * inv[None, :]
+        assert np.allclose(vals[lay], np.linalg.eigvalsh(s), atol=1e-12)
+        assert np.allclose(s @ vecs[lay], vecs[lay] * vals[lay][None, :], atol=1e-12)
+    with pytest.raises(DomainError):
+        spectral_basis(g, 0)
+
+
+def test_init_spectral_matches_per_restart_oracle():
+    # slicing one shared basis gives the same bytes as eigendecomposing each
+    # layer again per call, whether the basis is computed at k or wider
+    for g, k, q in _spectral_graphs():
+        pr = PriorHyperparams.jeffreys(k, q)
+        for seed in range(3):
+            want = init_variational_oracle(g, k, q, pr, "per_view_spectral", rng_stream(seed))
+            for basis in (None, spectral_basis(g, k), spectral_basis(g, g.n)):
+                got = init_variational(g, k, q, pr, "per_view_spectral", rng_stream(seed), basis)
+                assert got.tau.tobytes() == want.tau.tobytes()
+                assert got.nu.tobytes() == want.nu.tobytes()
+
+
+def test_spectral_labels_match_oracle_for_any_wider_basis():
+    # two disjoint triangles: the top two eigenvalues tie at 1 and the next
+    # four at -1/2, so at k = 1 a gap search that looked past the top k + 1
+    # eigenvalues would split the layer in two
+    triangles = build_graph(6, 1, [(0, 1, 0), (0, 2, 0), (1, 2, 0), (3, 4, 0), (3, 5, 0), (4, 5, 0)])
+    for g in [triangles] + [g for g, _, _ in _spectral_graphs()]:
+        for k in sorted({1, 2, 3, g.n}):
+            for k_max in (k, g.n):
+                vals, vecs = spectral_basis(g, k_max)
+                for lay in range(g.v):
+                    got = inference._spectral_labels(vals[lay], vecs[lay], k, rng_stream(k, lay))
+                    want = spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, rng_stream(k, lay))
+                    assert np.array_equal(got, want), (g.n, k, k_max, lay)
+
+
+def test_init_rejects_mismatched_basis():
+    g = random_graph(np.random.default_rng(64), 8, 3, p=0.4)
+    pr = PriorHyperparams.jeffreys(3, 2)
+    vals, vecs = spectral_basis(g, 3)
+    other = random_graph(np.random.default_rng(65), 9, 3, p=0.4)
+    bad = [
+        spectral_basis(g, 2),  # covers k = 2 only
+        spectral_basis(other, 3),  # another node count
+        (vals[:2], vecs[:2]),  # too few layers
+        (vals, vecs[:, :, :-1]),  # vals and vecs disagree
+        (vals[0], vecs[0]),  # one layer without its axis
+    ]
+    for basis in bad:
+        for strategy in ("random", "per_view_spectral"):
+            with pytest.raises(DomainError):
+                init_variational(g, 3, 2, pr, strategy, rng_stream(0), basis)
+    with pytest.raises(DomainError):
+        fit(g, 3, 2, FitConfig(seed=0, n_restarts=1, init_strategy="per_view_spectral"), basis=bad[0])
 
 
 # ---------------------------------------------------------------- VBE updates
@@ -475,3 +561,29 @@ def test_fit_easy_dataset_recovery():
         if ari(rep.z_map, truth.z) >= 0.95 and ari(rep.w_map, truth.w) >= 0.95:
             hits += 1
     assert hits >= 18, f"only {hits}/20 seeds recovered both partitions"
+
+
+def test_fit_spectral_matches_per_restart_oracle(monkeypatch):
+    cfg = dict(seed=4, n_restarts=3, init_strategy="per_view_spectral")
+    graphs = _spectral_graphs()
+    got = [fit(g, k, q, FitConfig(**cfg)) for g, k, q in graphs]
+    monkeypatch.setattr(inference, "init_variational", init_variational_oracle)
+    want = [fit(g, k, q, FitConfig(**cfg)) for g, k, q in graphs]
+    for a, b in zip(got, want):
+        assert a.state.tau.tobytes() == b.state.tau.tobytes()
+        assert a.state.nu.tobytes() == b.state.nu.tobytes()
+        assert np.array(a.elbo_trace).tobytes() == np.array(b.elbo_trace).tobytes()
+        assert np.array(a.restart_elbos).tobytes() == np.array(b.restart_elbos).tobytes()
+        assert a.best_restart == b.best_restart
+
+
+def test_fit_eigendecomposes_each_layer_once(monkeypatch):
+    g = random_graph(np.random.default_rng(66), 10, 4, p=0.4)
+    calls = count_eigh(monkeypatch)
+    for restarts in (1, 4):
+        calls.clear()
+        fit(g, 3, 2, FitConfig(seed=1, n_restarts=restarts, init_strategy="per_view_spectral"))
+        assert len(calls) == g.v
+    calls.clear()
+    fit(g, 3, 2, FitConfig(seed=1, n_restarts=3, init_strategy="random"))
+    assert calls == []

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import mimisbm.inference as inference
+import mimisbm.selection as selection
 from mimisbm import (
     CRITERIA,
     DomainError,
@@ -28,10 +30,13 @@ from mimisbm import (
     rng_stream,
 )
 from helpers import (
+    count_eigh,
     hard_completed_loglik,
+    init_variational_oracle,
     log_evidence_enumeration,
     random_graph,
     random_post_m_state,
+    with_isolated_node,
 )
 
 
@@ -252,3 +257,65 @@ def test_grid_deterministic_across_jobs():
         assert c1.icl_exact == c2.icl_exact
         assert c1.icl_variational == c2.icl_variational
         assert c1.icl_approx == c2.icl_approx
+
+
+def _failing_fit(exc_type, cells):
+    real = selection.fit
+
+    def fit(g, k, q, cfg, **kwargs):
+        if (k, q) in cells:
+            raise exc_type(f"cell ({k}, {q}) failed on purpose")
+        return real(g, k, q, cfg, **kwargs)
+
+    return fit
+
+
+def test_grid_failed_cell_never_wins(monkeypatch):
+    rng = np.random.default_rng(10)
+    g = random_graph(rng, 10, 3, p=0.3)
+    cfg = FitConfig(seed=2, n_restarts=1)
+    clean = grid_search(g, [1, 2, 3], [1, 2], cfg)
+    winners = set(clean.chosen.values())
+    monkeypatch.setattr(selection, "fit", _failing_fit(DomainError, winners))
+    res = grid_search(g, [1, 2, 3], [1, 2], cfg)
+    for cell in res.cells:
+        if (cell.k, cell.q) in winners:
+            assert cell.error.startswith("DomainError")
+            assert all(getattr(cell, crit) is None for crit in CRITERIA)
+        else:
+            assert cell.error is None
+    assert set(res.chosen) == set(CRITERIA)
+    assert not winners & set(res.chosen.values())
+
+
+def test_grid_propagates_unexpected_errors(monkeypatch):
+    g = random_graph(np.random.default_rng(11), 8, 2, p=0.4)
+    monkeypatch.setattr(selection, "fit", _failing_fit(RuntimeError, {(2, 1)}))
+    with pytest.raises(RuntimeError, match=r"cell \(2, 1\)"):
+        grid_search(g, [1, 2], [1, 2], FitConfig(seed=0, n_restarts=1), jobs=1)
+
+
+def test_grid_spectral_matches_per_restart_oracle(monkeypatch):
+    # a layer with an isolated node, and a k = n cell where min(k + 1, n) clips
+    g = with_isolated_node(random_graph(np.random.default_rng(12), 7, 3, p=0.5), node=2, layer=0)
+    cfg = FitConfig(seed=5, n_restarts=2, init_strategy="per_view_spectral")
+    ks, qs = range(1, g.n + 1), [1, 2]
+    got = [grid_search(g, ks, qs, cfg, jobs=jobs) for jobs in (1, 2)]
+    monkeypatch.setattr(inference, "init_variational", init_variational_oracle)
+    want = grid_search(g, ks, qs, cfg, jobs=1)
+    assert all(c.error is None for c in want.cells)
+    # repr prints every float round-trip exactly, so equal reprs are equal bits
+    assert repr(got[0]) == repr(want)
+    assert repr(got[1]) == repr(want)
+
+
+def test_grid_eigendecomposes_each_layer_once(monkeypatch):
+    g = random_graph(np.random.default_rng(13), 9, 3, p=0.4)
+    calls = count_eigh(monkeypatch)
+    for ks, qs in (([2], [1]), ([1, 2, 3, 4], [1, 2, 3])):
+        calls.clear()
+        grid_search(g, ks, qs, FitConfig(seed=0, n_restarts=2, init_strategy="per_view_spectral"))
+        assert len(calls) == g.v
+    calls.clear()
+    grid_search(g, [1, 2, 3], [1, 2], FitConfig(seed=0, n_restarts=2, init_strategy="random"))
+    assert calls == []
