@@ -3,9 +3,9 @@
 Subcommands: simulate, fit, select, eval. Every command writes its files
 under a single --out directory. The seed is taken from --seed, else from
 the MIMISBM_SEED environment variable, else 0. Exit codes: 0 on success,
-1 on runtime or I/O failures (unreadable or malformed files), 2 on usage
-and validation failures (bad flags, out-of-range dimensions, mismatched
-partition lengths).
+1 on runtime or I/O failures (unreadable or malformed files, a graph too
+large to allocate), 2 on usage and validation failures (bad flags,
+out-of-range dimensions, mismatched partition lengths).
 """
 
 from __future__ import annotations
@@ -229,6 +229,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(exc))  # exits 2
     except (ParseError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (DomainError, SelfLoopError, LinkMapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,9 +107,6 @@ class MultilayerGraph:
     def v(self) -> int:
         return self.adj.shape[2]
 
-    def layer(self, v: int) -> np.ndarray:
-        return self.adj[:, :, v]
-
     def edge_list(self) -> list[tuple[int, int, int]]:
         """Canonical edge list: (i, j, v) with i < j, sorted lexicographically."""
         i, j, v = np.nonzero(np.triu(self.adj.transpose(2, 0, 1), k=1).transpose(1, 2, 0))
@@ -185,9 +182,6 @@ class HardPartition:
         out = np.zeros((self.n, self.k))
         out[np.arange(self.n), self.labels] = 1.0
         return out
-
-    def counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.k)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ evidence lower bound, so the bound never decreases along the outer loop;
 that property is load bearing and the test suite enforces it.
 
 Update order per outer iteration: node sweep(s), layer update, closed-form
-M-step, bound evaluation. The bound uses the simplified form that is exact
-right after an M-step, which is the only place the loop evaluates it. One
-M-step runs before the first iteration so the initial responsibilities are
-absorbed into the conjugate posteriors; without it the first node sweep
-would start from flat priors and erase the initialization.
+M-step, bound evaluation. The layer update and the M-step see the graph only
+through sufficient_stats, computed once per iteration on the new node
+responsibilities, and each iteration builds one VariationalState. The bound
+uses the simplified form that is exact right after an M-step, which is the
+only place the loop evaluates it. One M-step runs before the first iteration
+so the initial responsibilities are absorbed into the conjugate posteriors;
+without it the first node sweep would start from flat priors and erase the
+initialization.
 
 Numerics: updates work on logits and are normalized by max-subtracted
 softmax; responsibility rows are floored at 1e-12 (1e-10 at init) and
@@ -22,7 +25,7 @@ renormalized, so no log ever sees a zero during a fit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -44,6 +47,7 @@ __all__ = [
     "FitReport",
     "spectral_basis",
     "init_variational",
+    "sufficient_stats",
     "vbe_update_tau",
     "vbe_update_nu",
     "m_step",
@@ -55,6 +59,9 @@ _UPDATE_FLOOR = 1e-12
 _INIT_FLOOR = 1e-10
 _REL_EPS = 1e-9
 _SOFT_MIX = 0.9  # weight on the hard assignment when softening spectral labels
+
+# (m, pair, t) as returned by sufficient_stats
+Stats = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class ConvergenceWarning(UserWarning):
@@ -99,24 +106,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 def _xlogx(a: np.ndarray) -> float:
     safe = np.where(a > 0.0, a, 1.0)
     return float(np.sum(a * np.log(safe)))
-
-
-def _connectivity(adj: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """M[k, l, v] = sum_{i,j} A_ijv tau_ik tau_jl; symmetric in (k, l)."""
-    n, _, v = adj.shape
-    k = tau.shape[1]
-    m = np.empty((k, k, v))
-    for lay in range(v):
-        m[:, :, lay] = tau.T @ (adj[:, :, lay] @ tau)
-    return (m + m.transpose(1, 0, 2)) / 2.0
-
-
-def _pair_mass(tau: np.ndarray) -> np.ndarray:
-    """P[k, l] = sum_{i != j} tau_ik tau_jl = t_k t_l - sum_i tau_ik tau_il."""
-    t = tau.sum(axis=0)
-    gram = tau.T @ tau
-    gram = (gram + gram.T) / 2.0
-    return np.outer(t, t) - gram
 
 
 def _beta_log_moments(state: VariationalState):
@@ -303,6 +292,26 @@ def init_variational(
 # updates
 
 
+def sufficient_stats(g: MultilayerGraph, tau: np.ndarray) -> Stats:
+    """The graph's sufficient statistics under node responsibilities tau.
+
+    Returns (m, pair, t): the expected edge counts per block pair and layer,
+    m[k, l, v] = sum_{i,j} A_ijv tau_ik tau_jl, symmetric in (k, l); the
+    pair mass pair[k, l] = sum_{i != j} tau_ik tau_jl = t_k t_l -
+    sum_i tau_ik tau_il; and the block sizes t = tau.sum(0). The layer
+    update and the M-step see the graph only through these.
+    """
+    k = tau.shape[1]
+    m = np.empty((k, k, g.v))
+    for lay in range(g.v):
+        m[:, :, lay] = tau.T @ (g.adj[:, :, lay] @ tau)
+    m = (m + m.transpose(1, 0, 2)) / 2.0
+    t = tau.sum(axis=0)
+    gram = tau.T @ tau
+    gram = (gram + gram.T) / 2.0
+    return m, np.outer(t, t) - gram, t
+
+
 def vbe_update_tau(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
     """One full sweep of the node fixed point; returns the new tau.
 
@@ -337,19 +346,20 @@ def vbe_update_tau(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
     return tau
 
 
-def vbe_update_nu(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
+def vbe_update_nu(stats: Stats, state: VariationalState) -> np.ndarray:
     """Update every layer's component responsibilities; returns the new nu.
 
-    Layer v scores component s by the expected log-likelihood of its dyads,
-    sum over i < j of tau_ik tau_jl against the Beta log-moments. The ordered
-    sums below visit every unordered (node pair, block pair) combination
-    exactly twice, once per orientation, hence the single factor 1/2. Rows
-    are mutually independent given tau.
+    `stats` is sufficient_stats(g, tau) at the current node responsibilities;
+    `state` supplies theta, eta and xi. Layer v scores component s by the
+    expected log-likelihood of its dyads, sum over i < j of tau_ik tau_jl
+    against the Beta log-moments. The ordered sums in stats visit every
+    unordered (node pair, block pair) combination exactly twice, once per
+    orientation, hence the single factor 1/2. Rows are mutually independent
+    given tau.
     """
+    m, pair, _ = stats
     d, e = _beta_log_moments(state)
     base = digamma(state.theta) - digamma(float(state.theta.sum()))
-    m = _connectivity(g.adj, state.tau)  # (K, K, V)
-    pair = _pair_mass(state.tau)  # (K, K)
 
     edge = np.einsum("klv,kls->vs", m, d)
     hole = np.einsum("kl,kls->s", pair, e)[None, :]
@@ -361,9 +371,10 @@ def vbe_update_nu(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
 
 
 def m_step(
-    g: MultilayerGraph, state: VariationalState, priors: PriorHyperparams
+    stats: Stats, nu: np.ndarray, priors: PriorHyperparams
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form update of the conjugate posteriors given (tau, nu).
+    """Closed-form update of the conjugate posteriors given (tau, nu), with
+    tau entering through stats = sufficient_stats(g, tau).
 
     beta_k  = beta0_k + sum_i tau_ik
     theta_s = theta0_s + sum_v nu_vs
@@ -371,16 +382,15 @@ def m_step(
     component s, xi the expected non-edge count; for k == l node pairs are
     counted once (i < j), hence the halved diagonal.
     """
-    beta = priors.beta0 + state.tau.sum(axis=0)
-    theta = priors.theta0 + state.nu.sum(axis=0)
+    m, pair, t = stats
+    beta = priors.beta0 + t
+    theta = priors.theta0 + nu.sum(axis=0)
 
-    m = _connectivity(g.adj, state.tau)
-    edges = np.tensordot(m, state.nu, axes=([2], [0]))  # (K, K, Q)
-    pairs = _pair_mass(state.tau)[:, :, None] * state.nu.sum(axis=0)[None, None, :]
+    edges = np.tensordot(m, nu, axes=([2], [0]))  # (K, K, Q)
+    pairs = pair[:, :, None] * nu.sum(axis=0)[None, None, :]
     holes = pairs - edges
 
-    k = state.k
-    idx = np.arange(k)
+    idx = np.arange(t.size)
     edges[idx, idx, :] *= 0.5
     holes[idx, idx, :] *= 0.5
 
@@ -471,16 +481,16 @@ def fit(
     for r in range(cfg.n_restarts):
         rng = rng_stream(cfg.seed, k, q, r)
         state = init_variational(g, k, q, priors, cfg.init_strategy, rng, basis)
-        beta, theta, eta, xi = m_step(g, state, priors)
-        state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
+        stats = sufficient_stats(g, state.tau)
+        state = VariationalState(state.tau, state.nu, *m_step(stats, state.nu, priors))
 
         trace: list[float] = []
         converged = False
         for _ in range(cfg.max_iter):
-            state = replace(state, tau=vbe_update_tau(g, state))
-            state = replace(state, nu=vbe_update_nu(g, state))
-            beta, theta, eta, xi = m_step(g, state, priors)
-            state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
+            tau = vbe_update_tau(g, state)
+            stats = sufficient_stats(g, tau)
+            nu = vbe_update_nu(stats, state)
+            state = VariationalState(tau, nu, *m_step(stats, nu, priors))
             trace.append(compute_elbo(state, priors))
             if len(trace) >= 2:
                 delta = abs(trace[-1] - trace[-2])

@@ -88,10 +88,9 @@ class IdentifiabilityReport:
 
     a1: the K values (pi^T alpha[k, :, :] rho) are pairwise distinct.
     a2: the Q values (pi^T alpha[:, :, s] pi) are pairwise distinct.
-    a3: N >= 2K and V >= 2K (appendix form). The theorem statement asks for
-        V >= 2K and N >= max(2K, 4Q); that variant is reported alongside as
-        a3_theorem since the two differ when 4Q > 2K > V is ruled out.
-    a4: N >= 4Q.
+    a3: N >= 2K and V >= 2K (appendix form).
+    a4: N >= 4Q. The theorem statement's size condition, V >= 2K and
+        N >= max(2K, 4Q), is exactly a3 and a4.
     a5: the K(K+1)/2 values (alpha[k, l, :] rho), k <= l, pairwise distinct.
 
     gap_* carry the smallest pairwise margin behind each distinctness check;
@@ -101,7 +100,6 @@ class IdentifiabilityReport:
     a1: bool
     a2: bool
     a3: bool
-    a3_theorem: bool
     a4: bool
     a5: bool
     gap_a1: float
@@ -142,7 +140,6 @@ def check_identifiability(params: ModelParams, n: int, v: int, tol: float = 1e-9
         a1=gap_a1 > tol,
         a2=gap_a2 > tol,
         a3=(n >= 2 * k) and (v >= 2 * k),
-        a3_theorem=(v >= 2 * k) and (n >= max(2 * k, 4 * q)),
         a4=n >= 4 * q,
         a5=gap_a5 > tol,
         gap_a1=gap_a1,

@@ -33,7 +33,7 @@ from .core import (
     PriorHyperparams,
     VariationalState,
 )
-from .inference import _xlogx, compute_elbo, fit, m_step, spectral_basis
+from .inference import _xlogx, compute_elbo, fit, m_step, spectral_basis, sufficient_stats
 
 __all__ = [
     "pen",
@@ -67,16 +67,8 @@ def ilvb(state: VariationalState, priors: PriorHyperparams) -> float:
 
 
 def _hardened_state(g: MultilayerGraph, z: HardPartition, w: HardPartition, priors: PriorHyperparams) -> VariationalState:
-    state = VariationalState(
-        tau=z.one_hot(),
-        nu=w.one_hot(),
-        beta=priors.beta0,
-        theta=priors.theta0,
-        eta=priors.eta0,
-        xi=priors.xi0,
-    )
-    beta, theta, eta, xi = m_step(g, state, priors)
-    return VariationalState(tau=state.tau, nu=state.nu, beta=beta, theta=theta, eta=eta, xi=xi)
+    tau, nu = z.one_hot(), w.one_hot()
+    return VariationalState(tau, nu, *m_step(sufficient_stats(g, tau), nu, priors))
 
 
 def icl_exact(

@@ -3,7 +3,10 @@
 Every oracle here deliberately avoids the package's own numerics: special
 functions come from scipy, reductions are plain Python loops over indices,
 and the exact evidence is an exhaustive enumeration. Agreement between these
-routes and the vectorized implementations is what the tests certify.
+routes and the vectorized implementations is what the tests certify. The
+exceptions are the reference implementations that must agree byte for byte
+(the per-restart spectral init, the dense fit loop): they reuse the
+package's numerics and differ only in what they compute once.
 """
 
 from __future__ import annotations
@@ -17,14 +20,31 @@ import numpy as np
 from scipy.special import betaln, digamma as sp_digamma, gammaln, logsumexp
 
 from mimisbm import (
+    FitConfig,
+    FitReport,
     MultilayerGraph,
     PriorHyperparams,
     VariationalState,
+    compute_elbo,
     init_variational,
     m_step,
+    map_assign,
     rng_stream,
+    vbe_update_nu,
+    vbe_update_tau,
 )
-from mimisbm.inference import _INIT_FLOOR, _floor_rows, _soften
+from mimisbm.inference import (
+    _INIT_FLOOR,
+    _REL_EPS,
+    _UPDATE_FLOOR,
+    _beta_log_moments,
+    _floor_rows,
+    _soften,
+    _softmax_rows,
+    spectral_basis,
+    sufficient_stats,
+)
+from mimisbm.mathfn import digamma
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +72,13 @@ def random_post_m_state(
 ) -> VariationalState:
     """A state whose posteriors come from an actual M-step, as the simplified
     bound requires. `cycles` extra update rounds move it off the start point."""
-    from mimisbm import vbe_update_nu, vbe_update_tau
-
     state = init_variational(g, k, q, priors, "random", rng)
-    beta, theta, eta, xi = m_step(g, state, priors)
+    beta, theta, eta, xi = m_step(sufficient_stats(g, state.tau), state.nu, priors)
     state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
     for _ in range(cycles):
         state = replace(state, tau=vbe_update_tau(g, state))
-        state = replace(state, nu=vbe_update_nu(g, state))
-        beta, theta, eta, xi = m_step(g, state, priors)
+        state = replace(state, nu=vbe_update_nu(sufficient_stats(g, state.tau), state))
+        beta, theta, eta, xi = m_step(sufficient_stats(g, state.tau), state.nu, priors)
         state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
     return state
 
@@ -453,17 +471,140 @@ def with_isolated_node(g: MultilayerGraph, node: int, layer: int) -> MultilayerG
     return MultilayerGraph(adj)
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Count the calls of owner.name for the rest of the test; the returned
+    list grows by one entry per call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def count_eigh(monkeypatch) -> list:
-    """Record the shape of every numpy.linalg.eigh call, as the inference
-    module sees it, for the rest of the test."""
+    """Count the numpy.linalg.eigh calls, as the inference module sees it,
+    for the rest of the test."""
     import mimisbm.inference as inference
 
-    calls = []
-    real = np.linalg.eigh
+    return count_calls(monkeypatch, inference.np.linalg, "eigh")
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(inference.np.linalg, "eigh", counting)
-    return calls
+# ---------------------------------------------------------------------------
+# dense reference for the fit loop: connectivity recomputed by the layer
+# update and again by the M-step, the state rebuilt after every update
+
+
+def connectivity_oracle(adj: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """M[k, l, v] = sum_{i,j} A_ijv tau_ik tau_jl; symmetric in (k, l)."""
+    n, _, v = adj.shape
+    k = tau.shape[1]
+    m = np.empty((k, k, v))
+    for lay in range(v):
+        m[:, :, lay] = tau.T @ (adj[:, :, lay] @ tau)
+    return (m + m.transpose(1, 0, 2)) / 2.0
+
+
+def pair_mass_oracle(tau: np.ndarray) -> np.ndarray:
+    """P[k, l] = sum_{i != j} tau_ik tau_jl = t_k t_l - sum_i tau_ik tau_il."""
+    t = tau.sum(axis=0)
+    gram = tau.T @ tau
+    gram = (gram + gram.T) / 2.0
+    return np.outer(t, t) - gram
+
+
+def vbe_update_nu_oracle(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
+    """The layer update reading the graph and state.tau itself."""
+    d, e = _beta_log_moments(state)
+    base = digamma(state.theta) - digamma(float(state.theta.sum()))
+    m = connectivity_oracle(g.adj, state.tau)
+    pair = pair_mass_oracle(state.tau)
+
+    edge = np.einsum("klv,kls->vs", m, d)
+    hole = np.einsum("kl,kls->s", pair, e)[None, :]
+    logits = base[None, :] + 0.5 * (edge + hole)
+
+    nu = _softmax_rows(logits)
+    nu = np.maximum(nu, _UPDATE_FLOOR)
+    return nu / nu.sum(axis=1, keepdims=True)
+
+
+def m_step_oracle(g: MultilayerGraph, state: VariationalState, priors: PriorHyperparams):
+    """The M-step reading the graph and (state.tau, state.nu) itself."""
+    beta = priors.beta0 + state.tau.sum(axis=0)
+    theta = priors.theta0 + state.nu.sum(axis=0)
+
+    m = connectivity_oracle(g.adj, state.tau)
+    edges = np.tensordot(m, state.nu, axes=([2], [0]))
+    pairs = pair_mass_oracle(state.tau)[:, :, None] * state.nu.sum(axis=0)[None, None, :]
+    holes = pairs - edges
+
+    k = state.k
+    idx = np.arange(k)
+    edges[idx, idx, :] *= 0.5
+    holes[idx, idx, :] *= 0.5
+
+    eta = priors.eta0 + edges
+    xi = priors.xi0 + holes
+    return beta, theta, eta, xi
+
+
+def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
+    """fit's restart loop on the dense reference updates, with the state
+    rebuilt after the node sweep, the layer update and the M-step. Takes
+    fit's arguments so it can stand in for it; emits no ConvergenceWarning."""
+    if priors is None:
+        priors = PriorHyperparams.jeffreys(k, q)
+    if basis is None and cfg.init_strategy == "per_view_spectral":
+        basis = spectral_basis(g, k)
+
+    best = None
+    restart_elbos = []
+    for r in range(cfg.n_restarts):
+        rng = rng_stream(cfg.seed, k, q, r)
+        state = init_variational(g, k, q, priors, cfg.init_strategy, rng, basis)
+        beta, theta, eta, xi = m_step_oracle(g, state, priors)
+        state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
+
+        trace = []
+        converged = False
+        for _ in range(cfg.max_iter):
+            state = replace(state, tau=vbe_update_tau(g, state))
+            state = replace(state, nu=vbe_update_nu_oracle(g, state))
+            beta, theta, eta, xi = m_step_oracle(g, state, priors)
+            state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
+            trace.append(compute_elbo(state, priors))
+            if len(trace) >= 2:
+                delta = abs(trace[-1] - trace[-2])
+                if delta < cfg.eps or delta < _REL_EPS * abs(trace[-2]):
+                    converged = True
+                    break
+
+        restart_elbos.append(trace[-1])
+        if best is None or trace[-1] > best[0]:
+            best = (trace[-1], r, state, tuple(trace), converged)
+
+    _, best_restart, state, trace, converged = best
+    return FitReport(
+        state=state,
+        elbo_trace=trace,
+        converged=converged,
+        iterations=len(trace),
+        best_restart=best_restart,
+        z_map=map_assign(state.tau),
+        w_map=map_assign(state.nu),
+        restart_elbos=tuple(restart_elbos),
+    )
+
+
+def hardened_state_oracle(g, z, w, priors) -> VariationalState:
+    """The one-hot state of hard partitions (z, w), absorbed by the dense
+    M-step."""
+    state = VariationalState(
+        tau=z.one_hot(), nu=w.one_hot(), beta=priors.beta0, theta=priors.theta0, eta=priors.eta0, xi=priors.xi0
+    )
+    beta, theta, eta, xi = m_step_oracle(g, state, priors)
+    return VariationalState(tau=state.tau, nu=state.nu, beta=beta, theta=theta, eta=eta, xi=xi)

@@ -49,6 +49,7 @@ from mimisbm import (
     rng_stream,
 )
 from mimisbm.cli import main as cli_main
+from mimisbm.inference import sufficient_stats
 from helpers import (
     ari_bruteforce,
     log_evidence_enumeration,
@@ -126,7 +127,7 @@ def test_criterion_3_criterion_identities():
         # hard identity: ilvb on the MAP-hardened state equals icl_exact
         z, w = map_assign(st.tau), map_assign(st.nu)
         hard = replace(st, tau=z.one_hot().astype(float), nu=w.one_hot().astype(float))
-        beta, theta, eta, xi = m_step(g, hard, pr)
+        beta, theta, eta, xi = m_step(sufficient_stats(g, hard.tau), hard.nu, pr)
         hard = replace(hard, beta=beta, theta=theta, eta=eta, xi=xi)
         worst_hard = max(worst_hard, abs(ilvb(hard, pr) - icl_exact(g, z, w, pr)))
     ok = worst_hard < 1e-10 and worst_soft < 1e-10
@@ -223,7 +224,7 @@ def test_criterion_7_conservation():
         g = random_graph(rng, n, v, p=0.3)
         pr = PriorHyperparams.jeffreys(k, q)
         st = random_post_m_state(rng, g, k, q, pr, cycles=int(rng.integers(0, 3)))
-        beta, theta, eta, xi = m_step(g, st, pr)
+        beta, theta, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
         worst_b = max(worst_b, abs(beta.sum() - pr.beta0.sum() - n))
         worst_t = max(worst_t, abs(theta.sum() - pr.theta0.sum() - v))
         iu, ju = np.triu_indices(k)

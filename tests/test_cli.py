@@ -1,10 +1,13 @@
 """Command-line workflows: simulate, fit, select, eval."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mimisbm
 from mimisbm import HardPartition
 from mimisbm.io import read_report, write_partition
 from mimisbm.cli import main
@@ -83,6 +86,23 @@ def test_fit_missing_graph_exits_1(tmp_path, capsys):
                  "--seed", "0", "--out", str(out)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_fit_oversized_header_exits_1(tmp_path):
+    # N * N * V = 1e16 bytes is beyond the address space, so the allocation
+    # fails at once and never touches memory
+    graph = tmp_path / "huge.mlg"
+    graph.write_text("100000000 1\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(mimisbm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mimisbm.cli", "fit", "--graph", str(graph), "--k", "2", "--q", "1",
+         "--seed", "0", "--out", str(tmp_path / "fit")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["huge.mlg"]
 
 
 def test_fit_bad_dims_exit_2(tmp_path, capsys):

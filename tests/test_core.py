@@ -35,7 +35,7 @@ def test_build_graph_single_edge_symmetric():
 def test_build_graph_duplicates_and_reversal_idempotent():
     g = build_graph(2, 2, [(0, 1, 0), (0, 1, 0), (1, 0, 1)])
     for layer in range(2):
-        a = g.layer(layer)
+        a = g.adj[:, :, layer]
         assert a[0, 1] == 1 and a[1, 0] == 1
         assert a.sum() == 2
 
@@ -68,7 +68,7 @@ def test_graph_invariants_random():
             edges.append((int(i), int(j), int(rng.integers(0, v))))
         g = build_graph(n, v, edges)
         for layer in range(v):
-            a = g.layer(layer)
+            a = g.adj[:, :, layer]
             assert np.array_equal(a, a.T)
             assert int(np.trace(a)) == 0
             assert int(a.sum()) % 2 == 0
@@ -114,7 +114,7 @@ def test_hard_partition_one_hot_and_counts():
     oh = p.one_hot()
     assert oh.shape == (4, 3)
     assert np.array_equal(oh.sum(axis=1), np.ones(4))
-    assert np.array_equal(p.counts(), np.array([1, 2, 1]))
+    assert np.array_equal(np.bincount(p.labels, minlength=p.k), np.array([1, 2, 1]))
 
 
 def test_model_params_validation():

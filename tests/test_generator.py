@@ -164,7 +164,7 @@ def test_generate_dataset_deterministic_layers():
         local = truth.link_maps[comp][truth.z.labels]
         expected = (local[:, None] == local[None, :]).astype(np.uint8)
         np.fill_diagonal(expected, 0)
-        assert np.array_equal(g.layer(view), expected)
+        assert np.array_equal(g.adj[:, :, view], expected)
         assert ari(local, truth.link_maps[comp][truth.z.labels]) == 1.0
 
 
@@ -179,7 +179,7 @@ def test_generate_dataset_edge_frequency_matches_p_in():
     cfg = SimulationConfig(n=120, v=1, k=2, q=1, p_in=0.7, p_out=0.05, component_k=(2,))
     g, truth = generate_dataset(cfg, rng_stream(8))
     local = truth.link_maps[0][truth.z.labels]
-    a = g.layer(0)
+    a = g.adj[:, :, 0]
     same = (local[:, None] == local[None, :]) & ~np.eye(cfg.n, dtype=bool)
     count = int(same.sum()) // 2
     freq = a[np.triu(same)].mean()

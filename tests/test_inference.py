@@ -26,9 +26,11 @@ from mimisbm import (
     vbe_update_nu,
     vbe_update_tau,
 )
-from mimisbm.inference import spectral_basis
+from mimisbm.inference import spectral_basis, sufficient_stats
 from helpers import (
+    count_calls,
     count_eigh,
+    fit_oracle,
     init_variational_oracle,
     random_graph,
     random_post_m_state,
@@ -42,7 +44,7 @@ from helpers import (
 
 
 def _absorbed(g, state, priors):
-    beta, theta, eta, xi = m_step(g, state, priors)
+    beta, theta, eta, xi = m_step(sufficient_stats(g, state.tau), state.nu, priors)
     return replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
 
 
@@ -250,7 +252,7 @@ def test_nu_update_single_component_all_ones():
     g = build_graph(4, 3, [(0, 1, 0)])
     pr = PriorHyperparams.jeffreys(2, 1)
     st = _absorbed(g, init_variational(g, 2, 1, pr, "random", rng_stream(1)), pr)
-    nu = vbe_update_nu(g, st)
+    nu = vbe_update_nu(sufficient_stats(g, st.tau), st)
     assert np.array_equal(nu, np.ones((3, 1)))
 
 
@@ -267,7 +269,7 @@ def test_nu_update_flat_when_uninformative():
         eta=np.full((k, k, q), 1.1),
         xi=np.full((k, k, q), 1.1),
     )
-    out = vbe_update_nu(g, st)
+    out = vbe_update_nu(sufficient_stats(g, st.tau), st)
     assert np.allclose(out, 0.5, atol=1e-12)
 
 
@@ -289,7 +291,7 @@ def test_nu_update_contrasting_layers():
         eta=eta,
         xi=xi,
     )
-    out = vbe_update_nu(g, st)
+    out = vbe_update_nu(sufficient_stats(g, st.tau), st)
     assert np.allclose(out, scalar_nu_update(g, st), atol=1e-12)
     assert out[0, 0] > 0.99  # empty layer -> hole-favoring component
     assert out[1, 1] > 0.99  # complete layer -> edge-favoring component
@@ -307,7 +309,7 @@ def test_nu_update_matches_scalar_formula():
         g = random_graph(rng, n, v, p=0.4)
         pr = PriorHyperparams.jeffreys(k, q)
         st = random_post_m_state(rng, g, k, q, pr)
-        assert np.allclose(vbe_update_nu(g, st), scalar_nu_update(g, st), atol=1e-12), f"trial {trial}"
+        assert np.allclose(vbe_update_nu(sufficient_stats(g, st.tau), st), scalar_nu_update(g, st), atol=1e-12), f"trial {trial}"
 
 
 def test_updates_keep_rows_normalized():
@@ -316,7 +318,7 @@ def test_updates_keep_rows_normalized():
     pr = PriorHyperparams.jeffreys(3, 2)
     st = random_post_m_state(rng, g, 3, 2, pr)
     tau = vbe_update_tau(g, st)
-    nu = vbe_update_nu(g, replace(st, tau=tau))
+    nu = vbe_update_nu(sufficient_stats(g, tau), st)
     assert np.allclose(tau.sum(axis=1), 1.0, atol=1e-10)
     assert np.allclose(nu.sum(axis=1), 1.0, atol=1e-10)
     assert np.all(tau > 0) and np.all(nu > 0)
@@ -331,7 +333,7 @@ def test_m_step_beta_column_sums():
     tau = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     st = VariationalState(tau=tau, nu=np.ones((1, 1)), beta=pr.beta0, theta=pr.theta0,
                           eta=pr.eta0, xi=pr.xi0)
-    beta, theta, eta, xi = m_step(g, st, pr)
+    beta, theta, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
     assert np.allclose(beta, [2.5, 1.5], atol=1e-15)
     assert np.allclose(theta, [1.5], atol=1e-15)
 
@@ -342,7 +344,7 @@ def test_m_step_complete_triangle_counts():
     pr = PriorHyperparams.jeffreys(1, 1)
     st = VariationalState(tau=np.ones((3, 1)), nu=np.ones((1, 1)), beta=pr.beta0,
                           theta=pr.theta0, eta=pr.eta0, xi=pr.xi0)
-    _, _, eta, xi = m_step(g, st, pr)
+    _, _, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
     assert eta[0, 0, 0] == pytest.approx(3.5, abs=1e-12)
     assert xi[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -363,8 +365,8 @@ def test_m_step_hard_partition_exact_counts():
     tau = np.eye(2)[z]
     st = VariationalState(tau=tau, nu=np.ones((1, 1)), beta=pr.beta0, theta=pr.theta0,
                           eta=pr.eta0, xi=pr.xi0)
-    _, _, eta, xi = m_step(g, st, pr)
-    a = g.layer(0)
+    _, _, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
+    a = g.adj[:, :, 0]
     within0 = sum(a[i, j] for i in range(5) for j in range(i + 1, 5))
     within1 = sum(a[i, j] for i in range(5, n) for j in range(i + 1, n))
     between = sum(a[i, j] for i in range(5) for j in range(5, n))
@@ -383,7 +385,7 @@ def test_m_step_matches_scalar_formula():
         g = random_graph(rng, n, v, p=0.5)
         pr = PriorHyperparams.jeffreys(k, q)
         st = random_post_m_state(rng, g, k, q, pr)
-        beta, theta, eta, xi = m_step(g, st, pr)
+        beta, theta, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
         b2, t2, e2, x2 = scalar_m_step(g, st, pr)
         assert np.allclose(beta, b2, atol=1e-10)
         assert np.allclose(theta, t2, atol=1e-10)
@@ -403,7 +405,7 @@ def test_m_step_conservation():
         g = random_graph(rng, n, v, p=0.4)
         pr = PriorHyperparams.jeffreys(k, q)
         st = random_post_m_state(rng, g, k, q, pr)
-        beta, theta, eta, xi = m_step(g, st, pr)
+        beta, theta, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
         assert beta.sum() - pr.beta0.sum() == pytest.approx(n, abs=1e-8)
         assert theta.sum() - pr.theta0.sum() == pytest.approx(v, abs=1e-8)
         iu, ju = np.triu_indices(k)
@@ -539,7 +541,7 @@ def test_fit_label_permutation_equivariance():
         state = _absorbed(g, state, pr)
         for _ in range(12):
             state = replace(state, tau=vbe_update_tau(g, state))
-            state = replace(state, nu=vbe_update_nu(g, state))
+            state = replace(state, nu=vbe_update_nu(sufficient_stats(g, state.tau), state))
             state = _absorbed(g, state, pr)
         return state, compute_elbo(state, pr)
 
@@ -587,3 +589,32 @@ def test_fit_eigendecomposes_each_layer_once(monkeypatch):
     calls.clear()
     fit(g, 3, 2, FitConfig(seed=1, n_restarts=3, init_strategy="random"))
     assert calls == []
+
+
+def test_fit_matches_dense_oracle():
+    # the loop on shared sufficient statistics against the dense loop that
+    # recomputes connectivity per update, for both inits, on a graph with a
+    # degree-0 node and on a k = n cell
+    for strategy in ("random", "per_view_spectral"):
+        cfg = FitConfig(seed=8, n_restarts=3, init_strategy=strategy)
+        for g, k, q in _spectral_graphs():
+            got, want = fit(g, k, q, cfg), fit_oracle(g, k, q, cfg)
+            for name in ("tau", "nu", "beta", "theta", "eta", "xi"):
+                assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes(), name
+            assert np.array(got.elbo_trace).tobytes() == np.array(want.elbo_trace).tobytes()
+            assert np.array(got.restart_elbos).tobytes() == np.array(want.restart_elbos).tobytes()
+            assert got.best_restart == want.best_restart
+
+
+def test_fit_computes_statistics_and_state_once_per_iteration(monkeypatch):
+    g = random_graph(np.random.default_rng(67), 10, 4, p=0.4)
+    stats = count_calls(monkeypatch, inference, "sufficient_stats")
+    states = count_calls(monkeypatch, VariationalState, "__init__")
+    for strategy in ("random", "per_view_spectral"):
+        stats.clear()
+        states.clear()
+        rep = fit(g, 3, 2, FitConfig(seed=2, n_restarts=1, init_strategy=strategy))
+        # one absorbing M-step before the loop, then one pass per iteration
+        assert len(stats) == rep.iterations + 1
+        # the initial state, the absorbed one, then one per iteration
+        assert len(states) == rep.iterations + 2

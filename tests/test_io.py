@@ -32,7 +32,7 @@ def test_mlg_minimal_round_trip(tmp_path):
     p.write_text("2 1\n0 1 0\n")
     g = read_mlg(str(p))
     assert g.n == 2 and g.v == 1
-    assert g.layer(0)[0, 1] == 1
+    assert g.adj[:, :, 0][0, 1] == 1
 
 
 def test_mlg_empty_body(tmp_path):
@@ -46,7 +46,7 @@ def test_mlg_comments_ignored(tmp_path):
     p = tmp_path / "c.mlg"
     p.write_text("# a comment\n2 1\n# another\n0 1 0\n")
     g = read_mlg(str(p))
-    assert g.layer(0)[0, 1] == 1
+    assert g.adj[:, :, 0][0, 1] == 1
 
 
 def test_mlg_write_read_byte_identical(tmp_path):
@@ -67,7 +67,7 @@ def test_mlg_reversed_edge_needs_symmetrize(tmp_path):
     with pytest.raises(ParseError):
         read_mlg(str(p))
     g = read_mlg(str(p), symmetrize=True)
-    assert g.layer(0)[1, 2] == 1
+    assert g.adj[:, :, 0][1, 2] == 1
 
 
 @pytest.mark.parametrize(

@@ -123,10 +123,8 @@ def test_identifiability_size_conditions():
     assert not rep_small_n.a3 and not rep_small_n.a4
     rep_small_v = check_identifiability(params, n=8, v=3)
     assert not rep_small_v.a3
-    # theorem variant requires n >= max(2k, 4q); v >= 2k
     rep_theorem = check_identifiability(params, n=4, v=4)
     assert rep_theorem.a4  # 4 >= 4*1
-    assert not rep_theorem.a3_theorem or rep_theorem.a3
 
 
 def test_identifiability_tol_monotone():

@@ -29,9 +29,12 @@ from mimisbm import (
     pen,
     rng_stream,
 )
+from mimisbm.inference import sufficient_stats
 from helpers import (
     count_eigh,
+    fit_oracle,
     hard_completed_loglik,
+    hardened_state_oracle,
     init_variational_oracle,
     log_evidence_enumeration,
     random_graph,
@@ -130,7 +133,7 @@ def test_hardening_collapse_identities():
         st = random_post_m_state(rng, g, k, q, pr)
         z, w = _harden(st)
         onehot = replace(st, tau=z.one_hot().astype(float), nu=w.one_hot().astype(float))
-        beta, theta, eta, xi = m_step(g, onehot, pr)
+        beta, theta, eta, xi = m_step(sufficient_stats(g, onehot.tau), onehot.nu, pr)
         onehot = replace(onehot, beta=beta, theta=theta, eta=eta, xi=xi)
         exact = icl_exact(g, z, w, pr)
         assert abs(exact - ilvb(onehot, pr)) < 1e-10
@@ -319,3 +322,19 @@ def test_grid_eigendecomposes_each_layer_once(monkeypatch):
     calls.clear()
     grid_search(g, [1, 2, 3], [1, 2], FitConfig(seed=0, n_restarts=2, init_strategy="random"))
     assert calls == []
+
+
+def test_grid_matches_dense_oracle(monkeypatch):
+    # every cell's fit and hardened state on shared sufficient statistics
+    # against the dense loop, at both worker counts, with a degree-0 node and
+    # a k = n cell
+    g = with_isolated_node(random_graph(np.random.default_rng(14), 6, 3, p=0.5), node=1, layer=2)
+    cfg = FitConfig(seed=6, n_restarts=2)
+    ks, qs = range(1, g.n + 1), [1, 2]
+    got = [grid_search(g, ks, qs, cfg, jobs=jobs) for jobs in (1, 2)]
+    monkeypatch.setattr(selection, "fit", fit_oracle)
+    monkeypatch.setattr(selection, "_hardened_state", hardened_state_oracle)
+    want = grid_search(g, ks, qs, cfg, jobs=1)
+    assert all(c.error is None for c in want.cells)
+    assert repr(got[0]) == repr(want)
+    assert repr(got[1]) == repr(want)
