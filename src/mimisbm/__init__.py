@@ -39,7 +39,7 @@ from .inference import (
     vbe_update_nu,
     vbe_update_tau,
 )
-from .mathfn import digamma, log_beta, log_gamma
+from .mathfn import digamma, log_gamma
 from .metrics import IdentifiabilityReport, ari, check_identifiability, map_assign
 from .selection import (
     CRITERIA,
@@ -49,7 +49,6 @@ from .selection import (
     icl_approx,
     icl_exact,
     icl_variational,
-    ilvb,
     pen,
 )
 
@@ -85,9 +84,7 @@ __all__ = [
     "icl_approx",
     "icl_exact",
     "icl_variational",
-    "ilvb",
     "init_variational",
-    "log_beta",
     "log_gamma",
     "m_step",
     "map_assign",

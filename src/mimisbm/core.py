@@ -198,7 +198,7 @@ def _check_simplex(name: str, p: np.ndarray, tol: float = 1e-12):
 def _check_symmetric_kkq(name: str, a: np.ndarray):
     if a.ndim != 3 or a.shape[0] != a.shape[1]:
         raise DomainError(f"{name} must have shape (K, K, Q)")
-    if not np.allclose(a, a.transpose(1, 0, 2), rtol=0.0, atol=0.0):
+    if not np.array_equal(a, a.transpose(1, 0, 2)):
         raise DomainError(f"{name} must be symmetric in its first two axes")
 
 

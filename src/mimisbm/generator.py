@@ -15,7 +15,9 @@ generator reproduces the dataset bit for bit.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +39,9 @@ __all__ = [
     "apply_label_switch",
     "generate_dataset",
 ]
+
+# link maps are drawn by rejection up to this many expected draws, as for every k <= 11
+_MAX_EXPECTED_TRIES = 10**4
 
 
 class LinkMapError(ValueError):
@@ -167,14 +172,35 @@ def apply_label_switch(z: HardPartition, rate: float, rng: np.random.Generator) 
     return HardPartition(labels=labels, k=z.k)
 
 
-def _sample_link_map(k: int, n_component_blocks: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform surjective map {0..k-1} -> {0..n_component_blocks-1} by rejection."""
-    if n_component_blocks > k:
+def _sample_link_map(k: int, c: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform surjective map from k final blocks onto c component blocks.
+
+    By rejection while that expects at most _MAX_EXPECTED_TRIES draws,
+    c^k / T(k, c); else entry by entry, since T(n, u) = (c - u) T(n-1, u)
+    + u T(n-1, u-1): a given covered label has weight T(n-1, u), the next
+    new label u T(n-1, u-1), and a random permutation relabels the result.
+    """
+
+    def count(n: int, u: int) -> int:  # T(n, u): n entries over c labels covering u given ones
+        return sum((-1) ** j * comb(u, j) * (c - j) ** n for j in range(u + 1))
+
+    if c > k:
         raise LinkMapError("cannot cover more component blocks than final blocks")
-    while True:
-        m = rng.integers(0, n_component_blocks, size=k)
-        if np.unique(m).size == n_component_blocks:
-            return m
+    if c**k <= _MAX_EXPECTED_TRIES * count(k, c):
+        while True:
+            m = rng.integers(0, c, size=k)
+            if np.unique(m).size == c:
+                return m
+    draw = random.Random(int(rng.integers(2**63))).randrange  # exact for ints of any size
+    m, u = np.empty(k, dtype=np.int64), c
+    for j in range(k):
+        old = count(k - j - 1, u)
+        r = draw(count(k - j, u))
+        if r < (c - u) * old:
+            m[j] = r // old
+        else:
+            m[j], u = c - u, u - 1
+    return rng.permutation(c)[m]
 
 
 def generate_dataset(cfg: SimulationConfig, rng: np.random.Generator) -> Tuple[MultilayerGraph, GroundTruth]:

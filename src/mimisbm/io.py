@@ -17,6 +17,7 @@ same bytes and reloading reproduces every value bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Union
 
@@ -25,7 +26,7 @@ import numpy as np
 from .core import HardPartition, MultilayerGraph
 from .generator import GroundTruth, SimulationConfig
 from .inference import FitReport
-from .selection import CRITERIA, SelectionResult
+from .selection import SelectionResult
 
 __all__ = [
     "ParseError",
@@ -166,21 +167,9 @@ def _selection_payload(result: SelectionResult) -> dict:
         "kind": "selection",
         "criterion": result.criterion,
         "best": None if result.best is None else list(result.best),
-        "cells": [
-            {
-                "k": c.k,
-                "q": c.q,
-                "ilvb": c.ilvb,
-                "icl_exact": c.icl_exact,
-                "icl_variational": c.icl_variational,
-                "icl_approx": c.icl_approx,
-                "converged": c.converged,
-                "iterations": c.iterations,
-                "error": c.error,
-            }
-            for c in result.cells
-        ],
-        "chosen": {crit: list(result.chosen[crit]) for crit in CRITERIA if crit in result.chosen},
+        # GridCell's field order is the cell layout
+        "cells": [dataclasses.asdict(c) for c in result.cells],
+        "chosen": {crit: list(kq) for crit, kq in result.chosen.items()},
     }
 
 

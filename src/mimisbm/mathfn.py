@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import DomainError
 
-__all__ = ["digamma", "log_gamma", "log_beta"]
+__all__ = ["digamma", "log_gamma"]
 
 _SHIFT = 6.0
 
@@ -108,7 +108,3 @@ def log_gamma(x):
         out = np.where(exact, 0.0, out)
     return float(out) if scalar else out
 
-
-def log_beta(a, b):
-    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a + b)."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a, dtype=float) + np.asarray(b, dtype=float))

@@ -13,7 +13,8 @@ icl_approx       the bound minus the asymptotic penalty pen(K, Q).
 The grid driver refits every cell from scratch; nothing is warm-started
 across cells, so a cell's result depends only on (data, K, Q, seed). The
 one thing cells share is the spectral basis of the graph's layers, which
-depends on the data alone.
+depends on the data alone. A cell is scored from its fit's final bound; only
+icl_exact evaluates a bound of its own, at the hardened state.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import log
+from operator import attrgetter
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -37,7 +39,6 @@ from .inference import _xlogx, compute_elbo, fit, m_step, spectral_basis, suffic
 
 __all__ = [
     "pen",
-    "ilvb",
     "icl_exact",
     "icl_variational",
     "icl_approx",
@@ -59,11 +60,6 @@ def pen(k: int, q: int, n: int, v: int) -> float:
         raise DomainError("need k, q >= 1, n >= 2, v >= 1")
     cells = v * (n * (n - 1) // 2)
     return 0.5 * (k * (k + 1) / 2) * q * log(cells) + 0.5 * (k - 1) * log(n) + 0.5 * (q - 1) * log(v)
-
-
-def ilvb(state: VariationalState, priors: PriorHyperparams) -> float:
-    """The bound at `state`; identical by construction to compute_elbo."""
-    return compute_elbo(state, priors)
 
 
 def _hardened_state(g: MultilayerGraph, z: HardPartition, w: HardPartition, priors: PriorHyperparams) -> VariationalState:
@@ -93,10 +89,11 @@ def icl_exact(
     return compute_elbo(_hardened_state(g, z, w, priors), priors)
 
 
-def icl_variational(state: VariationalState, priors: PriorHyperparams) -> float:
-    """The normalizer-ratio part of the bound at soft counts: ilvb plus the
-    (nonpositive) responsibility log masses sum tau log tau + sum nu log nu."""
-    return compute_elbo(state, priors) + _xlogx(state.tau) + _xlogx(state.nu)
+def icl_variational(elbo: float, state: VariationalState) -> float:
+    """The normalizer-ratio part of the bound at soft counts: the bound
+    `elbo`, taken at `state`, plus the (nonpositive) responsibility log
+    masses sum tau log tau + sum nu log nu."""
+    return elbo + _xlogx(state.tau) + _xlogx(state.nu)
 
 
 def icl_approx(elbo: float, k: int, q: int, n: int, v: int) -> float:
@@ -113,11 +110,11 @@ class GridCell:
 
     k: int
     q: int
-    ilvb: Optional[float]
-    icl_exact: Optional[float]
-    icl_variational: Optional[float]
-    icl_approx: Optional[float]
-    converged: Optional[bool]
+    ilvb: Optional[float] = None
+    icl_exact: Optional[float] = None
+    icl_variational: Optional[float] = None
+    icl_approx: Optional[float] = None
+    converged: Optional[bool] = None
     iterations: Optional[int] = None
     error: Optional[str] = None
 
@@ -136,16 +133,14 @@ class SelectionResult:
 def _run_cell(args) -> GridCell:
     g, k, q, cfg, basis = args
     try:
-        priors = PriorHyperparams.jeffreys(k, q)
         report = fit(g, k, q, cfg, basis=basis)
-        state = report.state
-        bound = ilvb(state, priors)
+        bound = report.elbo_trace[-1]
         return GridCell(
             k=k,
             q=q,
             ilvb=bound,
-            icl_exact=icl_exact(g, report.z_map, report.w_map, priors),
-            icl_variational=icl_variational(state, priors),
+            icl_exact=icl_exact(g, report.z_map, report.w_map),
+            icl_variational=icl_variational(bound, report.state),
             icl_approx=icl_approx(bound, k, q, g.n, g.v),
             converged=report.converged,
             iterations=report.iterations,
@@ -153,9 +148,7 @@ def _run_cell(args) -> GridCell:
     except (DomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
         # a domain or numerical failure is data, not a crash; anything else
         # is a bug and propagates
-        return GridCell(k=k, q=q, ilvb=None, icl_exact=None, icl_variational=None,
-                        icl_approx=None, converged=None, iterations=None,
-                        error=f"{type(exc).__name__}: {exc}")
+        return GridCell(k=k, q=q, error=f"{type(exc).__name__}: {exc}")
 
 
 def grid_search(
@@ -168,8 +161,8 @@ def grid_search(
 ) -> SelectionResult:
     """Fit every (k, q) in the product grid and rank the cells.
 
-    Cells run independently; with jobs > 1 they are farmed out to worker
-    processes. Each cell derives its randomness from (cfg.seed, k, q), so
+    Cells run independently, on min(jobs, cells) worker processes when that
+    exceeds 1. Each cell derives its randomness from (cfg.seed, k, q), so
     the result is identical for any `jobs`. All four criteria are recorded
     for every cell and a winner is chosen per criterion by maximization,
     ties broken toward smaller k, then smaller q; `criterion` names the one
@@ -192,24 +185,22 @@ def grid_search(
     # cell (and worker process) slices it instead of eigendecomposing again
     basis = spectral_basis(g, ks[-1]) if cfg.init_strategy == "per_view_spectral" else None
     tasks = [(g, k, q, cfg, basis) for k in ks for q in qs]
-    if jobs == 1:
+    # a pool forks all its workers up front, so start no more than there are cells
+    workers = min(jobs, len(tasks))
+    if workers == 1:
         cells = [_run_cell(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, tasks))
     cells.sort(key=lambda c: (c.k, c.q))
 
     chosen: Dict[str, Tuple[int, int]] = {}
     for crit in CRITERIA:
-        best = None
-        for c in cells:
-            val = getattr(c, crit)
-            if val is None:
-                continue
-            if best is None or val > best[0]:
-                best = (val, (c.k, c.q))
-        if best is not None:
-            chosen[crit] = best[1]
+        scored = [c for c in cells if getattr(c, crit) is not None]
+        if scored:
+            # max keeps the first of equal values, i.e. the smallest (k, q)
+            top = max(scored, key=attrgetter(crit))
+            chosen[crit] = (top.k, top.q)
     return SelectionResult(
         cells=tuple(cells),
         chosen=chosen,

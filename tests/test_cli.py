@@ -105,6 +105,21 @@ def test_fit_oversized_header_exits_1(tmp_path):
     assert os.listdir(tmp_path) == ["huge.mlg"]
 
 
+def test_simulate_twenty_block_link_map_finishes(tmp_path):
+    # a surjection onto 20 of 20 blocks by rejection expects ~4.3e7 draws
+    src = os.path.dirname(os.path.dirname(mimisbm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "sim"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mimisbm.cli", "simulate", "--n", "40", "--v", "2", "--k", "20",
+         "--q", "1", "--component-k", "20", "--seed", "0", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (link_map,) = read_report(str(out / "truth.json"))["link_maps"]
+    assert sorted(link_map) == list(range(20))
+
+
 def test_fit_bad_dims_exit_2(tmp_path, capsys):
     sim = tmp_path / "sim"
     _simulate(sim, seed=2)

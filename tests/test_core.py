@@ -17,6 +17,7 @@ from mimisbm import (
     dyad_layer_count,
     rng_stream,
 )
+from mimisbm.core import _check_symmetric_kkq
 
 
 def test_build_graph_empty():
@@ -128,6 +129,28 @@ def test_model_params_validation():
         ModelParams(pi=np.array([0.5, 0.5]), rho=np.array([1.0]), alpha=bad)
     with pytest.raises(DomainError):
         ModelParams(pi=np.array([0.5, 0.5]), rho=np.array([1.0]), alpha=alpha + 1.0)
+
+
+@pytest.mark.parametrize(
+    "upper, lower, diagonal, accepted",
+    [
+        (np.nan, np.nan, 0.5, False),  # NaN never equals itself
+        (0.5, 0.5, np.nan, False),
+        (np.inf, np.inf, 0.5, True),
+        (-np.inf, -np.inf, np.inf, True),
+        (np.inf, -np.inf, 0.5, False),
+        (-0.0, 0.0, 0.5, True),
+        (0.5, 0.7, 0.5, False),
+    ],
+)
+def test_check_symmetric_kkq_is_exact_equality(upper, lower, diagonal, accepted):
+    a = np.full((2, 2, 2), 0.5)
+    a[0, 1, 1], a[1, 0, 1], a[1, 1, 0] = upper, lower, diagonal
+    if accepted:
+        _check_symmetric_kkq("a", a)
+    else:
+        with pytest.raises(DomainError, match="symmetric"):
+            _check_symmetric_kkq("a", a)
 
 
 def test_prior_hyperparams_jeffreys():

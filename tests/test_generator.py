@@ -1,7 +1,12 @@
 """Synthetic multilayer benchmark generation."""
 
+import time
+from itertools import product
+
 import numpy as np
 import pytest
+
+import mimisbm.generator as generator
 
 from mimisbm import (
     DomainError,
@@ -205,3 +210,48 @@ def test_simulation_config_validation():
         SimulationConfig(n=10, v=2, k=3, q=2, p_switch=1.5)
     with pytest.raises(DomainError):
         SimulationConfig(n=10, v=2, k=3, q=2, component_k=(2,))  # wrong length
+
+
+@pytest.mark.parametrize("k, c", [(3, 2), (4, 3), (4, 4), (5, 3)])
+def test_link_map_exact_path_uniform_by_enumeration(monkeypatch, k, c):
+    # with the rejection path switched off, every surjection appears, nothing
+    # else does, and the counts pass a chi-square bound of df + 6 sqrt(2 df)
+    # at 200 expected draws each
+    monkeypatch.setattr(generator, "_MAX_EXPECTED_TRIES", 0)
+    surjections = [m for m in product(range(c), repeat=k) if len(set(m)) == c]
+    rng = np.random.default_rng(17)
+    seen = {}
+    for _ in range(200 * len(surjections)):
+        m = tuple(generator._sample_link_map(k, c, rng).tolist())
+        seen[m] = seen.get(m, 0) + 1
+    assert sorted(seen) == surjections
+    df = len(surjections) - 1
+    chi2 = sum((n - 200) ** 2 / 200 for n in seen.values())
+    assert chi2 < df + 6.0 * np.sqrt(2.0 * df)
+
+
+def test_link_map_rejection_draws_unchanged_up_to_k_11():
+    # rejection expects at most 1e4 draws for every k <= 11, so those maps
+    # keep the values, and leave the stream where, plain rejection did
+    for k in range(1, 12):
+        for c in range(1, k + 1):
+            rng, ref = np.random.default_rng(100 * k + c), np.random.default_rng(100 * k + c)
+            while True:
+                want = ref.integers(0, c, size=k)
+                if np.unique(want).size == c:
+                    break
+            assert np.array_equal(generator._sample_link_map(k, c, rng), want)
+            assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("k, c", [(12, 12), (20, 19), (20, 20)])
+def test_link_map_exact_path_is_fast_and_surjective(k, c):
+    rng, ref = np.random.default_rng(18), np.random.default_rng(18)
+    start = time.perf_counter()
+    m = generator._sample_link_map(k, c, rng)
+    assert time.perf_counter() - start < 20.0
+    assert m.shape == (k,) and sorted(set(m.tolist())) == list(range(c))
+    # the exact path draws one seed and one relabeling from the stream
+    ref.integers(2**63)
+    ref.permutation(c)
+    assert rng.random() == ref.random()

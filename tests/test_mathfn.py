@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimisbm import DomainError, digamma, log_beta, log_gamma
+from mimisbm import DomainError, digamma, log_gamma
 
 GRID = np.logspace(-4, 4, 257)
 
@@ -28,25 +28,11 @@ def test_log_gamma_known_values():
     assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
 
 
-def test_log_beta_known_values():
-    assert log_beta(1.0, 1.0) == 0.0
-    assert log_beta(0.5, 0.5) == pytest.approx(math.log(math.pi), abs=1e-13)
-    assert log_beta(1.5, 0.5) == pytest.approx(math.log(math.pi / 2.0), abs=1e-13)
-    assert log_beta(1.5, 0.5) == pytest.approx(0.4515827053, abs=1e-9)
-
-
 @pytest.mark.parametrize("fn", [digamma, log_gamma])
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, -100.0])
 def test_domain_errors(fn, bad):
     with pytest.raises(DomainError):
         fn(bad)
-
-
-def test_log_beta_domain_errors():
-    with pytest.raises(DomainError):
-        log_beta(0.0, 1.0)
-    with pytest.raises(DomainError):
-        log_beta(1.0, -2.0)
 
 
 def test_digamma_recurrence_on_grid():
@@ -101,12 +87,6 @@ def test_digamma_recurrence_property(x):
 @settings(max_examples=200, deadline=None)
 def test_log_gamma_recurrence_property(x):
     assert abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) < 1e-10
-
-
-@given(st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=1e-3, max_value=1e3))
-@settings(max_examples=200, deadline=None)
-def test_log_beta_symmetry(a, b):
-    assert log_beta(a, b) == pytest.approx(log_beta(b, a), abs=1e-12)
 
 
 @given(st.floats(min_value=0.5, max_value=1e3))

@@ -23,7 +23,6 @@ from mimisbm import (
     icl_approx,
     icl_exact,
     icl_variational,
-    ilvb,
     map_assign,
     m_step,
     pen,
@@ -31,6 +30,7 @@ from mimisbm import (
 )
 from mimisbm.inference import sufficient_stats
 from helpers import (
+    count_calls,
     count_eigh,
     fit_oracle,
     hard_completed_loglik,
@@ -89,14 +89,6 @@ def test_pen_invalid_args():
 # ---------------------------------------------------------------- identities
 
 
-def test_ilvb_is_compute_elbo():
-    rng = np.random.default_rng(0)
-    g = random_graph(rng, 7, 2, p=0.4)
-    pr = PriorHyperparams.jeffreys(2, 2)
-    st = random_post_m_state(rng, g, 2, 2, pr)
-    assert ilvb(st, pr) == compute_elbo(st, pr)
-
-
 def test_single_edge_criteria_value():
     g = build_graph(2, 1, [(0, 1, 0)])
     z = HardPartition(labels=np.zeros(2, dtype=int), k=1)
@@ -116,9 +108,10 @@ def test_identity_chain_random_states():
         st = random_post_m_state(rng, g, k, q, pr)
         tau, nu = st.tau, st.nu
         entropy_terms = float((tau * np.log(tau)).sum() + (nu * np.log(nu)).sum())
-        assert icl_variational(st, pr) - ilvb(st, pr) == pytest.approx(entropy_terms, abs=1e-10)
+        elbo = compute_elbo(st, pr)
+        assert icl_variational(elbo, st) - elbo == pytest.approx(entropy_terms, abs=1e-10)
         # the log-mass terms are <= 0, so dropping the entropy bonus can only lower the value
-        assert icl_variational(st, pr) <= ilvb(st, pr) + 1e-12
+        assert icl_variational(elbo, st) <= elbo + 1e-12
 
 
 def test_hardening_collapse_identities():
@@ -136,8 +129,8 @@ def test_hardening_collapse_identities():
         beta, theta, eta, xi = m_step(sufficient_stats(g, onehot.tau), onehot.nu, pr)
         onehot = replace(onehot, beta=beta, theta=theta, eta=eta, xi=xi)
         exact = icl_exact(g, z, w, pr)
-        assert abs(exact - ilvb(onehot, pr)) < 1e-10
-        assert abs(exact - icl_variational(onehot, pr)) < 1e-10
+        assert abs(exact - compute_elbo(onehot, pr)) < 1e-10
+        assert abs(exact - icl_variational(compute_elbo(onehot, pr), onehot)) < 1e-10
 
 
 def test_icl_exact_matches_independent_closed_form():
@@ -338,3 +331,46 @@ def test_grid_matches_dense_oracle(monkeypatch):
     assert all(c.error is None for c in want.cells)
     assert repr(got[0]) == repr(want)
     assert repr(got[1]) == repr(want)
+
+
+def test_grid_bounds_each_cell_once(monkeypatch):
+    # ilvb, icl_variational and icl_approx come from the fit's final bound;
+    # only icl_exact evaluates one, at the hardened state
+    g = random_graph(np.random.default_rng(15), 8, 3, p=0.4)
+    cfg = FitConfig(seed=3, n_restarts=2)
+    calls = count_calls(monkeypatch, selection, "compute_elbo")
+    res = grid_search(g, [1, 2, 3], [1, 2], cfg, jobs=1)
+    assert len(calls) == len(res.cells) == 6
+    for cell in res.cells:
+        assert cell.ilvb == inference.fit(g, cell.k, cell.q, cfg).elbo_trace[-1]
+
+
+def test_grid_starts_no_more_workers_than_cells(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    g = random_graph(np.random.default_rng(16), 8, 2, p=0.4)
+    cfg = FitConfig(seed=4, n_restarts=1)
+    monkeypatch.setattr(selection, "ProcessPoolExecutor", SerialPool)
+    serial = grid_search(g, [1, 2], [1, 2], cfg, jobs=1)
+    for ks, qs, jobs, workers in (([2], [1], 100000, []), ([1, 2], [1, 2], 100000, [4]),
+                                  ([1, 2], [1, 2], 3, [3]), ([1, 2], [1], 2, [2])):
+        started.clear()
+        res = grid_search(g, ks, qs, cfg, jobs=jobs)
+        assert started == workers
+        want = tuple(c for c in serial.cells if c.k in ks and c.q in qs)
+        assert repr(res.cells) == repr(want)
