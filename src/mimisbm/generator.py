@@ -52,7 +52,8 @@ class LinkMapError(ValueError):
 class SimulationConfig:
     """Planted-structure settings.
 
-    n, v: node and layer counts. k, q: final block count and component count.
+    n, v: node and layer counts. k, q: final block count (at most n) and
+        component count.
     p_in / p_out: Bernoulli rates for merged and unmerged block pairs.
     p_switch: per (layer, node) probability of reassigning the node's
         view-local label to one of the other component blocks.
@@ -79,6 +80,8 @@ class SimulationConfig:
             raise DomainError("need at least one layer")
         if self.k < 1 or self.q < 1:
             raise DomainError("k and q must be >= 1")
+        if self.k > self.n:
+            raise DomainError(f"k={self.k} blocks cannot exceed n={self.n} nodes")
         for name in ("p_in", "p_out", "p_switch"):
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
@@ -179,6 +182,8 @@ def _sample_link_map(k: int, c: int, rng: np.random.Generator) -> np.ndarray:
     c^k / T(k, c); else entry by entry, since T(n, u) = (c - u) T(n-1, u)
     + u T(n-1, u-1): a given covered label has weight T(n-1, u), the next
     new label u T(n-1, u-1), and a random permutation relabels the result.
+    One inclusion-exclusion sum per entry: the next entry's total is T(n-1, u)
+    after an old label and (T(n, u) - (c - u) T(n-1, u)) / u after a new one.
     """
 
     def count(n: int, u: int) -> int:  # T(n, u): n entries over c labels covering u given ones
@@ -186,20 +191,22 @@ def _sample_link_map(k: int, c: int, rng: np.random.Generator) -> np.ndarray:
 
     if c > k:
         raise LinkMapError("cannot cover more component blocks than final blocks")
-    if c**k <= _MAX_EXPECTED_TRIES * count(k, c):
+    total = count(k, c)
+    if c**k <= _MAX_EXPECTED_TRIES * total:
         while True:
             m = rng.integers(0, c, size=k)
             if np.unique(m).size == c:
                 return m
     draw = random.Random(int(rng.integers(2**63))).randrange  # exact for ints of any size
     m, u = np.empty(k, dtype=np.int64), c
-    for j in range(k):
+    for j in range(k):  # total is T(k - j, u)
         old = count(k - j - 1, u)
-        r = draw(count(k - j, u))
+        r = draw(total)
         if r < (c - u) * old:
-            m[j] = r // old
+            m[j], total = r // old, old
         else:
-            m[j], u = c - u, u - 1
+            # u >= 1 here: at u = 0 the old labels carry all of T(n, 0) = c T(n-1, 0)
+            m[j], total, u = c - u, (total - (c - u) * old) // u, u - 1
     return rng.permutation(c)[m]
 
 

@@ -221,6 +221,44 @@ def _spectral_labels(vals: np.ndarray, vecs: np.ndarray, k: int, rng: np.random.
     return _kmeans(emb, c, rng)
 
 
+def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact low-dimensional stand-ins for the co-membership features of the
+    layer partitions `labels` (V, N): the V flattened N x N matrices C_v with
+    C_v[i, j] = [labels[v, i] == labels[v, j]], and the N rows of their mean.
+
+    Let H be the N x C' one-hot matrix of the blocks of the distinct
+    partitions and H = QR. Layer v with partition p maps to vec(R_p R_p^T) =
+    vec(Q^T C_v Q), R_p being p's column block of R, and node i maps to row i
+    of H D R^T / V = (mean_v C_v)[i] Q, D holding each partition's layer
+    count. Both maps are linear and isometric on the span of the features, so
+    distances, centroids and hence k-means are those of the dense features;
+    <C_u, C_v> = ||H_u^T H_v||_F^2 is the contingency-table kernel. Memory is
+    O(N C' + V C'^2) with C' <= V max_v(blocks of v) instead of O(V N^2).
+
+    Labels are renamed by order of first appearance and equal partitions
+    share one embedding, so equal partitions, and nodes with equal label
+    tuples, get bit-equal rows: zero distances stay exact zeros, as in the
+    dense features, which k-means++ seeding relies on.
+    """
+    v, n = labels.shape
+    canon = np.empty_like(labels)
+    for lay, lab in enumerate(labels):
+        _, first, inv = np.unique(lab, return_index=True, return_inverse=True)
+        canon[lay] = np.argsort(np.argsort(first))[inv]
+    parts, which, mult = np.unique(canon, axis=0, return_inverse=True, return_counts=True)
+    sizes = parts.max(axis=1) + 1
+    starts = np.cumsum(sizes) - sizes
+    cols = parts + starts[:, None]  # column of H holding each node's block, per partition
+    h = np.zeros((n, int(sizes.sum())))
+    h[np.arange(n), cols] = 1.0
+    r = np.linalg.qr(h, mode="r")
+    layer_rows = np.stack([(b @ b.T).ravel() for b in np.split(r, starts[1:], axis=1)])
+    node_rows = np.zeros((n, r.shape[0]))
+    for col, m in zip(cols, mult):
+        node_rows += m * r.T[col]
+    return layer_rows[which.ravel()], node_rows / v
+
+
 def _soften(labels: np.ndarray, k: int) -> np.ndarray:
     out = np.full((labels.size, k), (1.0 - _SOFT_MIX) / k)
     out[np.arange(labels.size), labels] += _SOFT_MIX
@@ -242,10 +280,12 @@ def init_variational(
 
     random: rows drawn flat-Dirichlet. per_view_spectral: spectral labels
     per layer, layers grouped by k-means on their co-membership patterns,
-    nodes by k-means on the mean co-membership matrix; both softened to
-    0.9 on the assigned cluster plus 0.1 spread uniformly. The spectral
-    labels come from `basis`, the output of spectral_basis(g, k_max) for
-    some k_max >= k; when it is None it is computed here.
+    nodes by k-means on the mean co-membership matrix (both on the exact
+    embeddings of _comembership_embeddings, no N x N matrix is formed);
+    both softened to 0.9 on the assigned cluster plus 0.1 spread uniformly.
+    The spectral labels come from `basis`, the output of
+    spectral_basis(g, k_max) for some k_max >= k; when it is None it is
+    computed here.
     """
     if k < 1 or q < 1:
         raise DomainError("k and q must be >= 1")
@@ -265,12 +305,10 @@ def init_variational(
         nu = rng.dirichlet(np.ones(q), size=g.v)
     elif strategy == "per_view_spectral":
         vals, vecs = spectral_basis(g, k) if basis is None else basis
-        coms = np.empty((g.v, g.n, g.n))
-        for lay in range(g.v):
-            labels = _spectral_labels(vals[lay], vecs[lay], k, rng)
-            coms[lay] = labels[:, None] == labels[None, :]
-        w_labels = _kmeans(coms.reshape(g.v, -1), q, rng)
-        z_labels = _kmeans(coms.mean(axis=0), k, rng)
+        labels = np.stack([_spectral_labels(vals[lay], vecs[lay], k, rng) for lay in range(g.v)])
+        layer_rows, node_rows = _comembership_embeddings(labels)
+        w_labels = _kmeans(layer_rows, q, rng)
+        z_labels = _kmeans(node_rows, k, rng)
         nu = _soften(w_labels, q)
         tau = _soften(z_labels, k)
     else:

@@ -11,10 +11,11 @@ package's numerics and differ only in what they compute once.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import log
+from math import comb, log
 
 import numpy as np
 from scipy.special import betaln, digamma as sp_digamma, gammaln, logsumexp
@@ -439,6 +440,17 @@ def spectral_labels_oracle(a: np.ndarray, k: int, rng: np.random.Generator) -> n
     return kmeans_oracle(emb, c, rng)
 
 
+def comembership_features(labels: np.ndarray):
+    """The dense co-membership features of the layer partitions `labels`
+    (V, N): the V flattened N x N matrices C_v, and the N rows of their
+    mean."""
+    v, n = labels.shape
+    coms = np.empty((v, n, n))
+    for lay in range(v):
+        coms[lay] = labels[lay][:, None] == labels[lay][None, :]
+    return coms.reshape(v, -1), coms.mean(axis=0)
+
+
 def init_variational_oracle(g, k, q, priors, strategy="random", rng=None, basis=None):
     """init_variational with every call eigendecomposing each layer again.
     Takes init_variational's arguments so it can stand in for it; `basis` is
@@ -447,12 +459,10 @@ def init_variational_oracle(g, k, q, priors, strategy="random", rng=None, basis=
         return init_variational(g, k, q, priors, strategy, rng)
     if rng is None:
         rng = rng_stream(0)
-    coms = np.empty((g.v, g.n, g.n))
-    for lay in range(g.v):
-        labels = spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, rng)
-        coms[lay] = labels[:, None] == labels[None, :]
-    w_labels = kmeans_oracle(coms.reshape(g.v, -1), q, rng)
-    z_labels = kmeans_oracle(coms.mean(axis=0), k, rng)
+    labels = np.stack([spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, rng) for lay in range(g.v)])
+    layer_features, node_features = comembership_features(labels)
+    w_labels = kmeans_oracle(layer_features, q, rng)
+    z_labels = kmeans_oracle(node_features, k, rng)
     return VariationalState(
         tau=_floor_rows(_soften(z_labels, k), _INIT_FLOOR),
         nu=_floor_rows(_soften(w_labels, q), _INIT_FLOOR),
@@ -608,3 +618,26 @@ def hardened_state_oracle(g, z, w, priors) -> VariationalState:
     )
     beta, theta, eta, xi = m_step_oracle(g, state, priors)
     return VariationalState(tau=state.tau, nu=state.nu, beta=beta, theta=theta, eta=eta, xi=xi)
+
+
+# ---------------------------------------------------------------------------
+# link maps: the exact path with both surjection counts summed per entry
+
+
+def link_map_exact_oracle(k: int, c: int, rng: np.random.Generator) -> np.ndarray:
+    """The exact path of generator._sample_link_map, evaluating T(n, u) and
+    T(n-1, u) by inclusion-exclusion at every entry."""
+
+    def count(n: int, u: int) -> int:
+        return sum((-1) ** j * comb(u, j) * (c - j) ** n for j in range(u + 1))
+
+    draw = random.Random(int(rng.integers(2**63))).randrange
+    m, u = np.empty(k, dtype=np.int64), c
+    for j in range(k):
+        old = count(k - j - 1, u)
+        r = draw(count(k - j, u))
+        if r < (c - u) * old:
+            m[j] = r // old
+        else:
+            m[j], u = c - u, u - 1
+    return rng.permutation(c)[m]

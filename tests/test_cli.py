@@ -120,6 +120,22 @@ def test_simulate_twenty_block_link_map_finishes(tmp_path):
     assert sorted(link_map) == list(range(20))
 
 
+def test_simulate_more_blocks_than_nodes_exits_2(tmp_path):
+    # rejected before any link map is drawn: a surjection onto 2000 blocks
+    # would take minutes of big-int work
+    src = os.path.dirname(os.path.dirname(mimisbm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "sim"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mimisbm.cli", "simulate", "--n", "40", "--v", "2", "--k", "2000",
+         "--q", "1", "--component-k", "2000", "--seed", "0", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_fit_bad_dims_exit_2(tmp_path, capsys):
     sim = tmp_path / "sim"
     _simulate(sim, seed=2)

@@ -20,6 +20,7 @@ from mimisbm import (
     rng_stream,
     sample_partition,
 )
+from helpers import link_map_exact_oracle
 
 
 def test_sample_partition_degenerate():
@@ -210,6 +211,9 @@ def test_simulation_config_validation():
         SimulationConfig(n=10, v=2, k=3, q=2, p_switch=1.5)
     with pytest.raises(DomainError):
         SimulationConfig(n=10, v=2, k=3, q=2, component_k=(2,))  # wrong length
+    SimulationConfig(n=10, v=2, k=10, q=1)  # one node per block is fine
+    with pytest.raises(DomainError):
+        SimulationConfig(n=10, v=2, k=11, q=1, component_k=(11,))  # more blocks than nodes
 
 
 @pytest.mark.parametrize("k, c", [(3, 2), (4, 3), (4, 4), (5, 3)])
@@ -255,3 +259,15 @@ def test_link_map_exact_path_is_fast_and_surjective(k, c):
     ref.integers(2**63)
     ref.permutation(c)
     assert rng.random() == ref.random()
+
+
+def test_link_map_exact_path_matches_two_sum_oracle(monkeypatch):
+    # carrying T(n, u) from entry to entry draws the same maps, and leaves the
+    # stream where, the two inclusion-exclusion sums per entry did
+    monkeypatch.setattr(generator, "_MAX_EXPECTED_TRIES", 0)
+    for k, c in [(1, 1), (3, 2), (5, 3), (8, 8), (12, 5), (20, 19), (40, 7), (60, 60)]:
+        for seed in range(3):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = generator._sample_link_map(k, c, rng)
+            assert np.array_equal(got, link_map_exact_oracle(k, c, ref)), (k, c, seed)
+            assert rng.random() == ref.random()

@@ -1,6 +1,7 @@
 """Variational EM: update equations, bound evaluation, and the fit loop."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from mimisbm import (
 )
 from mimisbm.inference import spectral_basis, sufficient_stats
 from helpers import (
+    comembership_features,
     count_calls,
     count_eigh,
     fit_oracle,
@@ -155,6 +157,65 @@ def test_init_spectral_matches_per_restart_oracle():
                 got = init_variational(g, k, q, pr, "per_view_spectral", rng_stream(seed), basis)
                 assert got.tau.tobytes() == want.tau.tobytes()
                 assert got.nu.tobytes() == want.nu.tobytes()
+
+
+def _label_sets():
+    """Layer partitions (V, N) with a relabelled duplicate layer, an exact
+    duplicate, two nodes sharing every label, a singleton block, an
+    all-singleton layer (k = n) and a one-block layer."""
+    rng = np.random.default_rng(68)
+    a = rng.integers(0, 4, size=(6, 30))
+    a[:, 5] = a[:, 3]
+    a[1] = rng.permutation(4)[a[0]]
+    a[3] = a[2]
+    a[4, 7] = 4
+    b = np.stack([np.arange(8), rng.permutation(8), np.zeros(8, dtype=np.int64), rng.integers(0, 3, size=8)])
+    c = rng.integers(0, 5, size=(1, 20))
+    return [a, b, c]
+
+
+def _pair_sq_dists(x, y):
+    return ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+
+
+def test_comembership_embeddings_keep_distances_of_dense_features():
+    # pairwise distances, and distances to centroids made of the points, are
+    # those of the flattened co-membership matrices and of their mean's rows
+    rng = np.random.default_rng(69)
+    for labels in _label_sets():
+        for dense, emb in zip(comembership_features(labels), inference._comembership_embeddings(labels)):
+            weights = rng.dirichlet(np.ones(dense.shape[0]), size=3)
+            for want, got in (
+                (_pair_sq_dists(dense, dense), _pair_sq_dists(emb, emb)),
+                (_pair_sq_dists(dense, weights @ dense), _pair_sq_dists(emb, weights @ emb)),
+            ):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(want.max(), 1.0))
+
+
+def test_comembership_embeddings_equal_partitions_give_equal_rows():
+    a, b, _ = _label_sets()
+    layers, nodes = inference._comembership_embeddings(a)
+    assert layers[0].tobytes() == layers[1].tobytes()
+    assert layers[2].tobytes() == layers[3].tobytes()
+    assert nodes[3].tobytes() == nodes[5].tobytes()
+    layers, nodes = inference._comembership_embeddings(b)
+    assert layers[0].tobytes() == layers[1].tobytes()
+
+
+def test_init_spectral_memory_is_below_one_byte_per_comembership_entry():
+    # the dense features alone took 8 V N^2 bytes
+    g, _ = generate_dataset(
+        SimulationConfig(n=400, v=10, k=5, q=3, p_in=0.9, p_out=0.05, component_k=(5, 3, 2)), rng_stream(70)
+    )
+    pr = PriorHyperparams.jeffreys(5, 3)
+    basis = spectral_basis(g, 5)
+    tracemalloc.start()
+    try:
+        init_variational(g, 5, 3, pr, "per_view_spectral", rng_stream(0), basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.v * g.n**2, peak
 
 
 def test_spectral_labels_match_oracle_for_any_wider_basis():
