@@ -17,7 +17,6 @@ from .core import (
     SelfLoopError,
     VariationalState,
     build_graph,
-    dyad_layer_count,
     rng_stream,
 )
 from .generator import (
@@ -77,7 +76,6 @@ __all__ = [
     "check_identifiability",
     "compute_elbo",
     "digamma",
-    "dyad_layer_count",
     "fit",
     "generate_dataset",
     "grid_search",

@@ -28,7 +28,6 @@ __all__ = [
     "VariationalState",
     "FitConfig",
     "build_graph",
-    "dyad_layer_count",
     "rng_stream",
 ]
 
@@ -107,6 +106,13 @@ class MultilayerGraph:
     def v(self) -> int:
         return self.adj.shape[2]
 
+    def layer_stack(self) -> np.ndarray:
+        """A new float64 copy of the adjacency, layer-major: shape (V, N, N),
+        C-contiguous, so layer v is the matrix a[v]. Nothing is cached; each
+        call allocates 8 V N^2 bytes, and fit builds one for all its
+        restarts."""
+        return np.ascontiguousarray(self.adj.transpose(2, 0, 1), dtype=float)
+
     def edge_list(self) -> list[tuple[int, int, int]]:
         """Canonical edge list: (i, j, v) with i < j, sorted lexicographically."""
         i, j, v = np.nonzero(np.triu(self.adj.transpose(2, 0, 1), k=1).transpose(1, 2, 0))
@@ -133,15 +139,6 @@ def build_graph(n: int, v: int, edges: Iterable[Tuple[int, int, int]]) -> Multil
         a[i, j, lay] = 1
         a[j, i, lay] = 1
     return MultilayerGraph(a)
-
-
-def dyad_layer_count(g: MultilayerGraph) -> int:
-    """Total number of dyad-layer cells, V * N * (N - 1) / 2.
-
-    This is the sample size that enters penalty terms and the Beta-count
-    conservation identity.
-    """
-    return g.v * (g.n * (g.n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

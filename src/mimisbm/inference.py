@@ -8,11 +8,12 @@ evidence lower bound, so the bound never decreases along the outer loop;
 that property is load bearing and the test suite enforces it.
 
 Update order per outer iteration: node sweep(s), layer update, closed-form
-M-step, bound evaluation. The layer update and the M-step see the graph only
-through sufficient_stats, computed once per iteration on the new node
-responsibilities, and each iteration builds one VariationalState. The bound
-uses the simplified form that is exact right after an M-step, which is the
-only place the loop evaluates it. One M-step runs before the first iteration
+M-step, bound evaluation. A fit builds the graph's float layer stack once;
+the node sweep reads it, and the layer update and the M-step see the graph
+only through sufficient_stats, computed from it once per iteration on the
+new node responsibilities. Each iteration builds one VariationalState. The
+bound uses the simplified form that is exact right after an M-step, which is
+the only place the loop evaluates it. One M-step runs before the first iteration
 so the initial responsibilities are absorbed into the conjugate posteriors;
 without it the first node sweep would start from flat priors and erase the
 initialization.
@@ -128,10 +129,27 @@ def _sq_dists(x: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, max_iter: int = 100) -> np.ndarray:
     """Plain Lloyd k-means with k-means++ seeding, written out so results are
-    bit-reproducible under any thread or worker count."""
+    bit-reproducible under any thread or worker count.
+
+    A Lloyd pass is a deterministic function of the state (centers, labels)
+    and draws nothing from rng, so two shortcuts return the labels the full
+    loop would and leave the stream where it would. A pass that finds the
+    labels unchanged stops before its center update, which would only
+    recompute the non-empty centers from the same rows. A state seen before
+    in the same init recurs with its period and never settles (k above the
+    number of distinct points reseeds empty clusters on points already at
+    distance 0), so the init runs only the passes that lead to the state of
+    pass max_iter; after the first pass a state is fixed by its labels and
+    the point that reseeds the clusters they leave empty. At k = 1 every
+    init ends on all zeros, so only the seed draws are made.
+    """
     n = x.shape[0]
     if k >= n:
         return np.arange(n) % k if k > 0 else np.zeros(n, dtype=np.int64)
+    if k == 1:
+        for _ in range(n_init):
+            rng.integers(n)
+        return np.zeros(n, dtype=np.int64)
     x2 = (x * x).sum(axis=1)
     best_labels = None
     best_inertia = np.inf
@@ -148,19 +166,34 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, ma
                 centers[c] = x[int(np.searchsorted(np.cumsum(d2), r))]
             d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
         labels = np.zeros(n, dtype=np.int64)
-        for _ in range(max_iter):
+        seen = {}  # state after the first pass -> passes run when it was reached
+        passes, stop = 0, max_iter
+        settled = False
+        while passes < stop:
             dist = _sq_dists(x, x2, centers)
             new_labels = dist.argmin(axis=1)
+            if passes > 0 and (new_labels == labels).all():
+                settled = True
+                break
+            counts = np.bincount(new_labels, minlength=k)
+            far = int(dist.min(axis=1).argmax()) if counts.min() == 0 else -1
             for c in range(k):
-                sel = new_labels == c
-                if sel.any():
-                    centers[c] = x[sel].mean(axis=0)
-                else:
-                    centers[c] = x[int(dist.min(axis=1).argmax())]
-            if (new_labels == labels).all():
+                centers[c] = x[new_labels == c].mean(axis=0) if counts[c] else x[far]
+            passes += 1
+            if (new_labels == labels).all():  # the first pass, from all-zero labels
                 break
             labels = new_labels
-        inertia = float(_sq_dists(x, x2, centers)[np.arange(n), labels].sum())
+            if stop == max_iter:
+                key = (labels.tobytes(), far)
+                if key in seen:
+                    stop = passes + (max_iter - passes) % (passes - seen[key])
+                else:
+                    seen[key] = passes
+        if not settled:
+            dist = _sq_dists(x, x2, centers)
+        # a settled pass left the centers of labelled clusters, the only
+        # ones read here, as they were when dist was computed
+        inertia = float(dist[np.arange(n), labels].sum())
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
@@ -330,19 +363,17 @@ def init_variational(
 # updates
 
 
-def sufficient_stats(g: MultilayerGraph, tau: np.ndarray) -> Stats:
+def sufficient_stats(a: np.ndarray, tau: np.ndarray) -> Stats:
     """The graph's sufficient statistics under node responsibilities tau.
 
+    `a` is the graph's layer stack (MultilayerGraph.layer_stack, (V, N, N)).
     Returns (m, pair, t): the expected edge counts per block pair and layer,
     m[k, l, v] = sum_{i,j} A_ijv tau_ik tau_jl, symmetric in (k, l); the
     pair mass pair[k, l] = sum_{i != j} tau_ik tau_jl = t_k t_l -
     sum_i tau_ik tau_il; and the block sizes t = tau.sum(0). The layer
     update and the M-step see the graph only through these.
     """
-    k = tau.shape[1]
-    m = np.empty((k, k, g.v))
-    for lay in range(g.v):
-        m[:, :, lay] = tau.T @ (g.adj[:, :, lay] @ tau)
+    m = (tau.T @ (a @ tau)).transpose(1, 2, 0)
     m = (m + m.transpose(1, 0, 2)) / 2.0
     t = tau.sum(axis=0)
     gram = tau.T @ tau
@@ -350,8 +381,9 @@ def sufficient_stats(g: MultilayerGraph, tau: np.ndarray) -> Stats:
     return m, np.outer(t, t) - gram, t
 
 
-def vbe_update_tau(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
-    """One full sweep of the node fixed point; returns the new tau.
+def vbe_update_tau(a: np.ndarray, state: VariationalState) -> np.ndarray:
+    """One full sweep of the node fixed point over the layer stack `a`
+    (MultilayerGraph.layer_stack, (V, N, N)); returns the new tau.
 
     Rows are updated in index order and each row sees the rows already
     updated in this sweep, which keeps the sweep a chain of exact
@@ -361,25 +393,33 @@ def vbe_update_tau(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
         nu_vs tau_jl [ A_ijv (psi(eta_kls) - psi(xi_kls))
                        + psi(xi_kls) - psi(eta_kls + xi_kls) ]
 
-    plus the Dirichlet term psi(beta_k) - psi(sum beta).
+    plus the Dirichlet term psi(beta_k) - psi(sum beta). Per sweep the
+    weights over node j are stacked per row, anx[i, s, j] = sum_v nu_vs
+    A_ijv and anx[i, Q, j] = [j != i], and the Beta log-moments into one
+    K x (Q+1)K matrix, so a row's logits are one product with (anx[i] @ tau).
     """
+    n, k, q = state.n, state.k, state.q
     d, e = _beta_log_moments(state)
     base = digamma(state.beta) - digamma(float(state.beta.sum()))
-    # edge-weighted component mass per node pair: AN[i, j, s] = sum_v A_ijv nu_vs
-    an = np.tensordot(g.adj, state.nu, axes=([2], [0]))
-    # non-edge part only needs column sums of nu
-    en = np.tensordot(e, state.nu.sum(axis=0), axes=([2], [0]))  # (K, K)
+    anx = np.empty((n, q + 1, n))
+    anx[:, :q, :] = np.tensordot(state.nu, a, axes=([0], [0])).transpose(1, 0, 2)
+    anx[:, q, :] = 1.0
+    anx[np.arange(n), q, np.arange(n)] = 0.0
+    # weights[k, s K + l] = d[k, l, s]; the last K columns take the non-edge
+    # term, which only needs the column sums of nu
+    weights = np.concatenate(
+        [d.transpose(0, 2, 1).reshape(k, q * k), np.tensordot(e, state.nu.sum(axis=0), axes=([2], [0]))], axis=1
+    )
 
     tau = np.array(state.tau, copy=True)
-    colsum = tau.sum(axis=0)
-    for i in range(g.n):
-        p = tau.T @ an[i]  # (K, Q); row i itself contributes nothing, A_iiv = 0
-        s1 = np.einsum("lq,klq->k", p, d)
-        s2 = en @ (colsum - tau[i])
-        row = _softmax_rows((base + s1 + s2)[None, :])[0]
-        row = np.maximum(row, _UPDATE_FLOOR)
+    for i in range(n):
+        row = weights @ (anx[i] @ tau).ravel()  # the logits, then the softmax in place
+        row += base
+        row -= row.max()
+        np.exp(row, out=row)
         row /= row.sum()
-        colsum += row - tau[i]
+        np.maximum(row, _UPDATE_FLOOR, out=row)
+        row /= row.sum()
         tau[i] = row
     return tau
 
@@ -387,7 +427,7 @@ def vbe_update_tau(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
 def vbe_update_nu(stats: Stats, state: VariationalState) -> np.ndarray:
     """Update every layer's component responsibilities; returns the new nu.
 
-    `stats` is sufficient_stats(g, tau) at the current node responsibilities;
+    `stats` is sufficient_stats(a, tau) at the current node responsibilities;
     `state` supplies theta, eta and xi. Layer v scores component s by the
     expected log-likelihood of its dyads, sum over i < j of tau_ik tau_jl
     against the Beta log-moments. The ordered sums in stats visit every
@@ -412,7 +452,7 @@ def m_step(
     stats: Stats, nu: np.ndarray, priors: PriorHyperparams
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form update of the conjugate posteriors given (tau, nu), with
-    tau entering through stats = sufficient_stats(g, tau).
+    tau entering through stats = sufficient_stats(a, tau).
 
     beta_k  = beta0_k + sum_i tau_ik
     theta_s = theta0_s + sum_v nu_vs
@@ -513,20 +553,21 @@ def fit(
         raise DomainError("prior shapes must match (k, q)")
     if basis is None and cfg.init_strategy == "per_view_spectral":
         basis = spectral_basis(g, k)
+    a = g.layer_stack()
 
     best = None
     restart_elbos = []
     for r in range(cfg.n_restarts):
         rng = rng_stream(cfg.seed, k, q, r)
         state = init_variational(g, k, q, priors, cfg.init_strategy, rng, basis)
-        stats = sufficient_stats(g, state.tau)
+        stats = sufficient_stats(a, state.tau)
         state = VariationalState(state.tau, state.nu, *m_step(stats, state.nu, priors))
 
         trace: list[float] = []
         converged = False
         for _ in range(cfg.max_iter):
-            tau = vbe_update_tau(g, state)
-            stats = sufficient_stats(g, tau)
+            tau = vbe_update_tau(a, state)
+            stats = sufficient_stats(a, tau)
             nu = vbe_update_nu(stats, state)
             state = VariationalState(tau, nu, *m_step(stats, nu, priors))
             trace.append(compute_elbo(state, priors))

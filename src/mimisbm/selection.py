@@ -64,7 +64,7 @@ def pen(k: int, q: int, n: int, v: int) -> float:
 
 def _hardened_state(g: MultilayerGraph, z: HardPartition, w: HardPartition, priors: PriorHyperparams) -> VariationalState:
     tau, nu = z.one_hot(), w.one_hot()
-    return VariationalState(tau, nu, *m_step(sufficient_stats(g, tau), nu, priors))
+    return VariationalState(tau, nu, *m_step(sufficient_stats(g.layer_stack(), tau), nu, priors))
 
 
 def icl_exact(

@@ -73,13 +73,14 @@ def random_post_m_state(
 ) -> VariationalState:
     """A state whose posteriors come from an actual M-step, as the simplified
     bound requires. `cycles` extra update rounds move it off the start point."""
+    a = g.layer_stack()
     state = init_variational(g, k, q, priors, "random", rng)
-    beta, theta, eta, xi = m_step(sufficient_stats(g, state.tau), state.nu, priors)
+    beta, theta, eta, xi = m_step(sufficient_stats(a, state.tau), state.nu, priors)
     state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
     for _ in range(cycles):
-        state = replace(state, tau=vbe_update_tau(g, state))
-        state = replace(state, nu=vbe_update_nu(sufficient_stats(g, state.tau), state))
-        beta, theta, eta, xi = m_step(sufficient_stats(g, state.tau), state.nu, priors)
+        state = replace(state, tau=vbe_update_tau(a, state))
+        state = replace(state, nu=vbe_update_nu(sufficient_stats(a, state.tau), state))
+        beta, theta, eta, xi = m_step(sufficient_stats(a, state.tau), state.nu, priors)
         state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
     return state
 
@@ -505,7 +506,32 @@ def count_eigh(monkeypatch) -> list:
 
 # ---------------------------------------------------------------------------
 # dense reference for the fit loop: connectivity recomputed by the layer
-# update and again by the M-step, the state rebuilt after every update
+# update and again by the M-step, the state rebuilt after every update; and
+# the node sweep on the uint8 graph with one softmax call per row
+
+
+def vbe_update_tau_oracle(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
+    """The node sweep contracting the (N, N, V) graph with nu at every call
+    and keeping running column sums of tau for the non-edge term."""
+    d, e = _beta_log_moments(state)
+    base = digamma(state.beta) - digamma(float(state.beta.sum()))
+    # edge-weighted component mass per node pair: AN[i, j, s] = sum_v A_ijv nu_vs
+    an = np.tensordot(g.adj, state.nu, axes=([2], [0]))
+    # non-edge part only needs column sums of nu
+    en = np.tensordot(e, state.nu.sum(axis=0), axes=([2], [0]))  # (K, K)
+
+    tau = np.array(state.tau, copy=True)
+    colsum = tau.sum(axis=0)
+    for i in range(g.n):
+        p = tau.T @ an[i]  # (K, Q); row i itself contributes nothing, A_iiv = 0
+        s1 = np.einsum("lq,klq->k", p, d)
+        s2 = en @ (colsum - tau[i])
+        row = _softmax_rows((base + s1 + s2)[None, :])[0]
+        row = np.maximum(row, _UPDATE_FLOOR)
+        row /= row.sum()
+        colsum += row - tau[i]
+        tau[i] = row
+    return tau
 
 
 def connectivity_oracle(adj: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -571,6 +597,8 @@ def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
     if basis is None and cfg.init_strategy == "per_view_spectral":
         basis = spectral_basis(g, k)
 
+    a = g.layer_stack()
+
     best = None
     restart_elbos = []
     for r in range(cfg.n_restarts):
@@ -582,7 +610,7 @@ def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
         trace = []
         converged = False
         for _ in range(cfg.max_iter):
-            state = replace(state, tau=vbe_update_tau(g, state))
+            state = replace(state, tau=vbe_update_tau(a, state))
             state = replace(state, nu=vbe_update_nu_oracle(g, state))
             beta, theta, eta, xi = m_step_oracle(g, state, priors)
             state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)

@@ -14,7 +14,6 @@ from mimisbm import (
     SelfLoopError,
     VariationalState,
     build_graph,
-    dyad_layer_count,
     rng_stream,
 )
 from mimisbm.core import _check_symmetric_kkq
@@ -50,12 +49,6 @@ def test_build_graph_rejects_self_loop():
 def test_build_graph_rejects_out_of_range(edge):
     with pytest.raises(IndexError):
         build_graph(3, 1, [edge])
-
-
-def test_dyad_layer_count_examples():
-    assert dyad_layer_count(build_graph(2, 1, [])) == 1
-    assert dyad_layer_count(build_graph(10, 4, [])) == 180
-    assert dyad_layer_count(build_graph(50, 15, [])) == 18375
 
 
 def test_graph_invariants_random():

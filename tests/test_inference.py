@@ -13,6 +13,7 @@ from mimisbm import (
     ConvergenceWarning,
     DomainError,
     FitConfig,
+    MultilayerGraph,
     PriorHyperparams,
     SimulationConfig,
     VariationalState,
@@ -30,10 +31,13 @@ from mimisbm import (
 from mimisbm.inference import spectral_basis, sufficient_stats
 from helpers import (
     comembership_features,
+    connectivity_oracle,
     count_calls,
     count_eigh,
     fit_oracle,
     init_variational_oracle,
+    kmeans_oracle,
+    pair_mass_oracle,
     random_graph,
     random_post_m_state,
     scalar_elbo,
@@ -41,12 +45,13 @@ from helpers import (
     scalar_nu_update,
     scalar_tau_sweep,
     spectral_labels_oracle,
+    vbe_update_tau_oracle,
     with_isolated_node,
 )
 
 
 def _absorbed(g, state, priors):
-    beta, theta, eta, xi = m_step(sufficient_stats(g, state.tau), state.nu, priors)
+    beta, theta, eta, xi = m_step(sufficient_stats(g.layer_stack(), state.tau), state.nu, priors)
     return replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
 
 
@@ -253,6 +258,41 @@ def test_init_rejects_mismatched_basis():
         fit(g, 3, 2, FitConfig(seed=0, n_restarts=1, init_strategy="per_view_spectral"), basis=bad[0])
 
 
+def test_kmeans_matches_oracle_on_tied_and_duplicate_points():
+    # duplicate rows, integer ties, k = 1, k above the number of distinct rows
+    # and short max_iter: same labels and same stream position as plain Lloyd
+    rng = np.random.default_rng(73)
+    for trial in range(300):
+        distinct = int(rng.integers(1, 8))
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(1, min(n, distinct + 4) + 1))
+        base = rng.normal(size=(distinct, int(rng.integers(1, 4))))
+        if trial % 3 == 0:
+            base = np.round(base)
+        x = base[rng.integers(0, distinct, size=n)]
+        max_iter = (100, 1, 2, 7, 13)[trial % 5]
+        got_rng, want_rng = rng_stream(trial), rng_stream(trial)
+        got = inference._kmeans(x, k, got_rng, max_iter=max_iter)
+        want = kmeans_oracle(x, k, want_rng, max_iter=max_iter)
+        assert np.array_equal(got, want), trial
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
+
+
+def test_kmeans_stops_early_when_k_exceeds_distinct_points(monkeypatch):
+    # 100 points on 5 distinct rows, k = 7: empty clusters are reseeded on
+    # points at distance 0, the labels never settle and every init used to
+    # run all max_iter = 100 passes (404 distance evaluations)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(5, 3))[rng.permutation(np.arange(100) % 5)]
+    calls = count_calls(monkeypatch, inference, "_sq_dists")
+    got_rng, want_rng = rng_stream(0), rng_stream(0)
+    got = inference._kmeans(x, 7, got_rng)
+    want = kmeans_oracle(x, 7, want_rng)
+    assert np.array_equal(got, want)
+    assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+    assert len(calls) < 40, len(calls)
+
+
 # ---------------------------------------------------------------- VBE updates
 
 
@@ -260,7 +300,7 @@ def test_tau_update_single_class_all_ones():
     g = build_graph(4, 1, [(0, 1, 0), (2, 3, 0)])
     pr = PriorHyperparams.jeffreys(1, 1)
     st = _absorbed(g, init_variational(g, 1, 1, pr, "random", rng_stream(0)), pr)
-    tau = vbe_update_tau(g, st)
+    tau = vbe_update_tau(g.layer_stack(), st)
     assert np.array_equal(tau, np.ones((4, 1)))
 
 
@@ -280,7 +320,7 @@ def test_tau_update_flat_when_uninformative():
         eta=np.full((k, k, q), 0.8),
         xi=np.full((k, k, q), 0.8),
     )
-    out = vbe_update_tau(g, st)
+    out = vbe_update_tau(g.layer_stack(), st)
     assert np.allclose(out, 1.0 / k, atol=1e-12)
 
 
@@ -295,7 +335,7 @@ def test_tau_update_matches_scalar_formula():
         pr = PriorHyperparams.jeffreys(k, q)
         st = random_post_m_state(rng, g, k, q, pr)
         expected = scalar_tau_sweep(g, st)
-        got = vbe_update_tau(g, st)
+        got = vbe_update_tau(g.layer_stack(), st)
         assert np.allclose(got, expected, atol=1e-12), f"trial {trial}"
 
 
@@ -306,14 +346,72 @@ def test_tau_update_hand_checked_single_edge():
     pr = PriorHyperparams.jeffreys(2, 1)
     rng = np.random.default_rng(3)
     st = random_post_m_state(rng, g, 2, 1, pr)
-    assert np.allclose(vbe_update_tau(g, st), scalar_tau_sweep(g, st), atol=1e-13)
+    assert np.allclose(vbe_update_tau(g.layer_stack(), st), scalar_tau_sweep(g, st), atol=1e-13)
+
+
+def _kernel_cases():
+    """(graph, state) pairs: the graphs of acceptance 1 with a post-M-step
+    state each, the graphs and states of acceptance 7, a graph with a node of
+    degree 0 in every layer, and a k = n cell."""
+    cases = []
+    rng = np.random.default_rng(101)
+    for trial in range(100):
+        n = int(rng.integers(4, 31))
+        v = int(rng.integers(1, 7))
+        k = int(rng.integers(1, 4))
+        q = int(rng.integers(1, min(v, 2) + 1))
+        g = random_graph(rng, n, v, p=float(rng.uniform(0.05, 0.6)))
+        st_rng = np.random.default_rng(trial)
+        cases.append((g, random_post_m_state(st_rng, g, k, q, PriorHyperparams.jeffreys(k, q), cycles=trial % 3)))
+    rng = np.random.default_rng(707)
+    for _ in range(30):
+        n = int(rng.integers(3, 20))
+        v = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 5))
+        q = int(rng.integers(1, v + 1))
+        g = random_graph(rng, n, v, p=0.3)
+        pr = PriorHyperparams.jeffreys(k, q)
+        cases.append((g, random_post_m_state(rng, g, k, q, pr, cycles=int(rng.integers(0, 3)))))
+    rng = np.random.default_rng(74)
+    lonely = random_graph(rng, 12, 3, p=0.4)
+    for lay in range(lonely.v):
+        lonely = with_isolated_node(lonely, node=4, layer=lay)
+    tiny = random_graph(rng, 5, 2, p=0.5)
+    for g, k, q in ((lonely, 3, 2), (tiny, 5, 2)):
+        cases.append((g, random_post_m_state(rng, g, k, q, PriorHyperparams.jeffreys(k, q), cycles=2)))
+    return cases
+
+
+def test_tau_sweep_matches_per_row_oracle():
+    # one product per row on the float layer stack against the sweep on the
+    # uint8 graph with running column sums
+    for case, (g, st) in enumerate(_kernel_cases()):
+        got = vbe_update_tau(g.layer_stack(), st)
+        np.testing.assert_allclose(got, vbe_update_tau_oracle(g, st), rtol=0, atol=1e-12, err_msg=str(case))
+
+
+def test_sufficient_stats_bytes_match_dense_oracles():
+    for case, (g, st) in enumerate(_kernel_cases()):
+        m, pair, t = sufficient_stats(g.layer_stack(), st.tau)
+        assert m.tobytes() == connectivity_oracle(g.adj, st.tau).tobytes(), case
+        assert pair.tobytes() == pair_mass_oracle(st.tau).tobytes(), case
+        assert t.tobytes() == st.tau.sum(axis=0).tobytes(), case
+
+
+def test_layer_stack_is_a_new_float_copy():
+    g = random_graph(np.random.default_rng(75), 7, 3, p=0.5)
+    a = g.layer_stack()
+    assert a.dtype == np.float64 and a.flags.c_contiguous and a.shape == (3, 7, 7)
+    assert np.array_equal(a, g.adj.transpose(2, 0, 1))
+    assert a is not g.layer_stack()
+    assert list(vars(g)) == ["adj"]
 
 
 def test_nu_update_single_component_all_ones():
     g = build_graph(4, 3, [(0, 1, 0)])
     pr = PriorHyperparams.jeffreys(2, 1)
     st = _absorbed(g, init_variational(g, 2, 1, pr, "random", rng_stream(1)), pr)
-    nu = vbe_update_nu(sufficient_stats(g, st.tau), st)
+    nu = vbe_update_nu(sufficient_stats(g.layer_stack(), st.tau), st)
     assert np.array_equal(nu, np.ones((3, 1)))
 
 
@@ -330,7 +428,7 @@ def test_nu_update_flat_when_uninformative():
         eta=np.full((k, k, q), 1.1),
         xi=np.full((k, k, q), 1.1),
     )
-    out = vbe_update_nu(sufficient_stats(g, st.tau), st)
+    out = vbe_update_nu(sufficient_stats(g.layer_stack(), st.tau), st)
     assert np.allclose(out, 0.5, atol=1e-12)
 
 
@@ -352,7 +450,7 @@ def test_nu_update_contrasting_layers():
         eta=eta,
         xi=xi,
     )
-    out = vbe_update_nu(sufficient_stats(g, st.tau), st)
+    out = vbe_update_nu(sufficient_stats(g.layer_stack(), st.tau), st)
     assert np.allclose(out, scalar_nu_update(g, st), atol=1e-12)
     assert out[0, 0] > 0.99  # empty layer -> hole-favoring component
     assert out[1, 1] > 0.99  # complete layer -> edge-favoring component
@@ -370,7 +468,7 @@ def test_nu_update_matches_scalar_formula():
         g = random_graph(rng, n, v, p=0.4)
         pr = PriorHyperparams.jeffreys(k, q)
         st = random_post_m_state(rng, g, k, q, pr)
-        assert np.allclose(vbe_update_nu(sufficient_stats(g, st.tau), st), scalar_nu_update(g, st), atol=1e-12), f"trial {trial}"
+        assert np.allclose(vbe_update_nu(sufficient_stats(g.layer_stack(), st.tau), st), scalar_nu_update(g, st), atol=1e-12), f"trial {trial}"
 
 
 def test_updates_keep_rows_normalized():
@@ -378,8 +476,9 @@ def test_updates_keep_rows_normalized():
     g = random_graph(rng, 9, 3, p=0.3)
     pr = PriorHyperparams.jeffreys(3, 2)
     st = random_post_m_state(rng, g, 3, 2, pr)
-    tau = vbe_update_tau(g, st)
-    nu = vbe_update_nu(sufficient_stats(g, tau), st)
+    a = g.layer_stack()
+    tau = vbe_update_tau(a, st)
+    nu = vbe_update_nu(sufficient_stats(a, tau), st)
     assert np.allclose(tau.sum(axis=1), 1.0, atol=1e-10)
     assert np.allclose(nu.sum(axis=1), 1.0, atol=1e-10)
     assert np.all(tau > 0) and np.all(nu > 0)
@@ -394,7 +493,7 @@ def test_m_step_beta_column_sums():
     tau = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     st = VariationalState(tau=tau, nu=np.ones((1, 1)), beta=pr.beta0, theta=pr.theta0,
                           eta=pr.eta0, xi=pr.xi0)
-    beta, theta, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
+    beta, theta, eta, xi = m_step(sufficient_stats(g.layer_stack(), st.tau), st.nu, pr)
     assert np.allclose(beta, [2.5, 1.5], atol=1e-15)
     assert np.allclose(theta, [1.5], atol=1e-15)
 
@@ -405,7 +504,7 @@ def test_m_step_complete_triangle_counts():
     pr = PriorHyperparams.jeffreys(1, 1)
     st = VariationalState(tau=np.ones((3, 1)), nu=np.ones((1, 1)), beta=pr.beta0,
                           theta=pr.theta0, eta=pr.eta0, xi=pr.xi0)
-    _, _, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
+    _, _, eta, xi = m_step(sufficient_stats(g.layer_stack(), st.tau), st.nu, pr)
     assert eta[0, 0, 0] == pytest.approx(3.5, abs=1e-12)
     assert xi[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -426,7 +525,7 @@ def test_m_step_hard_partition_exact_counts():
     tau = np.eye(2)[z]
     st = VariationalState(tau=tau, nu=np.ones((1, 1)), beta=pr.beta0, theta=pr.theta0,
                           eta=pr.eta0, xi=pr.xi0)
-    _, _, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
+    _, _, eta, xi = m_step(sufficient_stats(g.layer_stack(), st.tau), st.nu, pr)
     a = g.adj[:, :, 0]
     within0 = sum(a[i, j] for i in range(5) for j in range(i + 1, 5))
     within1 = sum(a[i, j] for i in range(5, n) for j in range(i + 1, n))
@@ -446,7 +545,7 @@ def test_m_step_matches_scalar_formula():
         g = random_graph(rng, n, v, p=0.5)
         pr = PriorHyperparams.jeffreys(k, q)
         st = random_post_m_state(rng, g, k, q, pr)
-        beta, theta, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
+        beta, theta, eta, xi = m_step(sufficient_stats(g.layer_stack(), st.tau), st.nu, pr)
         b2, t2, e2, x2 = scalar_m_step(g, st, pr)
         assert np.allclose(beta, b2, atol=1e-10)
         assert np.allclose(theta, t2, atol=1e-10)
@@ -456,8 +555,6 @@ def test_m_step_matches_scalar_formula():
 
 def test_m_step_conservation():
     rng = np.random.default_rng(31)
-    from mimisbm import dyad_layer_count
-
     for _ in range(10):
         n = int(rng.integers(3, 10))
         v = int(rng.integers(1, 5))
@@ -466,12 +563,12 @@ def test_m_step_conservation():
         g = random_graph(rng, n, v, p=0.4)
         pr = PriorHyperparams.jeffreys(k, q)
         st = random_post_m_state(rng, g, k, q, pr)
-        beta, theta, eta, xi = m_step(sufficient_stats(g, st.tau), st.nu, pr)
+        beta, theta, eta, xi = m_step(sufficient_stats(g.layer_stack(), st.tau), st.nu, pr)
         assert beta.sum() - pr.beta0.sum() == pytest.approx(n, abs=1e-8)
         assert theta.sum() - pr.theta0.sum() == pytest.approx(v, abs=1e-8)
         iu, ju = np.triu_indices(k)
         mass = ((eta - pr.eta0) + (xi - pr.xi0))[iu, ju, :].sum()
-        assert mass == pytest.approx(dyad_layer_count(g), abs=1e-6)
+        assert mass == pytest.approx(g.v * (g.n * (g.n - 1) // 2), abs=1e-6)
 
 
 # ---------------------------------------------------------------- bound
@@ -597,12 +694,13 @@ def test_fit_label_permutation_equivariance():
     pr = PriorHyperparams.jeffreys(k, q)
     base = init_variational(g, k, q, pr, "random", rng_stream(3))
     perm = np.array([2, 0, 1])
+    a = g.layer_stack()
 
     def run(state):
         state = _absorbed(g, state, pr)
         for _ in range(12):
-            state = replace(state, tau=vbe_update_tau(g, state))
-            state = replace(state, nu=vbe_update_nu(sufficient_stats(g, state.tau), state))
+            state = replace(state, tau=vbe_update_tau(a, state))
+            state = replace(state, nu=vbe_update_nu(sufficient_stats(a, state.tau), state))
             state = _absorbed(g, state, pr)
         return state, compute_elbo(state, pr)
 
@@ -679,3 +777,15 @@ def test_fit_computes_statistics_and_state_once_per_iteration(monkeypatch):
         assert len(stats) == rep.iterations + 1
         # the initial state, the absorbed one, then one per iteration
         assert len(states) == rep.iterations + 2
+
+
+def test_fit_builds_the_layer_stack_once(monkeypatch):
+    g = random_graph(np.random.default_rng(76), 10, 4, p=0.4)
+    builds = count_calls(monkeypatch, MultilayerGraph, "layer_stack")
+    for strategy in ("random", "per_view_spectral"):
+        for restarts in (1, 3):
+            builds.clear()
+            rep = fit(g, 3, 2, FitConfig(seed=5, n_restarts=restarts, init_strategy=strategy))
+            assert rep.iterations > 1
+            assert len(builds) == 1
+    assert list(vars(g)) == ["adj"]  # nothing is kept on the graph

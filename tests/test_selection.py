@@ -14,6 +14,7 @@ from mimisbm import (
     DomainError,
     FitConfig,
     HardPartition,
+    MultilayerGraph,
     PriorHyperparams,
     SimulationConfig,
     build_graph,
@@ -126,7 +127,7 @@ def test_hardening_collapse_identities():
         st = random_post_m_state(rng, g, k, q, pr)
         z, w = _harden(st)
         onehot = replace(st, tau=z.one_hot().astype(float), nu=w.one_hot().astype(float))
-        beta, theta, eta, xi = m_step(sufficient_stats(g, onehot.tau), onehot.nu, pr)
+        beta, theta, eta, xi = m_step(sufficient_stats(g.layer_stack(), onehot.tau), onehot.nu, pr)
         onehot = replace(onehot, beta=beta, theta=theta, eta=eta, xi=xi)
         exact = icl_exact(g, z, w, pr)
         assert abs(exact - compute_elbo(onehot, pr)) < 1e-10
@@ -343,6 +344,17 @@ def test_grid_bounds_each_cell_once(monkeypatch):
     assert len(calls) == len(res.cells) == 6
     for cell in res.cells:
         assert cell.ilvb == inference.fit(g, cell.k, cell.q, cfg).elbo_trace[-1]
+
+
+def test_grid_builds_one_layer_stack_per_fit_and_hardened_state(monkeypatch):
+    g = random_graph(np.random.default_rng(17), 8, 3, p=0.4)
+    builds = count_calls(monkeypatch, MultilayerGraph, "layer_stack")
+    res = grid_search(g, [1, 2, 3], [1, 2], FitConfig(seed=3, n_restarts=3), jobs=1)
+    assert all(c.error is None for c in res.cells)
+    assert len(builds) == 2 * len(res.cells) == 12
+    builds.clear()
+    icl_exact(g, map_assign(np.eye(2)[np.arange(g.n) % 2]), map_assign(np.ones((g.v, 1))))
+    assert len(builds) == 1
 
 
 def test_grid_starts_no_more_workers_than_cells(monkeypatch):
