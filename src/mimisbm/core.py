@@ -90,7 +90,7 @@ class MultilayerGraph:
             raise DomainError(f"adjacency tensor must be (N, N, V), got {a.shape}")
         if a.shape[0] < 1 or a.shape[2] < 1:
             raise DomainError("need at least one node and one layer")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise DomainError("adjacency entries must be 0 or 1")
         if np.trace(a, axis1=0, axis2=1).any():
             raise SelfLoopError("nonzero diagonal in adjacency tensor")
@@ -113,32 +113,70 @@ class MultilayerGraph:
         restarts."""
         return np.ascontiguousarray(self.adj.transpose(2, 0, 1), dtype=float)
 
-    def edge_list(self) -> list[tuple[int, int, int]]:
-        """Canonical edge list: (i, j, v) with i < j, sorted lexicographically."""
-        i, j, v = np.nonzero(np.triu(self.adj.transpose(2, 0, 1), k=1).transpose(1, 2, 0))
-        order = np.lexsort((v, j, i))
-        return list(zip(i[order].tolist(), j[order].tolist(), v[order].tolist()))
+    def edge_list(self) -> np.ndarray:
+        """Canonical edges as an (E, 3) int64 array of rows (i, j, v) with
+        i < j, sorted lexicographically: the C-order nonzeros of the upper
+        triangle in (i, j, v) layout come out in that order."""
+        upper = np.triu(np.ones((self.n, self.n), dtype=np.uint8), k=1)
+        return np.stack(np.nonzero(self.adj * upper[:, :, None]), axis=1)
+
+
+def _first_bad_edge(e: np.ndarray, n: int, v: int, ordered: bool) -> Optional[Tuple[int, str]]:
+    """The first row of the (E, 3) integer array `e` of (i, j, layer) rows
+    that is not an edge of an (n, v) graph, and what is wrong with it, or
+    None when every row is an edge. Within a row the checks run in this
+    order: "node" (i or j outside [0, n)), "layer" (layer outside [0, v)),
+    "loop" (i == j) and, only when `ordered`, "order" (i > j)."""
+    i, j, lay = e.T
+    faults = [
+        ("node", (i < 0) | (i >= n) | (j < 0) | (j >= n)),
+        ("layer", (lay < 0) | (lay >= v)),
+        ("loop", i == j),
+    ]
+    if ordered:
+        faults.append(("order", i > j))
+    bad = np.logical_or.reduce([mask for _, mask in faults])
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return row, next(kind for kind, mask in faults if mask[row])
+
+
+def _graph_from_edges(n: int, v: int, e: np.ndarray) -> MultilayerGraph:
+    """The graph with edge rows `e`, which _first_bad_edge has accepted;
+    each row sets both (i, j) and (j, i), so duplicates are idempotent."""
+    a = np.zeros((n, n, v), dtype=np.uint8)
+    i, j, lay = e.T
+    a[i, j, lay] = 1
+    a[j, i, lay] = 1
+    return MultilayerGraph(a)
 
 
 def build_graph(n: int, v: int, edges: Iterable[Tuple[int, int, int]]) -> MultilayerGraph:
-    """Assemble a MultilayerGraph from an (i, j, layer) edge list.
+    """Assemble a MultilayerGraph from (i, j, layer) edges: an iterable of
+    triples or an (E, 3) integer array.
 
     Edges are symmetrized; duplicates are idempotent. Raises SelfLoopError on
-    i == j and IndexError when a node or layer index is out of range.
+    i == j and IndexError when a node or layer index is out of range, for the
+    first such edge.
     """
     if n < 1 or v < 1:
         raise DomainError("need at least one node and one layer")
-    a = np.zeros((n, n, v), dtype=np.uint8)
-    for i, j, lay in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"node index out of range in edge ({i}, {j}, {lay})")
-        if not (0 <= lay < v):
-            raise IndexError(f"layer index out of range in edge ({i}, {j}, {lay})")
-        if i == j:
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if e.size == 0:
+        e = np.empty((0, 3), dtype=np.int64)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError(f"edges must be (i, j, layer) triples, got shape {e.shape}")
+    if not np.issubdtype(e.dtype, np.integer):
+        raise IndexError(f"edge indices must be integers, got {e.dtype}")
+    bad = _first_bad_edge(e, n, v, ordered=False)
+    if bad is not None:
+        row, kind = bad
+        i, j, lay = e[row].tolist()
+        if kind == "loop":
             raise SelfLoopError(f"self loop at node {i}, layer {lay}")
-        a[i, j, lay] = 1
-        a[j, i, lay] = 1
-    return MultilayerGraph(a)
+        raise IndexError(f"{kind} index out of range in edge ({i}, {j}, {lay})")
+    return _graph_from_edges(n, v, e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """File formats.
 
-Graph (.mlg): UTF-8 text. First content line is "N V"; every following
-content line is one edge "i j v" with 0-based indices and i < j. Lines that
-are blank or start with '#' are skipped. Writers emit edges sorted
-lexicographically by (i, j, v), which is the canonical form. Readers accept
-duplicates (idempotent) and, only when symmetrize=True, edges given as
-i > j; otherwise a reversed edge is a ParseError.
+Graph (.mlg): UTF-8 text. "\n", "\r\n" and a lone "\r" each end a line.
+A line is a sequence of fields separated by ASCII whitespace (space, tab,
+vertical tab, form feed); every field is an integer token, an optional "+"
+or "-" followed by ASCII digits. Lines that are blank or whose first field
+starts with '#' are skipped; the others are content lines. The first content
+line is "N V"; every following one is an edge "i j v" with 0-based indices
+and i < j. Writers emit edges sorted lexicographically by (i, j, v), which
+is the canonical form. Readers accept duplicates (idempotent) and, only
+when symmetrize=True, edges given as i > j; otherwise a reversed edge is a
+ParseError. A malformed file raises ParseError at its first faulty line.
 
 Partition (.part): first content line "k K", then one 0-based label per
 line; labels must lie in [0, K).
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from typing import Union
 
 import numpy as np
 
-from .core import HardPartition, MultilayerGraph
+from .core import HardPartition, MultilayerGraph, _first_bad_edge, _graph_from_edges
 from .generator import GroundTruth, SimulationConfig
 from .inference import FitReport
 from .selection import SelectionResult
@@ -37,6 +42,9 @@ __all__ = [
     "write_report",
     "read_report",
 ]
+
+
+_INTEGER = re.compile(rb"[+-]?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -62,42 +70,149 @@ def _ints(path: str, line_no: int, text: str, count: int) -> list[int]:
         raise ParseError(f"{path}:{line_no}: expected integers, got {text!r}") from None
 
 
+def _line_text(data: bytes, breaks: np.ndarray, k: int) -> str:
+    """Line k (0-based) of `data`, whose line ends are at `breaks`, stripped."""
+    lo = int(breaks[k - 1]) + 1 if k else 0
+    hi = int(breaks[k]) if k < breaks.size else len(data)
+    return data[lo:hi].decode("utf-8").strip()
+
+
+def _token_values(data: bytes, buf: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """int64 values of the well-formed tokens that start at the positions
+    `lo` of buf: each is an optional sign and the digits up to the first
+    byte that is not one. Tokens still going after 18 digits are parsed
+    exactly and clipped to the int64 range, which keeps an oversized one
+    outside every index range an allocatable graph can have."""
+    neg = buf[lo] == ord("-")
+    pos = lo + (neg | (buf[lo] == ord("+")))
+    out = np.zeros(lo.shape, dtype=np.int64)
+    live = np.ones(lo.shape, dtype=bool)
+    for _ in range(18):
+        digit = buf[np.minimum(pos, buf.size - 1)] - np.uint8(ord("0"))
+        live &= (digit < 10) & (pos < buf.size)
+        if not live.any():
+            break
+        np.multiply(out, 10, out=out, where=live)
+        np.add(out, digit, out=out, where=live)
+        pos += 1
+    np.negative(out, out=out, where=neg)
+    info = np.iinfo(np.int64)
+    for t in np.flatnonzero(live):
+        out[t] = min(max(int(_INTEGER.match(data, lo[t]).group()), info.min), info.max)
+    return out
+
+
 def read_mlg(path: str, symmetrize: bool = False) -> MultilayerGraph:
-    """Read a graph file; see the module docstring for the format."""
-    lines = _content_lines(path)
-    try:
-        line_no, text = next(lines)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected a header line 'N V'") from None
-    n, v = _ints(path, line_no, text, 2)
+    """Read a graph file; see the module docstring for the format.
+
+    The whole body is tokenized and checked with array operations, and the
+    first fault in file order raises ParseError at its line; the N x N x V
+    adjacency is allocated only once every edge line is valid.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        # text mode turns "\r\n" and a lone "\r" into "\n", so lines and
+        # their numbers are those of iterating over the file
+        data = handle.read().encode("utf-8")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # byte positions and token indices in 4 bytes each below 2 GiB
+    index = np.int32 if buf.size < 2**31 - 64 else np.int64
+    breaks = np.flatnonzero(buf == ord("\n")).astype(index)
+    # ASCII whitespace: space and "\t\n\v\f\r" (9..13)
+    tok = (buf != ord(" ")) & ((buf < 9) | (buf > 13))
+    starts = np.flatnonzero(np.diff(tok, prepend=False) & tok).astype(index)
+    # the index of each nonblank line's first token and its token count;
+    # tokens never span lines, so both come from where the lines start
+    first = np.searchsorted(starts, np.concatenate(([0], breaks + 1))).astype(index)
+    count = np.diff(first, append=starts.size)
+    first, count = first[count > 0], count[count > 0]
+    content = buf[starts[first]] != ord("#")
+    first, count = first[content], count[content]
+    if first.size == 0:
+        raise ParseError(f"{path}: empty file, expected a header line 'N V'")
+
+    # a token is well formed when it is an optional sign and ASCII digits:
+    # a sign may only be a token's first byte with a digit after it, and
+    # every other byte that is not a digit is stray
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    sign = (buf == ord("+")) | (buf == ord("-"))
+    sign[1:] &= ~tok[:-1]
+    sign[:-1] &= digit[1:]
+    sign[-1:] = False
+    digit |= sign
+    del sign
+    tok &= ~digit
+    malformed = np.logical_or.reduceat(tok, starts)
+    del tok, digit
+
+    def line_of(row: int) -> int:
+        """The 0-based line of content line `row`."""
+        return int(np.searchsorted(breaks, starts[first[row]]))
+
+    def fault(row: int, message: str) -> ParseError:
+        return ParseError(f"{path}:{line_of(row) + 1}: {message}")
+
+    def field_fault(row: int, fields: int) -> ParseError:
+        if count[row] != fields:
+            return fault(row, f"expected {fields} fields, got {count[row]}")
+        return fault(row, f"expected integers, got {_line_text(data, breaks, line_of(row))!r}")
+
+    if count[0] != 2 or malformed[first[0] : first[0] + 2].any():
+        raise field_fault(0, 2)
+    n, v = (int(_INTEGER.match(data, starts[t]).group()) for t in (first[0], first[0] + 1))
     if n < 1 or v < 1:
-        raise ParseError(f"{path}:{line_no}: need N >= 1 and V >= 1, got {n} {v}")
-    adj = np.zeros((n, n, v), dtype=np.uint8)
-    for line_no, text in lines:
-        i, j, lay = _ints(path, line_no, text, 3)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(f"{path}:{line_no}: node index out of range [0, {n})")
-        if not (0 <= lay < v):
-            raise ParseError(f"{path}:{line_no}: layer index out of range [0, {v})")
-        if i == j:
-            raise ParseError(f"{path}:{line_no}: self loop at node {i}")
-        if i > j:
-            if not symmetrize:
-                raise ParseError(
-                    f"{path}:{line_no}: edge ({i}, {j}) not in canonical i < j order; "
-                    "pass symmetrize to repair"
-                )
-            i, j = j, i
-        adj[i, j, lay] = 1
-        adj[j, i, lay] = 1
-    return MultilayerGraph(adj)
+        raise fault(0, f"need N >= 1 and V >= 1, got {n} {v}")
+
+    # edge rows run up to the first line with a field fault, if any; a
+    # range fault on an earlier row comes first in file order
+    body = first[1:]
+    wrong = np.flatnonzero(count[1:] != 3)
+    cut = body.size if wrong.size == 0 else int(wrong[0])
+    wrong = np.flatnonzero(malformed[body[:cut]] | malformed[body[:cut] + 1] | malformed[body[:cut] + 2])
+    cut = cut if wrong.size == 0 else int(wrong[0])
+    e = np.empty((cut, 3), dtype=np.int64)
+    for c in range(3):
+        e[:, c] = _token_values(data, buf, starts[body[:cut] + c])
+    del malformed
+
+    bad = _first_bad_edge(e, n, v, ordered=not symmetrize)
+    if bad is not None:
+        row, kind = bad
+        i, j = e[row, :2].tolist()
+        raise fault(row + 1, {
+            "node": f"node index out of range [0, {n})",
+            "layer": f"layer index out of range [0, {v})",
+            "loop": f"self loop at node {i}",
+            "order": f"edge ({i}, {j}) not in canonical i < j order; pass symmetrize to repair",
+        }[kind])
+    if cut < body.size:
+        raise field_fault(cut + 1, 3)
+    return _graph_from_edges(n, v, e)
 
 
 def write_mlg(path: str, g: MultilayerGraph) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{g.n} {g.v}\n")
-        for i, j, lay in g.edge_list():
-            handle.write(f"{i} {j} {lay}\n")
+    """Write a graph in canonical form: the header, then the rows of
+    g.edge_list() as "i j v" lines, formatted into one buffer."""
+    header = f"{g.n} {g.v}\n".encode("ascii")
+    e = g.edge_list()
+    width = np.ones(e.shape, dtype=np.uint8)
+    for p in range(1, len(str(max(g.n, g.v)))):
+        width += e >= 10**p
+    # each line is its three fields, two spaces and a newline; the spare
+    # byte past the end takes the writes of digits a field does not have
+    end = len(header) - 1 + np.cumsum(width.sum(axis=1, dtype=np.int64) + 3)
+    total = int(end[-1]) + 1 if e.size else len(header)
+    out = np.full(total + 1, ord(" "), dtype=np.uint8)
+    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    out[end] = ord("\n")
+    # fill the fields from the last one back, each from its last digit
+    for c in (2, 1, 0):
+        x = e[:, c].copy()
+        for d in range(int(width[:, c].max(initial=0))):
+            out[np.where(width[:, c] > d, end - (d + 1), total)] = ord("0") + x % 10
+            x //= 10
+        end -= width[:, c] + 1
+    with open(path, "wb") as handle:
+        handle.write(out[:total])
 
 
 def read_partition(path: str) -> HardPartition:

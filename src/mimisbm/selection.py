@@ -35,7 +35,7 @@ from .core import (
     PriorHyperparams,
     VariationalState,
 )
-from .inference import _xlogx, compute_elbo, fit, m_step, spectral_basis, sufficient_stats
+from .inference import _xlogx, compute_elbo, fit, m_step, spectral_basis
 
 __all__ = [
     "pen",
@@ -63,8 +63,16 @@ def pen(k: int, q: int, n: int, v: int) -> float:
 
 
 def _hardened_state(g: MultilayerGraph, z: HardPartition, w: HardPartition, priors: PriorHyperparams) -> VariationalState:
+    """The one-hot state of (z, w) after an M-step. With one-hot tau the
+    sufficient statistics are integer counts, so they are taken one uint8
+    layer at a time, without the float layer stack: the edges of each block
+    pair per layer, the ordered pairs of distinct nodes per block pair
+    (t_k t_l less the diagonal) and the block sizes t. They equal
+    sufficient_stats at the one-hot tau exactly."""
     tau, nu = z.one_hot(), w.one_hot()
-    return VariationalState(tau, nu, *m_step(sufficient_stats(g.layer_stack(), tau), nu, priors))
+    m = np.stack([tau.T @ (g.adj[:, :, v] @ tau) for v in range(g.v)], axis=2)
+    t = tau.sum(axis=0)
+    return VariationalState(tau, nu, *m_step((m, np.outer(t, t) - np.diag(t), t), nu, priors))
 
 
 def icl_exact(

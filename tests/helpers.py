@@ -45,6 +45,7 @@ from mimisbm.inference import (
     spectral_basis,
     sufficient_stats,
 )
+from mimisbm.io import ParseError, _content_lines, _ints
 from mimisbm.mathfn import digamma
 
 
@@ -669,3 +670,51 @@ def link_map_exact_oracle(k: int, c: int, rng: np.random.Generator) -> np.ndarra
         else:
             m[j], u = c - u, u - 1
     return rng.permutation(c)[m]
+
+
+# ---------------------------------------------------------------------------
+# .mlg files: the per-line reader and the per-edge writer
+
+
+def read_mlg_oracle(path: str, symmetrize: bool = False) -> MultilayerGraph:
+    """The per-line reader that io.read_mlg replaced: Python's text-mode line
+    iteration, str.strip/split and int() per field, checks per edge."""
+    lines = _content_lines(path)
+    try:
+        line_no, text = next(lines)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file, expected a header line 'N V'") from None
+    n, v = _ints(path, line_no, text, 2)
+    if n < 1 or v < 1:
+        raise ParseError(f"{path}:{line_no}: need N >= 1 and V >= 1, got {n} {v}")
+    adj = np.zeros((n, n, v), dtype=np.uint8)
+    for line_no, text in lines:
+        i, j, lay = _ints(path, line_no, text, 3)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ParseError(f"{path}:{line_no}: node index out of range [0, {n})")
+        if not (0 <= lay < v):
+            raise ParseError(f"{path}:{line_no}: layer index out of range [0, {v})")
+        if i == j:
+            raise ParseError(f"{path}:{line_no}: self loop at node {i}")
+        if i > j:
+            if not symmetrize:
+                raise ParseError(
+                    f"{path}:{line_no}: edge ({i}, {j}) not in canonical i < j order; "
+                    "pass symmetrize to repair"
+                )
+            i, j = j, i
+        adj[i, j, lay] = 1
+        adj[j, i, lay] = 1
+    return MultilayerGraph(adj)
+
+
+def write_mlg_oracle(path: str, g: MultilayerGraph) -> None:
+    """The per-edge writer that io.write_mlg replaced, with the sorted list
+    of edge tuples it wrote from."""
+    i, j, v = np.nonzero(np.triu(g.adj.transpose(2, 0, 1), k=1).transpose(1, 2, 0))
+    order = np.lexsort((v, j, i))
+    edge_list = list(zip(i[order].tolist(), j[order].tolist(), v[order].tolist()))
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(f"{g.n} {g.v}\n")
+        for i, j, lay in edge_list:
+            handle.write(f"{i} {j} {lay}\n")

@@ -105,6 +105,23 @@ def test_fit_oversized_header_exits_1(tmp_path):
     assert os.listdir(tmp_path) == ["huge.mlg"]
 
 
+def test_fit_oversized_header_with_malformed_body_exits_1_at_its_line(tmp_path):
+    # the body is checked before the N * N * V = 1e15 bytes are allocated,
+    # so the fault on line 2 is reported, not the allocation
+    graph = tmp_path / "huge.mlg"
+    graph.write_text("100000 100000\n0 0 0\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(mimisbm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mimisbm.cli", "fit", "--graph", str(graph), "--k", "2", "--q", "1",
+         "--seed", "0", "--out", str(tmp_path / "fit")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {graph}:2: self loop at node 0\n"
+    assert os.listdir(tmp_path) == ["huge.mlg"]
+
+
 def test_simulate_twenty_block_link_map_finishes(tmp_path):
     # a surjection onto 20 of 20 blocks by rejection expects ~4.3e7 draws
     src = os.path.dirname(os.path.dirname(mimisbm.__file__))

@@ -84,7 +84,33 @@ def test_build_graph_round_trip(edges):
 
 def test_edge_list_canonical_order():
     g = build_graph(4, 2, [(3, 2, 1), (1, 0, 0), (2, 0, 0)])
-    assert g.edge_list() == [(0, 1, 0), (0, 2, 0), (2, 3, 1)]
+    e = g.edge_list()
+    assert e.dtype == np.int64 and e.tolist() == [[0, 1, 0], [0, 2, 0], [2, 3, 1]]
+
+
+_ENTRY_VALUES = {
+    "b": [False, True],
+    "u": [0, 1, 2, 255],
+    "i": [0, 1, 2, -1],
+    "f": [0.0, -0.0, 1.0, 0.5, -1.0, 2.0, np.nan, np.inf],
+}
+
+
+@pytest.mark.parametrize(
+    "dtype",
+    [np.bool_, np.uint8, np.uint64, np.int8, np.int64, np.float16, np.float32, np.float64],
+)
+def test_graph_entries_are_zero_or_one_in_every_dtype(dtype):
+    # np.isin(a, (0, 1)) is the oracle for the entry check
+    for x in _ENTRY_VALUES[np.dtype(dtype).kind]:
+        a = np.zeros((3, 3, 2), dtype=dtype)
+        a[0, 2, 1] = a[2, 0, 1] = x
+        a[0, 1, 0] = a[1, 0, 0] = 1
+        if np.isin(a, (0, 1)).all():
+            assert MultilayerGraph(a).adj[0, 2, 1] == x
+        else:
+            with pytest.raises(DomainError, match="0 or 1"):
+                MultilayerGraph(a)
 
 
 def test_hard_partition_validation():

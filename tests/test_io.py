@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimisbm import (
     FitConfig,
@@ -24,7 +26,7 @@ from mimisbm.io import (
     write_partition,
     write_report,
 )
-from helpers import random_graph
+from helpers import random_graph, read_mlg_oracle, write_mlg_oracle
 
 
 def test_mlg_minimal_round_trip(tmp_path):
@@ -96,6 +98,169 @@ def test_mlg_empty_file_rejected(tmp_path):
     with pytest.raises(ParseError) as err:
         read_mlg(str(p))
     assert "empty file" in str(err.value)
+
+
+def _read_outcome(reader, path, symmetrize):
+    """The adjacency bytes a reader returns, or the message it raises."""
+    try:
+        return "graph", reader(str(path), symmetrize=symmetrize).adj.tobytes()
+    except ParseError as err:
+        return "error", str(err)
+
+
+def _assert_reads_like_oracle(path, body: bytes, symmetrize: bool):
+    path.write_bytes(body)
+    got = _read_outcome(read_mlg, path, symmetrize)
+    assert got == _read_outcome(read_mlg_oracle, path, symmetrize), body
+    return got
+
+
+MLG_CASES = [
+    # (body, symmetrize, line of the expected ParseError or None)
+    (b"1 1\n", False, None),
+    (b"1 1\n0 0 0\n", False, 2),
+    (b"3 2\n", False, None),
+    (b"3 2", False, None),
+    (b"", False, None),
+    (b"\n\n  \n", False, None),
+    (b"# only a comment\n", False, None),
+    (b"# head\n\n2 1\n  # indented comment\n\n0 1 0\n# tail", False, None),
+    (b"# caf\xc3\xa9 \xe2\x80\x94 comment\n2 1\n0 1 0\n", False, None),
+    (b"3 1\r\n0 1 0\r\n1 2 0\r\n", False, None),
+    (b"3 1\r0 1 0\r1 2 0\r", False, None),
+    (b"3 1\r\n0 1 0\r1 2 0\n\r\n0 2 0", False, None),
+    (b"3 1\r\n0 1 0\r0 0 0\n", False, 3),
+    (b"3 1\r\r\n\r0 0 0\n", False, 4),
+    (b"\t3 \t1  \n  0\t1 0 \t\n\x0b\x0c\n 1  2\t\t0", False, None),
+    (b"3 1\n0 1 0\n1 2 0", False, None),
+    (b"3 1\n0 1 0\n0 1 0\n0 1 0\n", False, None),
+    (b"3 1\n2 1 0\n", False, 2),
+    (b"3 1\n2 1 0\n", True, None),
+    (b"3 1\n0 1 0\n2 1 0\n1 2 0\n", True, None),
+    (b"+3 +1\n+0 -0 0\n", False, 2),
+    (b"+3 +1\n+0 +1 -0\n", False, None),
+    (b"3 1\n0 00000000000000000000000001 0\n", False, None),
+    (b"3 1\n0 99999999999999999999999 0\n", False, 2),
+    (b"3 1\n0 1 -99999999999999999999999\n", False, 2),
+    (b"3 1\n0 1 999999999999999999\n", False, 2),
+    (b"3 1\n0 1 -9223372036854775808\n", False, 2),
+    (b"3 1\n0 1 0 # trailing comment\n", False, 2),
+    (b"3 1\n0 + 0\n", False, 2),
+    (b"3 1\n0 1 0-\n", False, 2),
+    (b"3 1\n0 1 +-0\n", False, 2),
+    (b"3 1\n0 1 1-0\n", False, 2),
+    (b"3 1\n0 1 0\n-", False, 3),
+    # header faults
+    (b"2\n", False, 1),
+    (b"2 1 1\n0 1 0\n", False, 1),
+    (b"0 1\n", False, 1),
+    (b"2 -1\n", False, 1),
+    (b"a b\n0 0 0\n", False, 1),
+    (b"# c\n\n2 x\n", False, 3),
+    # several faults: the first in file order wins, whatever its kind
+    (b"3 1\n0 1\n0 0 0\n", False, 2),
+    (b"3 1\n0 5 0\nx y z\n", False, 2),
+    (b"3 1\n0 1 0\nx y z\n0 0 0\n", False, 3),
+    (b"3 1\n0 0 0\n0 1\n", False, 2),
+    (b"3 1\n0 1 3\n0 0 0\n", False, 2),
+    (b"3 1\n1 0 0\n0 0 0\n", False, 2),
+    (b"3 1\n1 0 0\n0 0 0\n", True, 3),
+    (b"3 1\n0 1 0\n1 0 5\n1 1 0\n", False, 3),
+    (b"3 1\n0 1 0\n1 1 5 7\n1 1 0\n", False, 3),
+    (b"3 1\n# 0 0 0\n0 1 x\n0 0 0\n", False, 3),
+]
+
+
+@pytest.mark.parametrize("body, symmetrize, line", MLG_CASES)
+def test_mlg_reader_matches_per_line_oracle(tmp_path, body, symmetrize, line):
+    kind, got = _assert_reads_like_oracle(tmp_path / "g.mlg", body, symmetrize)
+    if line is None:
+        assert kind == "graph" or "empty file" in got
+    else:
+        assert kind == "error" and f"g.mlg:{line}: " in got
+
+
+def _mlg_line(draw, n: int, v: int) -> str:
+    """One line: mostly an edge of an (n, v) graph in either order, sometimes
+    an odd token, a wrong field count, a comment or a blank line, with varied
+    whitespace."""
+    odd = st.sampled_from(["+1", "-0", "01", "-1", "7", "x", "+", "1-", "1+0", "#", "2#"])
+    gap = st.sampled_from([" ", " ", "  ", "\t", " \t "])
+    kind = draw(st.sampled_from(["edge"] * 8 + ["fields", "comment", "blank"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["#", "# note", "  # 0 0 0", "#1 2 3"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", " \t\x0b\x0c "]))
+    sizes = (n, n, v) if kind == "edge" else (n,) * draw(st.sampled_from([0, 1, 2, 4]))
+    fields = [draw(st.integers(0, size - 1).map(str) if draw(st.integers(0, 15)) else odd) for size in sizes]
+    text = "".join(f + draw(gap) for f in fields[:-1]) + (fields[-1] if fields else "")
+    return draw(gap) * draw(st.booleans()) + text + draw(gap) * draw(st.booleans())
+
+
+@st.composite
+def mlg_files(draw) -> bytes:
+    n, v = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    header = f"{n} {v}" if draw(st.integers(0, 7)) else draw(st.sampled_from(["0 1", "2", "3 1 1", "x 2", "", "# c"]))
+    lines = [header] + [_mlg_line(draw, n, v) for _ in range(draw(st.integers(0, 10)))]
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+    return (text + draw(ends) * draw(st.booleans())).encode("ascii")
+
+
+@given(mlg_files(), st.booleans())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_mlg_reader_matches_per_line_oracle_on_generated_files(tmp_path_factory, body, symmetrize):
+    _assert_reads_like_oracle(tmp_path_factory.mktemp("mlg") / "g.mlg", body, symmetrize)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11"])
+def test_mlg_tokens_are_a_sign_and_ascii_digits(tmp_path, token):
+    # int() accepts these; the .mlg grammar does not, and the line says so
+    p = tmp_path / "g.mlg"
+    p.write_text(f"12 1\n0 {token} 0\n", encoding="utf-8")
+    read_mlg_oracle(str(p))
+    with pytest.raises(ParseError, match=r"g\.mlg:2: expected integers"):
+        read_mlg(str(p))
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1f", "\u00a0", "\u2003"])
+def test_mlg_fields_are_separated_by_ascii_whitespace(tmp_path, sep):
+    # str.split() splits on these; the .mlg grammar does not
+    p = tmp_path / "g.mlg"
+    p.write_text(f"3 1\n0 1{sep}0\n", encoding="utf-8")
+    read_mlg_oracle(str(p))
+    with pytest.raises(ParseError, match=r"g\.mlg:2: expected 3 fields, got 2"):
+        read_mlg(str(p))
+
+
+def _mlg_graphs():
+    rng = np.random.default_rng(4)
+    yield build_graph(1, 1, [])
+    yield build_graph(5, 3, [])
+    yield build_graph(2, 1, [(0, 1, 0)])
+    yield random_graph(rng, 9, 3, p=1.0)
+    yield random_graph(rng, 120, 12, p=0.05)
+    yield build_graph(1001, 11, [(0, 1000, 10), (9, 10, 0), (99, 100, 9), (999, 1000, 1), (0, 1, 0)])
+    for n, v in ((2, 1), (7, 2), (15, 11), (30, 4)):
+        yield random_graph(rng, n, v, p=float(rng.random()))
+
+
+@pytest.mark.parametrize("g", list(_mlg_graphs()), ids=lambda g: f"n{g.n}v{g.v}e{int(g.adj.sum()) // 2}")
+def test_mlg_writer_bytes_match_per_edge_oracle(tmp_path, g):
+    write_mlg(str(tmp_path / "a.mlg"), g)
+    write_mlg_oracle(str(tmp_path / "b.mlg"), g)
+    assert (tmp_path / "a.mlg").read_bytes() == (tmp_path / "b.mlg").read_bytes()
+    assert np.array_equal(read_mlg(str(tmp_path / "a.mlg")).adj, g.adj)
+
+
+@given(st.integers(1, 14), st.integers(1, 12), st.floats(0, 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mlg_writer_bytes_match_per_edge_oracle_on_random_graphs(tmp_path_factory, n, v, p, seed):
+    g = random_graph(np.random.default_rng(seed), n, v, p=p)
+    d = tmp_path_factory.mktemp("w")
+    write_mlg(str(d / "a.mlg"), g)
+    write_mlg_oracle(str(d / "b.mlg"), g)
+    assert (d / "a.mlg").read_bytes() == (d / "b.mlg").read_bytes()
 
 
 def test_partition_round_trip(tmp_path):

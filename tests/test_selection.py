@@ -351,10 +351,26 @@ def test_grid_builds_one_layer_stack_per_fit_and_hardened_state(monkeypatch):
     builds = count_calls(monkeypatch, MultilayerGraph, "layer_stack")
     res = grid_search(g, [1, 2, 3], [1, 2], FitConfig(seed=3, n_restarts=3), jobs=1)
     assert all(c.error is None for c in res.cells)
-    assert len(builds) == 2 * len(res.cells) == 12
+    assert len(builds) == len(res.cells) == 6
     builds.clear()
     icl_exact(g, map_assign(np.eye(2)[np.arange(g.n) % 2]), map_assign(np.ones((g.v, 1))))
-    assert len(builds) == 1
+    assert len(builds) == 0
+
+
+def test_hardened_state_counts_match_dense_oracle():
+    # the label counts against the dense M-step at one-hot tau, bit for bit,
+    # with empty blocks, an isolated node and k = n
+    rng = np.random.default_rng(18)
+    g = with_isolated_node(random_graph(rng, 7, 3, p=0.5), node=2, layer=0)
+    for k, q in ((1, 1), (3, 2), (5, 3), (g.n, 1), (4, 2)):
+        labels = rng.integers(0, k, size=g.n) if k != 4 else np.repeat([1, 2], [3, g.n - 3])
+        z = HardPartition(labels=labels, k=k)
+        w = HardPartition(labels=rng.integers(0, q, size=g.v), k=q)
+        priors = PriorHyperparams.jeffreys(k, q)
+        got = selection._hardened_state(g, z, w, priors)
+        want = hardened_state_oracle(g, z, w, priors)
+        for name in ("tau", "nu", "beta", "theta", "eta", "xi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_grid_starts_no_more_workers_than_cells(monkeypatch):
