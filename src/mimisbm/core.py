@@ -90,11 +90,17 @@ class MultilayerGraph:
             raise DomainError(f"adjacency tensor must be (N, N, V), got {a.shape}")
         if a.shape[0] < 1 or a.shape[2] < 1:
             raise DomainError("need at least one node and one layer")
-        if not ((a == 0) | (a == 1)).all():
+        # the checks run on blocks of rows holding about max(N^2, 2^16)
+        # entries, so their temporaries stay O(N^2) rather than N^2 V (and
+        # small graphs take few blocks)
+        n, _, v = a.shape
+        step = max(1, n // v, 2**16 // (n * v))
+        rows = [slice(r, r + step) for r in range(0, n, step)]
+        if not all(((a[b] == 0) | (a[b] == 1)).all() for b in rows):
             raise DomainError("adjacency entries must be 0 or 1")
         if np.trace(a, axis1=0, axis2=1).any():
             raise SelfLoopError("nonzero diagonal in adjacency tensor")
-        if (a != a.transpose(1, 0, 2)).any():
+        if any((a[b] != a[:, b].transpose(1, 0, 2)).any() for b in rows):
             raise DomainError("each layer must be symmetric")
         object.__setattr__(self, "adj", _locked(a, dtype=np.uint8))
 
@@ -144,8 +150,13 @@ def _first_bad_edge(e: np.ndarray, n: int, v: int, ordered: bool) -> Optional[Tu
 
 def _graph_from_edges(n: int, v: int, e: np.ndarray) -> MultilayerGraph:
     """The graph with edge rows `e`, which _first_bad_edge has accepted;
-    each row sets both (i, j) and (j, i), so duplicates are idempotent."""
-    a = np.zeros((n, n, v), dtype=np.uint8)
+    each row sets both (i, j) and (j, i), so duplicates are idempotent.
+    A size whose N * N * V bytes do not fit in memory, or overflow the
+    address space, raises MemoryError."""
+    try:
+        a = np.zeros((n, n, v), dtype=np.uint8)
+    except ValueError as exc:  # numpy's "array is too big" / "Maximum allowed dimension exceeded"
+        raise MemoryError(f"a graph of {n} nodes and {v} layers is too large to allocate: {exc}") from None
     i, j, lay = e.T
     a[i, j, lay] = 1
     a[j, i, lay] = 1

@@ -109,11 +109,17 @@ def _xlogx(a: np.ndarray) -> float:
     return float(np.sum(a * np.log(safe)))
 
 
-def _beta_log_moments(state: VariationalState):
-    """E[log alpha] - E[log(1 - alpha)] and E[log(1 - alpha)] per cell."""
-    d = digamma(state.eta) - digamma(state.xi)
-    e = digamma(state.xi) - digamma(state.eta + state.xi)
-    return d, e
+def _log_moments(state: VariationalState, conc: np.ndarray):
+    """The Beta log-moments per cell, E[log alpha] - E[log(1 - alpha)] and
+    E[log(1 - alpha)], and the Dirichlet log-moments psi(conc) -
+    psi(sum conc) of the concentrations `conc` (state.beta or state.theta),
+    from one digamma call on all their arguments."""
+    eta, xi = state.eta.ravel(), state.xi.ravel()
+    c = eta.size
+    psi = digamma(np.concatenate([eta, xi, eta + xi, conc, [conc.sum()]]))
+    d = (psi[:c] - psi[c : 2 * c]).reshape(state.eta.shape)
+    e = (psi[c : 2 * c] - psi[2 * c : 3 * c]).reshape(state.eta.shape)
+    return d, e, psi[3 * c : -1] - psi[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +157,13 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, ma
             rng.integers(n)
         return np.zeros(n, dtype=np.int64)
     x2 = (x * x).sum(axis=1)
+    # every center sum is one bincount over (label, column) bins; it adds a
+    # cluster's rows in index order, as numpy's mean over axis 0 does for two
+    # or more columns (one column it sums pairwise, so such a center may
+    # differ in its last bit from the mean)
+    dim = x.shape[1]
+    cols = np.arange(dim)
+    flat = x.ravel()
     best_labels = None
     best_inertia = np.inf
     for _ in range(n_init):
@@ -177,8 +190,10 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, ma
                 break
             counts = np.bincount(new_labels, minlength=k)
             far = int(dist.min(axis=1).argmax()) if counts.min() == 0 else -1
-            for c in range(k):
-                centers[c] = x[new_labels == c].mean(axis=0) if counts[c] else x[far]
+            sums = np.bincount((new_labels[:, None] * dim + cols).ravel(), weights=flat, minlength=k * dim)
+            centers = sums.reshape(k, dim) / np.maximum(counts, 1)[:, None]
+            if far >= 0:
+                centers[counts == 0] = x[far]
             passes += 1
             if (new_labels == labels).all():  # the first pass, from all-zero labels
                 break
@@ -399,8 +414,7 @@ def vbe_update_tau(a: np.ndarray, state: VariationalState) -> np.ndarray:
     K x (Q+1)K matrix, so a row's logits are one product with (anx[i] @ tau).
     """
     n, k, q = state.n, state.k, state.q
-    d, e = _beta_log_moments(state)
-    base = digamma(state.beta) - digamma(float(state.beta.sum()))
+    d, e, base = _log_moments(state, state.beta)
     anx = np.empty((n, q + 1, n))
     anx[:, :q, :] = np.tensordot(state.nu, a, axes=([0], [0])).transpose(1, 0, 2)
     anx[:, q, :] = 1.0
@@ -436,8 +450,7 @@ def vbe_update_nu(stats: Stats, state: VariationalState) -> np.ndarray:
     given tau.
     """
     m, pair, _ = stats
-    d, e = _beta_log_moments(state)
-    base = digamma(state.theta) - digamma(float(state.theta.sum()))
+    d, e, base = _log_moments(state, state.theta)
 
     edge = np.einsum("klv,kls->vs", m, d)
     hole = np.einsum("kl,kls->s", pair, e)[None, :]
@@ -482,39 +495,31 @@ def compute_elbo(state: VariationalState, priors: PriorHyperparams) -> float:
     M-step: prior-to-posterior normalizer ratios of the three conjugate
     families plus the responsibility entropies. The data enter only through
     the counts already absorbed into the posterior state, so the graph is
-    not an argument.
+    not an argument. Every log-gamma value comes from one call on all the
+    arguments; the Beta cells are those with k <= l.
     """
-
-    def dirichlet_term(prior: np.ndarray, post: np.ndarray) -> float:
-        return float(
-            log_gamma(float(prior.sum()))
-            - log_gamma(float(post.sum()))
-            + log_gamma(post).sum()
-            - log_gamma(prior).sum()
-        )
-
     iu, ju = np.triu_indices(state.k)
-    eta0 = priors.eta0[iu, ju, :]
-    xi0 = priors.xi0[iu, ju, :]
-    eta = state.eta[iu, ju, :]
-    xi = state.xi[iu, ju, :]
-    beta_term = float(
-        (
-            log_gamma(eta0 + xi0)
-            - log_gamma(eta + xi)
-            + log_gamma(eta)
-            - log_gamma(eta0)
-            + log_gamma(xi)
-            - log_gamma(xi0)
-        ).sum()
+    eta0, xi0, eta, xi = (x[iu, ju, :].ravel() for x in (priors.eta0, priors.xi0, state.eta, state.xi))
+    args = (
+        [priors.beta0.sum(), state.beta.sum(), priors.theta0.sum(), state.theta.sum()],
+        state.beta,
+        priors.beta0,
+        state.theta,
+        priors.theta0,
+        eta0 + xi0,
+        eta + xi,
+        eta,
+        eta0,
+        xi,
+        xi0,
     )
-    return (
-        dirichlet_term(priors.beta0, state.beta)
-        + dirichlet_term(priors.theta0, state.theta)
-        + beta_term
-        - _xlogx(state.tau)
-        - _xlogx(state.nu)
-    )
+    lg = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(x) for x in args[:-1]]))
+    lg_sums, lg_beta, lg_beta0, lg_theta, lg_theta0, lg_tot0, lg_tot, lg_eta, lg_eta0, lg_xi, lg_xi0 = lg
+    # log B(post) - log B(prior) per family, B the (multivariate) Beta function
+    beta_term = float(lg_sums[0] - lg_sums[1] + lg_beta.sum() - lg_beta0.sum())
+    theta_term = float(lg_sums[2] - lg_sums[3] + lg_theta.sum() - lg_theta0.sum())
+    cell_term = float((lg_tot0 - lg_tot + lg_eta - lg_eta0 + lg_xi - lg_xi0).sum())
+    return beta_term + theta_term + cell_term - _xlogx(state.tau) - _xlogx(state.nu)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,17 @@ Stirling series there. The shift threshold is 6; with the Bernoulli terms
 kept below, truncation error at the threshold is a few 1e-15 absolute,
 comfortably inside the 1e-12 relative target for x >= 1e-6.
 
-Functions accept scalars or numpy arrays and return the matching kind.
+Functions accept scalars or numpy arrays and return the matching kind:
+a float for a scalar, an array of the argument's shape otherwise.
 Arguments must be strictly positive; DomainError otherwise.
+
+Every element is computed on its own, with the same operations whatever
+the array around it, so a call on concatenated arguments gives, bit for
+bit, the values of one call per argument. The callers rely on that: one
+digamma call serves a whole variational update and one log_gamma call a
+whole bound. The cost of a call is mostly per-call numpy overhead, so the
+shift loop updates the arguments still below the threshold in place
+(ufuncs with out= and where=) instead of gathering and scattering them.
 """
 
 from __future__ import annotations
@@ -58,42 +67,44 @@ _HALF_LOG_2PI = 0.9189385332046727  # log(2 pi) / 2
 
 
 def _as_positive_array(x, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
+    """x as a float array of at least one dimension (the masked in-place
+    updates below cannot write to a 0-d array), and whether x was a scalar."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(arr > 0):
         raise DomainError(f"{name} requires strictly positive arguments")
-    return arr, arr.ndim == 0
+    return arr, np.ndim(x) == 0
 
 
 def digamma(x):
     """psi(x) = d/dx log Gamma(x) for x > 0."""
     arr, scalar = _as_positive_array(x, "digamma")
-    y = np.array(arr, dtype=float, copy=True)
+    y = arr.copy()
     acc = np.zeros_like(y)
     # recurrence: psi(x) = psi(x + 1) - 1/x, applied until y >= _SHIFT
     small = y < _SHIFT
     while small.any():
-        acc[small] -= 1.0 / y[small]
-        y[small] += 1.0
-        small = y < _SHIFT
+        np.subtract(acc, 1.0 / y, out=acc, where=small)
+        np.add(y, 1.0, out=y, where=small)
+        np.less(y, _SHIFT, out=small)
     # asymptotic series at y: log y - 1/(2y) - sum_n coef_n / y^{2n}
     inv2 = 1.0 / (y * y)
     tail = np.zeros_like(y)
     for c in reversed(_PSI_COEF):
         tail = (tail + c) * inv2
     out = acc + np.log(y) - 0.5 / y - tail
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 def log_gamma(x):
     """log Gamma(x) for x > 0."""
     arr, scalar = _as_positive_array(x, "log_gamma")
-    y = np.array(arr, dtype=float, copy=True)
+    y = arr.copy()
     acc = np.zeros_like(y)
     small = y < _SHIFT
     while small.any():
-        acc[small] -= np.log(y[small])
-        y[small] += 1.0
-        small = y < _SHIFT
+        np.subtract(acc, np.log(y), out=acc, where=small)
+        np.add(y, 1.0, out=y, where=small)
+        np.less(y, _SHIFT, out=small)
     inv = 1.0 / y
     inv2 = inv * inv
     # series in odd powers: sum_n coef_n / y^{2n-1}
@@ -103,8 +114,5 @@ def log_gamma(x):
     tail = tail * inv
     out = acc + (y - 0.5) * np.log(y) - y + _HALF_LOG_2PI + tail
     # pin the exact zeros of log Gamma so downstream identities are clean
-    exact = (arr == 1.0) | (arr == 2.0)
-    if exact.any():
-        out = np.where(exact, 0.0, out)
-    return float(out) if scalar else out
-
+    out[(arr == 1.0) | (arr == 2.0)] = 0.0
+    return float(out[0]) if scalar else out

@@ -26,7 +26,6 @@ from mimisbm import (
     MultilayerGraph,
     PriorHyperparams,
     VariationalState,
-    compute_elbo,
     init_variational,
     m_step,
     map_assign,
@@ -38,15 +37,15 @@ from mimisbm.inference import (
     _INIT_FLOOR,
     _REL_EPS,
     _UPDATE_FLOOR,
-    _beta_log_moments,
     _floor_rows,
     _soften,
     _softmax_rows,
+    _xlogx,
     spectral_basis,
     sufficient_stats,
 )
 from mimisbm.io import ParseError, _content_lines, _ints
-from mimisbm.mathfn import digamma
+from mimisbm.mathfn import digamma, log_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +506,58 @@ def count_eigh(monkeypatch) -> list:
 
 # ---------------------------------------------------------------------------
 # dense reference for the fit loop: connectivity recomputed by the layer
-# update and again by the M-step, the state rebuilt after every update; and
+# update and again by the M-step, the state rebuilt after every update, the
+# log-moments and the bound with one special-function call per argument; and
 # the node sweep on the uint8 graph with one softmax call per row
+
+
+def beta_log_moments_oracle(state: VariationalState):
+    """E[log alpha] - E[log(1 - alpha)] and E[log(1 - alpha)] per cell, one
+    digamma call per argument."""
+    d = digamma(state.eta) - digamma(state.xi)
+    e = digamma(state.xi) - digamma(state.eta + state.xi)
+    return d, e
+
+
+def compute_elbo_oracle(state: VariationalState, priors: PriorHyperparams) -> float:
+    """The simplified bound with one log_gamma call per argument."""
+
+    def dirichlet_term(prior: np.ndarray, post: np.ndarray) -> float:
+        return float(
+            log_gamma(float(prior.sum()))
+            - log_gamma(float(post.sum()))
+            + log_gamma(post).sum()
+            - log_gamma(prior).sum()
+        )
+
+    iu, ju = np.triu_indices(state.k)
+    eta0 = priors.eta0[iu, ju, :]
+    xi0 = priors.xi0[iu, ju, :]
+    eta = state.eta[iu, ju, :]
+    xi = state.xi[iu, ju, :]
+    beta_term = float(
+        (
+            log_gamma(eta0 + xi0)
+            - log_gamma(eta + xi)
+            + log_gamma(eta)
+            - log_gamma(eta0)
+            + log_gamma(xi)
+            - log_gamma(xi0)
+        ).sum()
+    )
+    return (
+        dirichlet_term(priors.beta0, state.beta)
+        + dirichlet_term(priors.theta0, state.theta)
+        + beta_term
+        - _xlogx(state.tau)
+        - _xlogx(state.nu)
+    )
 
 
 def vbe_update_tau_oracle(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
     """The node sweep contracting the (N, N, V) graph with nu at every call
     and keeping running column sums of tau for the non-edge term."""
-    d, e = _beta_log_moments(state)
+    d, e = beta_log_moments_oracle(state)
     base = digamma(state.beta) - digamma(float(state.beta.sum()))
     # edge-weighted component mass per node pair: AN[i, j, s] = sum_v A_ijv nu_vs
     an = np.tensordot(g.adj, state.nu, axes=([2], [0]))
@@ -555,7 +598,7 @@ def pair_mass_oracle(tau: np.ndarray) -> np.ndarray:
 
 def vbe_update_nu_oracle(g: MultilayerGraph, state: VariationalState) -> np.ndarray:
     """The layer update reading the graph and state.tau itself."""
-    d, e = _beta_log_moments(state)
+    d, e = beta_log_moments_oracle(state)
     base = digamma(state.theta) - digamma(float(state.theta.sum()))
     m = connectivity_oracle(g.adj, state.tau)
     pair = pair_mass_oracle(state.tau)
@@ -615,7 +658,7 @@ def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
             state = replace(state, nu=vbe_update_nu_oracle(g, state))
             beta, theta, eta, xi = m_step_oracle(g, state, priors)
             state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
-            trace.append(compute_elbo(state, priors))
+            trace.append(compute_elbo_oracle(state, priors))
             if len(trace) >= 2:
                 delta = abs(trace[-1] - trace[-2])
                 if delta < cfg.eps or delta < _REL_EPS * abs(trace[-2]):

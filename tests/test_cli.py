@@ -105,6 +105,19 @@ def test_fit_oversized_header_exits_1(tmp_path):
     assert os.listdir(tmp_path) == ["huge.mlg"]
 
 
+@pytest.mark.parametrize("header", ["100000000 1", "3037000500 1", "99999999999999999999 1"])
+def test_fit_graph_too_large_to_allocate_exits_1(tmp_path, capsys, header):
+    # numpy refuses the first with MemoryError and the other two, whose byte
+    # count or dimension overflows, with ValueError: all three exit 1
+    graph = tmp_path / "huge.mlg"
+    graph.write_text(header + "\n", encoding="utf-8")
+    code = main(["fit", "--graph", str(graph), "--k", "2", "--q", "1", "--seed", "0",
+                 "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
+    assert os.listdir(tmp_path) == ["huge.mlg"]
+
+
 def test_fit_oversized_header_with_malformed_body_exits_1_at_its_line(tmp_path):
     # the body is checked before the N * N * V = 1e15 bytes are allocated,
     # so the fault on line 2 is reported, not the allocation

@@ -220,3 +220,51 @@ def test_rng_stream_path_order_matters():
     x = rng_stream(0, 1, 2).random(3)
     y = rng_stream(0, 2, 1).random(3)
     assert not np.array_equal(x, y)
+
+
+def test_graph_from_edges_peaks_near_its_two_tensors():
+    # the built tensor plus the graph's one owned copy; the checks work on
+    # row blocks, so their temporaries stay O(N^2) (the full-tensor checks
+    # peaked at 3 adj.nbytes)
+    import tracemalloc
+
+    from mimisbm.core import _graph_from_edges
+
+    n, v = 300, 20
+    rng = np.random.default_rng(0)
+    iu, ju = np.triu_indices(n, k=1)
+    lay, pair = np.nonzero(rng.random((v, iu.size)) < 0.1)
+    e = np.stack([iu[pair], ju[pair], lay], axis=1)
+    tracemalloc.start()
+    try:
+        g = _graph_from_edges(n, v, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * g.adj.nbytes
+
+
+@pytest.mark.parametrize(
+    "faults, error, match",
+    [
+        ({"asym": (0, 190), "value": (1, 2)}, DomainError, "0 or 1"),
+        ({"value": (0, 190), "loop": (1, 7)}, DomainError, "0 or 1"),
+        ({"asym": (0, 9), "loop": (1, 190)}, SelfLoopError, "diagonal"),
+        ({"loop": (0, 190), "asym": (1, 7)}, SelfLoopError, "diagonal"),
+        ({"asym": (1, 190)}, DomainError, "symmetric"),
+    ],
+)
+def test_graph_checks_keep_their_order_across_layers_and_row_blocks(faults, error, match):
+    # entries first, then the diagonal, then symmetry, whichever layer and
+    # row block each fault sits in (N = 200, V = 2: rows 0-162 and 163-199)
+    a = np.zeros((200, 200, 2), dtype=np.int64)
+    for kind, (lay, i) in faults.items():
+        j = (i + 1) % 200
+        if kind == "asym":
+            a[i, j, lay] = 1
+        elif kind == "value":
+            a[i, j, lay] = a[j, i, lay] = 2
+        else:
+            a[i, i, lay] = 1
+    with pytest.raises(error, match=match):
+        MultilayerGraph(a)

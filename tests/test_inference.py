@@ -30,7 +30,9 @@ from mimisbm import (
 )
 from mimisbm.inference import spectral_basis, sufficient_stats
 from helpers import (
+    beta_log_moments_oracle,
     comembership_features,
+    compute_elbo_oracle,
     connectivity_oracle,
     count_calls,
     count_eigh,
@@ -40,6 +42,7 @@ from helpers import (
     pair_mass_oracle,
     random_graph,
     random_post_m_state,
+    random_soft_state,
     scalar_elbo,
     scalar_m_step,
     scalar_nu_update,
@@ -276,6 +279,70 @@ def test_kmeans_matches_oracle_on_tied_and_duplicate_points():
         want = kmeans_oracle(x, k, want_rng, max_iter=max_iter)
         assert np.array_equal(got, want), trial
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
+
+
+def _same_partition(a, b):
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def test_kmeans_matches_oracle_on_one_column():
+    # one column: continuous values, rounded values with ties, all rows equal
+    # (the only one-column input init_variational gives k-means at k >= 2:
+    # node or layer embeddings when every layer's spectral labels are one
+    # block), and duplicated values with k above the number of distinct ones
+    # (empty clusters at every pass)
+    rng = np.random.default_rng(79)
+    for trial in range(400):
+        n = int(rng.integers(2, 80))
+        k = int(rng.integers(1, min(n, 9) + 1))
+        x = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-3, 4)
+        kind = trial % 4
+        if kind == 1:
+            x = np.round(x)
+        elif kind == 2:
+            x = np.full_like(x, x[0, 0])
+        elif kind == 3:
+            x = x[rng.integers(0, max(1, k - 2), size=n)]
+        max_iter = (100, 1, 2, 7, 13)[trial % 5]
+        got_rng, want_rng = rng_stream(trial), rng_stream(trial)
+        got = inference._kmeans(x, k, got_rng, max_iter=max_iter)
+        want = kmeans_oracle(x, k, want_rng, max_iter=max_iter)
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
+        if kind < 3:
+            assert np.array_equal(got, want), trial
+        else:
+            # the oracle's mean of one column sums pairwise, _kmeans in index
+            # order; a cluster's center may then differ from a reseeded
+            # center on the same point in its last bit, and which of the two
+            # takes the point's copies differs: the same partition
+            assert _same_partition(got, want), trial
+
+
+@pytest.mark.parametrize("seed", [3984, 6598])
+def test_kmeans_matches_oracle_when_a_cluster_empties_mid_run(monkeypatch, seed):
+    # distinct points, so k-means++ gives every cluster a point of its own and
+    # a cluster found empty is one a Lloyd update emptied: it is reseeded at
+    # the point farthest from its center. These seeds were found by search.
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(15, 60)), int(rng.integers(4, 9))
+    x = rng.normal(size=(n, 2)) * rng.standard_exponential(size=(n, 1)) ** 3
+    assert np.unique(x, axis=0).shape[0] == n
+    empty = []
+    real = inference._sq_dists
+
+    def watching(x, x2, centers):
+        dist = real(x, x2, centers)
+        empty.append(np.bincount(dist.argmin(axis=1), minlength=k).min() == 0)
+        return dist
+
+    monkeypatch.setattr(inference, "_sq_dists", watching)
+    got_rng, want_rng = rng_stream(seed), rng_stream(seed)
+    got = inference._kmeans(x, k, got_rng)
+    assert any(empty)
+    want = kmeans_oracle(x, k, want_rng)
+    assert np.array_equal(got, want)
+    assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
 
 def test_kmeans_stops_early_when_k_exceeds_distinct_points(monkeypatch):
@@ -789,3 +856,56 @@ def test_fit_builds_the_layer_stack_once(monkeypatch):
             assert rep.iterations > 1
             assert len(builds) == 1
     assert list(vars(g)) == ["adj"]  # nothing is kept on the graph
+
+
+def test_log_moments_and_bound_bytes_match_one_call_per_argument():
+    # the fused special-function calls give the bits of one call per argument
+    rng = np.random.default_rng(83)
+    for k, q in ((1, 1), (2, 1), (3, 2), (5, 3)):
+        g = random_graph(rng, 12, 4, p=0.4)
+        pr = PriorHyperparams.jeffreys(k, q)
+        states = [random_post_m_state(rng, g, k, q, pr, cycles=2), random_soft_state(rng, g, k, q)]
+        states.append(replace(states[0], tau=np.eye(k)[rng.integers(0, k, g.n)], nu=np.eye(q)[rng.integers(0, q, g.v)]))
+        for st in states:
+            for conc in (st.beta, st.theta):
+                d, e, base = inference._log_moments(st, conc)
+                want_d, want_e = beta_log_moments_oracle(st)
+                assert d.tobytes() == want_d.tobytes() and e.tobytes() == want_e.tobytes()
+                want_base = inference.digamma(conc) - inference.digamma(float(conc.sum()))
+                assert base.tobytes() == want_base.tobytes()
+            got, want = compute_elbo(st, pr), compute_elbo_oracle(st, pr)
+            assert math.isfinite(got) and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _calls_per(monkeypatch, name, counted):
+    """Wrap inference.name; the returned list gets, per call, how many
+    entries `counted` gained during it."""
+    per = []
+    real = getattr(inference, name)
+
+    def wrapper(*args, **kwargs):
+        before = len(counted)
+        out = real(*args, **kwargs)
+        per.append(len(counted) - before)
+        return out
+
+    monkeypatch.setattr(inference, name, wrapper)
+    return per
+
+
+def test_fit_makes_one_special_function_call_per_update_and_per_bound(monkeypatch):
+    g = random_graph(np.random.default_rng(89), 12, 4, p=0.4)
+    psi = count_calls(monkeypatch, inference, "digamma")
+    lgam = count_calls(monkeypatch, inference, "log_gamma")
+    per_tau = _calls_per(monkeypatch, "vbe_update_tau", psi)
+    per_nu = _calls_per(monkeypatch, "vbe_update_nu", psi)
+    per_bound = _calls_per(monkeypatch, "compute_elbo", lgam)
+    for strategy in ("random", "per_view_spectral"):
+        for restarts in (1, 3):
+            for counts in (psi, lgam, per_tau, per_nu, per_bound):
+                counts.clear()
+            rep = fit(g, 3, 2, FitConfig(seed=4, n_restarts=restarts, init_strategy=strategy))
+            assert rep.iterations > 1
+            assert per_tau == [1] * len(per_tau) and per_nu == [1] * len(per_nu) == per_tau
+            assert per_bound == [1] * len(per_bound) == per_tau
+            assert len(psi) == 2 * len(per_tau) and len(lgam) == len(per_bound)

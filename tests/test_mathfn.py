@@ -8,6 +8,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mimisbm import DomainError, digamma, log_gamma
 
@@ -94,3 +95,27 @@ def test_log_gamma_recurrence_property(x):
 def test_digamma_monotone_above_positive_root(x):
     # digamma is strictly increasing on (0, inf)
     assert digamma(x + 0.5) > digamma(x)
+
+
+# below and above the shift threshold 6, the pinned zeros of log Gamma and
+# the ends of the accuracy range
+_ELEMENTS = st.one_of(
+    st.sampled_from([1.0, 2.0, 1e-6, 1e8, 6.0, np.nextafter(6.0, 0.0), 0.5, 5.5]),
+    st.floats(min_value=1e-6, max_value=6.0),
+    st.floats(min_value=6.0, max_value=1e8),
+)
+
+
+@pytest.mark.parametrize("fn", [digamma, log_gamma])
+@given(x=arrays(np.float64, st.sampled_from([(), (1,), (9,), (3, 3, 2), (5, 5, 3)]), elements=_ELEMENTS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_each_element_equals_the_scalar_call_bit_for_bit(fn, x):
+    # what makes one call on concatenated arguments give the bits of one call
+    # per argument: no element depends on its neighbours or its position
+    got = fn(x)
+    want = np.array([fn(float(e)) for e in x.ravel()]).reshape(x.shape)
+    if x.ndim == 0:
+        assert type(got) is float
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+    assert np.asarray(got).tobytes() == want.tobytes()
