@@ -74,6 +74,30 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 # graphs
 
 
+def _checked_adjacency(adj) -> np.ndarray:
+    """`adj` as an array, once it has passed the graph checks: shape
+    (N, N, V) with N, V >= 1, entries 0 or 1, zero diagonal, symmetric
+    layers, checked in that order."""
+    a = np.asarray(adj)
+    if a.ndim != 3 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"adjacency tensor must be (N, N, V), got {a.shape}")
+    if a.shape[0] < 1 or a.shape[2] < 1:
+        raise DomainError("need at least one node and one layer")
+    # the checks run on blocks of rows holding about max(N^2, 2^16)
+    # entries, so their temporaries stay O(N^2) rather than N^2 V (and
+    # small graphs take few blocks)
+    n, _, v = a.shape
+    step = max(1, n // v, 2**16 // (n * v))
+    rows = [slice(r, r + step) for r in range(0, n, step)]
+    if not all(((a[b] == 0) | (a[b] == 1)).all() for b in rows):
+        raise DomainError("adjacency entries must be 0 or 1")
+    if np.trace(a, axis1=0, axis2=1).any():
+        raise SelfLoopError("nonzero diagonal in adjacency tensor")
+    if any((a[b] != a[:, b].transpose(1, 0, 2)).any() for b in rows):
+        raise DomainError("each layer must be symmetric")
+    return a
+
+
 @dataclass(frozen=True)
 class MultilayerGraph:
     """A binary tensor of shape (N, N, V): V undirected layers on N shared nodes.
@@ -85,24 +109,17 @@ class MultilayerGraph:
     adj: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.adj)
-        if a.ndim != 3 or a.shape[0] != a.shape[1]:
-            raise DomainError(f"adjacency tensor must be (N, N, V), got {a.shape}")
-        if a.shape[0] < 1 or a.shape[2] < 1:
-            raise DomainError("need at least one node and one layer")
-        # the checks run on blocks of rows holding about max(N^2, 2^16)
-        # entries, so their temporaries stay O(N^2) rather than N^2 V (and
-        # small graphs take few blocks)
-        n, _, v = a.shape
-        step = max(1, n // v, 2**16 // (n * v))
-        rows = [slice(r, r + step) for r in range(0, n, step)]
-        if not all(((a[b] == 0) | (a[b] == 1)).all() for b in rows):
-            raise DomainError("adjacency entries must be 0 or 1")
-        if np.trace(a, axis1=0, axis2=1).any():
-            raise SelfLoopError("nonzero diagonal in adjacency tensor")
-        if any((a[b] != a[:, b].transpose(1, 0, 2)).any() for b in rows):
-            raise DomainError("each layer must be symmetric")
-        object.__setattr__(self, "adj", _locked(a, dtype=np.uint8))
+        object.__setattr__(self, "adj", _locked(_checked_adjacency(self.adj), dtype=np.uint8))
+
+    @classmethod
+    def _adopt(cls, adj: np.ndarray) -> "MultilayerGraph":
+        """The graph of the uint8 tensor `adj`, which the caller hands over
+        and no longer holds: checked as the constructor checks, then locked
+        in place instead of copied, so building a graph holds one tensor."""
+        g = object.__new__(cls)
+        adj.setflags(write=False)
+        object.__setattr__(g, "adj", _checked_adjacency(adj))
+        return g
 
     @property
     def n(self) -> int:
@@ -122,9 +139,15 @@ class MultilayerGraph:
     def edge_list(self) -> np.ndarray:
         """Canonical edges as an (E, 3) int64 array of rows (i, j, v) with
         i < j, sorted lexicographically: the C-order nonzeros of the upper
-        triangle in (i, j, v) layout come out in that order."""
+        triangle in (i, j, v) layout come out in that order. Their flat
+        indices are split into the rows in place, so the result is the one
+        E-sized allocation besides the indices."""
         upper = np.triu(np.ones((self.n, self.n), dtype=np.uint8), k=1)
-        return np.stack(np.nonzero(self.adj * upper[:, :, None]), axis=1)
+        flat = np.flatnonzero(self.adj * upper[:, :, None])
+        e = np.empty((flat.size, 3), dtype=np.int64)
+        np.divmod(flat, self.n * self.v, out=(e[:, 0], flat))
+        np.divmod(flat, self.v, out=(e[:, 1], e[:, 2]))
+        return e
 
 
 def _first_bad_edge(e: np.ndarray, n: int, v: int, ordered: bool) -> Optional[Tuple[int, str]]:
@@ -160,7 +183,7 @@ def _graph_from_edges(n: int, v: int, e: np.ndarray) -> MultilayerGraph:
     i, j, lay = e.T
     a[i, j, lay] = 1
     a[j, i, lay] = 1
-    return MultilayerGraph(a)
+    return MultilayerGraph._adopt(a)
 
 
 def build_graph(n: int, v: int, edges: Iterable[Tuple[int, int, int]]) -> MultilayerGraph:
@@ -290,12 +313,19 @@ class PriorHyperparams:
     rho, eta0 / xi0 (K, K, Q) for the Beta over each connectivity entry.
     All strictly positive; eta0 and xi0 symmetric in (k, l), so only the
     k <= l triangle is meaningful.
+
+    log_gammas holds the prior's side of the bound's normalizer ratios,
+    fixed for every fit under these priors and so computed once here, in
+    one log_gamma call: log_gamma of (sum beta0, sum theta0), of beta0, of
+    theta0, and of eta0 + xi0, eta0 and xi0 over the k <= l cells (flattened
+    in (k, l, s) order).
     """
 
     beta0: np.ndarray
     theta0: np.ndarray
     eta0: np.ndarray
     xi0: np.ndarray
+    log_gammas: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.beta0, dtype=float)
@@ -315,6 +345,14 @@ class PriorHyperparams:
         object.__setattr__(self, "theta0", _locked(t))
         object.__setattr__(self, "eta0", _locked(e))
         object.__setattr__(self, "xi0", _locked(x))
+
+        from .mathfn import log_gamma  # mathfn imports this module
+
+        iu, ju = np.triu_indices(b.size)
+        eta0, xi0 = self.eta0[iu, ju, :].ravel(), self.xi0[iu, ju, :].ravel()
+        args = ([self.beta0.sum(), self.theta0.sum()], self.beta0, self.theta0, eta0 + xi0, eta0, xi0)
+        lg = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(arg) for arg in args[:-1]]))
+        object.__setattr__(self, "log_gammas", tuple(_locked(part) for part in lg))
 
     @property
     def k(self) -> int:

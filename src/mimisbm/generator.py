@@ -251,4 +251,4 @@ def generate_dataset(cfg: SimulationConfig, rng: np.random.Generator) -> Tuple[M
         adj[ju[hit], iu[hit], view] = 1
 
     truth = GroundTruth(z=z, w=w, params=params, link_maps=link_maps, component_k=component_k)
-    return MultilayerGraph(adj), truth
+    return MultilayerGraph._adopt(adj), truth

@@ -16,7 +16,9 @@ bound uses the simplified form that is exact right after an M-step, which is
 the only place the loop evaluates it. One M-step runs before the first iteration
 so the initial responsibilities are absorbed into the conjugate posteriors;
 without it the first node sweep would start from flat priors and erase the
-initialization.
+initialization. A fit's restarts iterate in lockstep: one node sweep call
+per round serves every restart still iterating, and gives each the result
+it would get alone.
 
 Numerics: updates work on logits and are normalized by max-subtracted
 softmax; responsibility rows are floored at 1e-12 (1e-10 at init) and
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -396,9 +398,10 @@ def sufficient_stats(a: np.ndarray, tau: np.ndarray) -> Stats:
     return m, np.outer(t, t) - gram, t
 
 
-def vbe_update_tau(a: np.ndarray, state: VariationalState) -> np.ndarray:
+def vbe_update_tau(a: np.ndarray, states: Sequence[VariationalState]) -> List[np.ndarray]:
     """One full sweep of the node fixed point over the layer stack `a`
-    (MultilayerGraph.layer_stack, (V, N, N)); returns the new tau.
+    (MultilayerGraph.layer_stack, (V, N, N)) for each state in `states`,
+    which share N, V and K; returns the new tau of each, in order.
 
     Rows are updated in index order and each row sees the rows already
     updated in this sweep, which keeps the sweep a chain of exact
@@ -408,34 +411,50 @@ def vbe_update_tau(a: np.ndarray, state: VariationalState) -> np.ndarray:
         nu_vs tau_jl [ A_ijv (psi(eta_kls) - psi(xi_kls))
                        + psi(xi_kls) - psi(eta_kls + xi_kls) ]
 
-    plus the Dirichlet term psi(beta_k) - psi(sum beta). Per sweep the
-    weights over node j are stacked per row, anx[i, s, j] = sum_v nu_vs
-    A_ijv and anx[i, Q, j] = [j != i], and the Beta log-moments into one
-    K x (Q+1)K matrix, so a row's logits are one product with (anx[i] @ tau).
+    plus the Dirichlet term psi(beta_k) - psi(sum beta). Per state and
+    sweep the weights form one matrix w: w[k, v K + l] = sum_s d[k, l, s]
+    nu_vs for the edge term, K columns for the non-edge term (which needs
+    only the column sums of nu) and the Dirichlet term. Row i's logits are
+    w times the row's profile: a[:, i, :] @ tau (V x K), the column sums of
+    tau less tau_i (kept as a running sum) and a 1. The states' rows are
+    computed together, each product as a batch of same-shape 2-D products
+    and each reduction along one state's row, so a state's result does not
+    depend on which other states share the call.
     """
-    n, k, q = state.n, state.k, state.q
-    d, e, base = _log_moments(state, state.beta)
-    anx = np.empty((n, q + 1, n))
-    anx[:, :q, :] = np.tensordot(state.nu, a, axes=([0], [0])).transpose(1, 0, 2)
-    anx[:, q, :] = 1.0
-    anx[np.arange(n), q, np.arange(n)] = 0.0
-    # weights[k, s K + l] = d[k, l, s]; the last K columns take the non-edge
-    # term, which only needs the column sums of nu
-    weights = np.concatenate(
-        [d.transpose(0, 2, 1).reshape(k, q * k), np.tensordot(e, state.nu.sum(axis=0), axes=([2], [0]))], axis=1
-    )
+    v, n, _ = a.shape
+    r, k = len(states), states[0].k
+    vk = v * k
+    weights = np.empty((r, k, vk + k + 1))
+    for s, st in enumerate(states):
+        d, e, weights[s, :, -1] = _log_moments(st, st.beta)
+        weights[s, :, :vk] = (d @ st.nu.T).transpose(0, 2, 1).reshape(k, vk)
+        weights[s, :, vk:-1] = e @ st.nu.sum(axis=0)
 
-    tau = np.array(state.tau, copy=True)
-    for i in range(n):
-        row = weights @ (anx[i] @ tau).ravel()  # the logits, then the softmax in place
-        row += base
-        row -= row.max()
+    tau = np.stack([st.tau for st in states])  # (R, N, K), updated in place
+    colsum = tau.sum(axis=1)
+    profile = np.empty((r, vk + k + 1, 1))
+    profile[:, -1] = 1.0
+    edge = profile[:, :vk, 0].reshape(r, v, k)
+    rest = profile[:, vk:-1, 0]
+    norm = np.empty((r, 1))
+    floor = np.array(_UPDATE_FLOOR)
+    # a few calls per row on K-wide rows: their overhead is the cost, so the
+    # reductions call the ufuncs directly and the floor is an array
+    rows = tau.transpose(1, 0, 2)  # rows[i] is row i of every state
+    for a_i, row, logits in zip(a.transpose(1, 0, 2), rows, rows[..., None]):
+        np.matmul(a_i, tau, out=edge)
+        np.subtract(colsum, row, out=rest)
+        np.matmul(weights, profile, out=logits)  # the logits, then the softmax in place
+        np.maximum.reduce(row, axis=1, out=norm, keepdims=True)
+        row -= norm
         np.exp(row, out=row)
-        row /= row.sum()
-        np.maximum(row, _UPDATE_FLOOR, out=row)
-        row /= row.sum()
-        tau[i] = row
-    return tau
+        np.add.reduce(row, axis=1, out=norm, keepdims=True)
+        row /= norm
+        np.maximum(row, floor, out=row)
+        np.add.reduce(row, axis=1, out=norm, keepdims=True)
+        row /= norm
+        np.add(rest, row, out=colsum)
+    return list(tau)
 
 
 def vbe_update_nu(stats: Stats, state: VariationalState) -> np.ndarray:
@@ -495,29 +514,19 @@ def compute_elbo(state: VariationalState, priors: PriorHyperparams) -> float:
     M-step: prior-to-posterior normalizer ratios of the three conjugate
     families plus the responsibility entropies. The data enter only through
     the counts already absorbed into the posterior state, so the graph is
-    not an argument. Every log-gamma value comes from one call on all the
-    arguments; the Beta cells are those with k <= l.
+    not an argument. The prior's log-gamma values are fixed per fit and
+    come from priors.log_gammas; the posterior's come from one call on all
+    their arguments. The Beta cells are those with k <= l.
     """
     iu, ju = np.triu_indices(state.k)
-    eta0, xi0, eta, xi = (x[iu, ju, :].ravel() for x in (priors.eta0, priors.xi0, state.eta, state.xi))
-    args = (
-        [priors.beta0.sum(), state.beta.sum(), priors.theta0.sum(), state.theta.sum()],
-        state.beta,
-        priors.beta0,
-        state.theta,
-        priors.theta0,
-        eta0 + xi0,
-        eta + xi,
-        eta,
-        eta0,
-        xi,
-        xi0,
-    )
+    eta, xi = state.eta[iu, ju, :].ravel(), state.xi[iu, ju, :].ravel()
+    args = ([state.beta.sum(), state.theta.sum()], state.beta, state.theta, eta + xi, eta, xi)
     lg = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(x) for x in args[:-1]]))
-    lg_sums, lg_beta, lg_beta0, lg_theta, lg_theta0, lg_tot0, lg_tot, lg_eta, lg_eta0, lg_xi, lg_xi0 = lg
+    lg_sums, lg_beta, lg_theta, lg_tot, lg_eta, lg_xi = lg
+    lg_sums0, lg_beta0, lg_theta0, lg_tot0, lg_eta0, lg_xi0 = priors.log_gammas
     # log B(post) - log B(prior) per family, B the (multivariate) Beta function
-    beta_term = float(lg_sums[0] - lg_sums[1] + lg_beta.sum() - lg_beta0.sum())
-    theta_term = float(lg_sums[2] - lg_sums[3] + lg_theta.sum() - lg_theta0.sum())
+    beta_term = float(lg_sums0[0] - lg_sums[0] + lg_beta.sum() - lg_beta0.sum())
+    theta_term = float(lg_sums0[1] - lg_sums[1] + lg_theta.sum() - lg_theta0.sum())
     cell_term = float((lg_tot0 - lg_tot + lg_eta - lg_eta0 + lg_xi - lg_xi0).sum())
     return beta_term + theta_term + cell_term - _xlogx(state.tau) - _xlogx(state.nu)
 
@@ -542,6 +551,14 @@ def fit(
     index. converged reflects the winning restart; when it ran into
     max_iter a ConvergenceWarning is emitted and the flag stays False.
 
+    The restarts run in lockstep. Each draws its init and takes its
+    absorbing M-step first; then each round sweeps the nodes of every
+    restart still iterating in one vbe_update_tau call, and takes the
+    statistics, layer update, M-step, bound and convergence test per
+    restart. A restart leaves the batch when it converges or reaches
+    max_iter. The sweep gives each state the result it would get alone, so
+    every restart ends where it would if the restarts ran one after another.
+
     With spectral init every restart slices one spectral basis: `basis` when
     given (spectral_basis(g, k_max), k_max >= k, as a grid driver shares it
     across cells), else one computed here before the first restart.
@@ -560,33 +577,33 @@ def fit(
         basis = spectral_basis(g, k)
     a = g.layer_stack()
 
-    best = None
-    restart_elbos = []
+    states = []
     for r in range(cfg.n_restarts):
-        rng = rng_stream(cfg.seed, k, q, r)
-        state = init_variational(g, k, q, priors, cfg.init_strategy, rng, basis)
+        state = init_variational(g, k, q, priors, cfg.init_strategy, rng_stream(cfg.seed, k, q, r), basis)
         stats = sufficient_stats(a, state.tau)
-        state = VariationalState(state.tau, state.nu, *m_step(stats, state.nu, priors))
+        states.append(VariationalState(state.tau, state.nu, *m_step(stats, state.nu, priors)))
 
-        trace: list[float] = []
-        converged = False
-        for _ in range(cfg.max_iter):
-            tau = vbe_update_tau(a, state)
+    traces: list[list[float]] = [[] for _ in states]
+    done = [False] * len(states)
+    live = list(range(len(states)))
+    for _ in range(cfg.max_iter):
+        for r, tau in zip(live, vbe_update_tau(a, [states[r] for r in live])):
             stats = sufficient_stats(a, tau)
-            nu = vbe_update_nu(stats, state)
-            state = VariationalState(tau, nu, *m_step(stats, nu, priors))
-            trace.append(compute_elbo(state, priors))
+            nu = vbe_update_nu(stats, states[r])
+            states[r] = VariationalState(tau, nu, *m_step(stats, nu, priors))
+            trace = traces[r]
+            trace.append(compute_elbo(states[r], priors))
             if len(trace) >= 2:
                 delta = abs(trace[-1] - trace[-2])
-                if delta < cfg.eps or delta < _REL_EPS * abs(trace[-2]):
-                    converged = True
-                    break
+                done[r] = delta < cfg.eps or delta < _REL_EPS * abs(trace[-2])
+        live = [r for r in live if not done[r]]
+        if not live:
+            break
 
-        restart_elbos.append(trace[-1])
-        if best is None or trace[-1] > best[0]:
-            best = (trace[-1], r, state, tuple(trace), converged)
-
-    _, best_restart, state, trace, converged = best
+    restart_elbos = [trace[-1] for trace in traces]
+    # max keeps the first of equal bounds, i.e. the lowest restart index
+    best_restart = max(range(len(states)), key=restart_elbos.__getitem__)
+    state, trace, converged = states[best_restart], tuple(traces[best_restart]), done[best_restart]
     if not converged:
         warnings.warn(
             f"fit(k={k}, q={q}) stopped at max_iter={cfg.max_iter} without meeting eps={cfg.eps}",

@@ -141,13 +141,14 @@ class SelectionResult:
 def _run_cell(args) -> GridCell:
     g, k, q, cfg, basis = args
     try:
-        report = fit(g, k, q, cfg, basis=basis)
+        priors = PriorHyperparams.jeffreys(k, q)
+        report = fit(g, k, q, cfg, priors=priors, basis=basis)
         bound = report.elbo_trace[-1]
         return GridCell(
             k=k,
             q=q,
             ilvb=bound,
-            icl_exact=icl_exact(g, report.z_map, report.w_map),
+            icl_exact=icl_exact(g, report.z_map, report.w_map, priors),
             icl_variational=icl_variational(bound, report.state),
             icl_approx=icl_approx(bound, k, q, g.n, g.v),
             converged=report.converged,

@@ -78,7 +78,7 @@ def random_post_m_state(
     beta, theta, eta, xi = m_step(sufficient_stats(a, state.tau), state.nu, priors)
     state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
     for _ in range(cycles):
-        state = replace(state, tau=vbe_update_tau(a, state))
+        state = replace(state, tau=vbe_update_tau(a, [state])[0])
         state = replace(state, nu=vbe_update_nu(sufficient_stats(a, state.tau), state))
         beta, theta, eta, xi = m_step(sufficient_stats(a, state.tau), state.nu, priors)
         state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
@@ -634,8 +634,9 @@ def m_step_oracle(g: MultilayerGraph, state: VariationalState, priors: PriorHype
 
 def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
     """fit's restart loop on the dense reference updates, with the state
-    rebuilt after the node sweep, the layer update and the M-step. Takes
-    fit's arguments so it can stand in for it; emits no ConvergenceWarning."""
+    rebuilt after the node sweep, the layer update and the M-step, and the
+    restarts run one after another, each sweep on one state. Takes fit's
+    arguments so it can stand in for it; emits no ConvergenceWarning."""
     if priors is None:
         priors = PriorHyperparams.jeffreys(k, q)
     if basis is None and cfg.init_strategy == "per_view_spectral":
@@ -654,7 +655,7 @@ def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
         trace = []
         converged = False
         for _ in range(cfg.max_iter):
-            state = replace(state, tau=vbe_update_tau(a, state))
+            state = replace(state, tau=vbe_update_tau(a, [state])[0])
             state = replace(state, nu=vbe_update_nu_oracle(g, state))
             beta, theta, eta, xi = m_step_oracle(g, state, priors)
             state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)

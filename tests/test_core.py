@@ -244,6 +244,81 @@ def test_graph_from_edges_peaks_near_its_two_tensors():
     assert peak < 2.3 * g.adj.nbytes
 
 
+def test_graph_from_edges_adopts_its_tensor():
+    # nothing else holds the tensor _graph_from_edges builds, so the graph
+    # locks it in place: the build peaks at one tensor plus the row-block
+    # temporaries of the checks
+    import tracemalloc
+
+    from mimisbm.core import _graph_from_edges
+
+    n, v = 300, 20
+    rng = np.random.default_rng(0)
+    iu, ju = np.triu_indices(n, k=1)
+    lay, pair = np.nonzero(rng.random((v, iu.size)) < 0.1)
+    e = np.stack([iu[pair], ju[pair], lay], axis=1)
+    tracemalloc.start()
+    try:
+        g = _graph_from_edges(n, v, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * g.adj.nbytes
+    assert not g.adj.flags.writeable and g.adj.dtype == np.uint8
+    assert np.array_equal(g.adj, build_graph(n, v, e).adj)
+
+
+def test_public_constructor_still_copies():
+    a = np.zeros((3, 3, 1), dtype=np.uint8)
+    a[0, 1, 0] = a[1, 0, 0] = 1
+    g = MultilayerGraph(a)
+    assert not np.shares_memory(g.adj, a) and a.flags.writeable
+    a[0, 1, 0] = 0
+    assert g.adj[0, 1, 0] == 1
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [("value", DomainError), ("loop", SelfLoopError), ("asym", DomainError), ("shape", DomainError)],
+)
+def test_adopted_tensor_gets_every_check(fault, error):
+    from mimisbm.core import _graph_from_edges
+
+    a = np.zeros((5, 5, 2), dtype=np.uint8)
+    if fault == "value":
+        a[1, 2, 1] = a[2, 1, 1] = 2
+    elif fault == "loop":
+        a[3, 3, 0] = 1
+    elif fault == "asym":
+        a[0, 4, 1] = 1
+    else:
+        a = np.zeros((5, 4, 2), dtype=np.uint8)
+    with pytest.raises(error):
+        MultilayerGraph(a.copy())
+    with pytest.raises(error):
+        MultilayerGraph._adopt(a)
+    assert isinstance(_graph_from_edges(5, 2, np.empty((0, 3), dtype=np.int64)), MultilayerGraph)
+
+
+def _edge_list_nonzero(g):
+    # reference: the nonzeros of the masked (N, N, V) tensor
+    upper = np.triu(np.ones((g.n, g.n), dtype=np.uint8), k=1)
+    return np.stack(np.nonzero(g.adj * upper[:, :, None]), axis=1)
+
+
+def test_edge_list_matches_the_masked_nonzeros():
+    rng = np.random.default_rng(12)
+    graphs = [build_graph(4, 3, []), build_graph(1, 1, []), build_graph(6, 1, [(0, 5, 0), (2, 1, 0), (4, 3, 0)])]
+    for n, v, p in ((7, 1, 0.5), (12, 3, 0.3), (40, 5, 0.1), (25, 4, 0.9)):
+        iu, ju = np.triu_indices(n, k=1)
+        lay, pair = np.nonzero(rng.random((v, iu.size)) < p)
+        graphs.append(build_graph(n, v, np.stack([iu[pair], ju[pair], lay], axis=1)))
+    for g in graphs:
+        got, want = g.edge_list(), _edge_list_nonzero(g)
+        assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "faults, error, match",
     [

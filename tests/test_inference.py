@@ -367,7 +367,7 @@ def test_tau_update_single_class_all_ones():
     g = build_graph(4, 1, [(0, 1, 0), (2, 3, 0)])
     pr = PriorHyperparams.jeffreys(1, 1)
     st = _absorbed(g, init_variational(g, 1, 1, pr, "random", rng_stream(0)), pr)
-    tau = vbe_update_tau(g.layer_stack(), st)
+    tau = vbe_update_tau(g.layer_stack(), [st])[0]
     assert np.array_equal(tau, np.ones((4, 1)))
 
 
@@ -387,7 +387,7 @@ def test_tau_update_flat_when_uninformative():
         eta=np.full((k, k, q), 0.8),
         xi=np.full((k, k, q), 0.8),
     )
-    out = vbe_update_tau(g.layer_stack(), st)
+    out = vbe_update_tau(g.layer_stack(), [st])[0]
     assert np.allclose(out, 1.0 / k, atol=1e-12)
 
 
@@ -402,7 +402,7 @@ def test_tau_update_matches_scalar_formula():
         pr = PriorHyperparams.jeffreys(k, q)
         st = random_post_m_state(rng, g, k, q, pr)
         expected = scalar_tau_sweep(g, st)
-        got = vbe_update_tau(g.layer_stack(), st)
+        got = vbe_update_tau(g.layer_stack(), [st])[0]
         assert np.allclose(got, expected, atol=1e-12), f"trial {trial}"
 
 
@@ -413,7 +413,7 @@ def test_tau_update_hand_checked_single_edge():
     pr = PriorHyperparams.jeffreys(2, 1)
     rng = np.random.default_rng(3)
     st = random_post_m_state(rng, g, 2, 1, pr)
-    assert np.allclose(vbe_update_tau(g.layer_stack(), st), scalar_tau_sweep(g, st), atol=1e-13)
+    assert np.allclose(vbe_update_tau(g.layer_stack(), [st])[0], scalar_tau_sweep(g, st), atol=1e-13)
 
 
 def _kernel_cases():
@@ -453,8 +453,60 @@ def test_tau_sweep_matches_per_row_oracle():
     # one product per row on the float layer stack against the sweep on the
     # uint8 graph with running column sums
     for case, (g, st) in enumerate(_kernel_cases()):
-        got = vbe_update_tau(g.layer_stack(), st)
+        got = vbe_update_tau(g.layer_stack(), [st])[0]
         np.testing.assert_allclose(got, vbe_update_tau_oracle(g, st), rtol=0, atol=1e-12, err_msg=str(case))
+
+
+def test_tau_sweep_gives_each_state_its_solo_result():
+    # a state's sweep does not depend on which states share the call: 1-5
+    # states with their own nu, beta and posteriors on every kernel graph
+    for case, (g, st) in enumerate(_kernel_cases()):
+        rng = np.random.default_rng(case)
+        a = g.layer_stack()
+        states = [st] + [random_soft_state(rng, g, st.k, st.q) for _ in range(4)]
+        solo = [vbe_update_tau(a, [s])[0] for s in states]
+        for size in range(1, 6):
+            batch = states[:size] if case % 2 else states[5 - size :]
+            want = solo[:size] if case % 2 else solo[5 - size :]
+            got = vbe_update_tau(a, batch)
+            assert len(got) == size
+            for j, (x, y) in enumerate(zip(got, want)):
+                assert x.tobytes() == y.tobytes(), (case, size, j)
+
+
+def _sweep_batches(monkeypatch) -> list:
+    """Record the number of states of each inference.vbe_update_tau call
+    for the rest of the test."""
+    batches = []
+    real = inference.vbe_update_tau
+
+    def sweep(a, states):
+        batches.append(len(states))
+        return real(a, states)
+
+    monkeypatch.setattr(inference, "vbe_update_tau", sweep)
+    return batches
+
+
+def test_fit_sweeps_the_live_restarts_once_per_round(monkeypatch):
+    # the batch shrinks as restarts converge or run out of iterations, and
+    # every restart in a round's batch evaluates one bound in that round
+    g = random_graph(np.random.default_rng(90), 30, 4, p=0.3)
+    batches = _sweep_batches(monkeypatch)
+    bounds = count_calls(monkeypatch, inference, "compute_elbo")
+    seen = {}
+    for strategy, restarts, max_iter in (("random", 5, 200), ("random", 4, 3), ("per_view_spectral", 3, 200)):
+        batches.clear()
+        bounds.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            rep = fit(g, 3, 2, FitConfig(seed=6, n_restarts=restarts, max_iter=max_iter, init_strategy=strategy))
+        assert batches[0] == restarts and rep.iterations <= len(batches) <= max_iter
+        assert all(x >= y for x, y in zip(batches, batches[1:])), batches
+        assert sum(batches) == len(bounds)
+        seen[strategy, max_iter] = list(batches)
+    assert seen["random", 3] == [4, 4, 4]
+    assert seen["random", 200][-1] < 5  # some random restarts stop before others
 
 
 def test_sufficient_stats_bytes_match_dense_oracles():
@@ -544,7 +596,7 @@ def test_updates_keep_rows_normalized():
     pr = PriorHyperparams.jeffreys(3, 2)
     st = random_post_m_state(rng, g, 3, 2, pr)
     a = g.layer_stack()
-    tau = vbe_update_tau(a, st)
+    tau = vbe_update_tau(a, [st])[0]
     nu = vbe_update_nu(sufficient_stats(a, tau), st)
     assert np.allclose(tau.sum(axis=1), 1.0, atol=1e-10)
     assert np.allclose(nu.sum(axis=1), 1.0, atol=1e-10)
@@ -766,7 +818,7 @@ def test_fit_label_permutation_equivariance():
     def run(state):
         state = _absorbed(g, state, pr)
         for _ in range(12):
-            state = replace(state, tau=vbe_update_tau(a, state))
+            state = replace(state, tau=vbe_update_tau(a, [state])[0])
             state = replace(state, nu=vbe_update_nu(sufficient_stats(a, state.tau), state))
             state = _absorbed(g, state, pr)
         return state, compute_elbo(state, pr)
@@ -877,6 +929,36 @@ def test_log_moments_and_bound_bytes_match_one_call_per_argument():
             assert math.isfinite(got) and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def test_prior_log_gammas_are_computed_once_per_prior(monkeypatch):
+    # the prior's log-gamma values are fixed at construction, one call per
+    # argument's bits; each bound then evaluates log_gamma only on the
+    # posterior's arguments
+    rng = np.random.default_rng(84)
+    for k, q in ((1, 1), (3, 2), (5, 3)):
+        b, t = rng.uniform(0.2, 3.0, k), rng.uniform(0.2, 3.0, q)
+        e, x = rng.uniform(0.2, 3.0, (k, k, q)), rng.uniform(0.2, 3.0, (k, k, q))
+        for pr in (PriorHyperparams.jeffreys(k, q), PriorHyperparams(b, t, e + e.transpose(1, 0, 2), x + x.transpose(1, 0, 2))):
+            iu, ju = np.triu_indices(k)
+            eta0, xi0 = pr.eta0[iu, ju, :].ravel(), pr.xi0[iu, ju, :].ravel()
+            want = (
+                np.array([inference.log_gamma(float(pr.beta0.sum())), inference.log_gamma(float(pr.theta0.sum()))]),
+                inference.log_gamma(pr.beta0),
+                inference.log_gamma(pr.theta0),
+                inference.log_gamma(eta0 + xi0),
+                inference.log_gamma(eta0),
+                inference.log_gamma(xi0),
+            )
+            assert len(pr.log_gammas) == len(want)
+            for got, w in zip(pr.log_gammas, want):
+                assert got.tobytes() == w.tobytes() and not got.flags.writeable
+    sizes = []
+    real = inference.log_gamma
+    monkeypatch.setattr(inference, "log_gamma", lambda x: sizes.append(np.size(x)) or real(x))
+    g = random_graph(np.random.default_rng(85), 15, 4, p=0.4)
+    fit(g, 5, 3, FitConfig(seed=1, n_restarts=2))
+    assert sizes and set(sizes) == {2 + 5 + 3 + 3 * 15 * 3}  # the posterior's arguments at K=5, Q=3
+
+
 def _calls_per(monkeypatch, name, counted):
     """Wrap inference.name; the returned list gets, per call, how many
     entries `counted` gained during it."""
@@ -897,15 +979,18 @@ def test_fit_makes_one_special_function_call_per_update_and_per_bound(monkeypatc
     g = random_graph(np.random.default_rng(89), 12, 4, p=0.4)
     psi = count_calls(monkeypatch, inference, "digamma")
     lgam = count_calls(monkeypatch, inference, "log_gamma")
+    sweeps = _sweep_batches(monkeypatch)
     per_tau = _calls_per(monkeypatch, "vbe_update_tau", psi)
     per_nu = _calls_per(monkeypatch, "vbe_update_nu", psi)
     per_bound = _calls_per(monkeypatch, "compute_elbo", lgam)
     for strategy in ("random", "per_view_spectral"):
         for restarts in (1, 3):
-            for counts in (psi, lgam, per_tau, per_nu, per_bound):
+            for counts in (psi, lgam, sweeps, per_tau, per_nu, per_bound):
                 counts.clear()
             rep = fit(g, 3, 2, FitConfig(seed=4, n_restarts=restarts, init_strategy=strategy))
             assert rep.iterations > 1
-            assert per_tau == [1] * len(per_tau) and per_nu == [1] * len(per_nu) == per_tau
-            assert per_bound == [1] * len(per_bound) == per_tau
-            assert len(psi) == 2 * len(per_tau) and len(lgam) == len(per_bound)
+            # one digamma call per live restart in each round's sweep
+            assert per_tau == sweeps and sweeps[0] == restarts
+            assert per_nu == [1] * len(per_nu) and len(per_nu) == sum(per_tau)
+            assert per_bound == [1] * len(per_bound) == per_nu
+            assert len(psi) == 2 * len(per_nu) and len(lgam) == len(per_bound)
