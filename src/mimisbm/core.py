@@ -271,6 +271,18 @@ def _check_symmetric_kkq(name: str, a: np.ndarray):
         raise DomainError(f"{name} must be symmetric in its first two axes")
 
 
+def _normalizer_log_gammas(log_gamma, beta, theta, eta, xi) -> list:
+    """One side of the bound's normalizer ratios, prior or posterior, from
+    one log_gamma call: log_gamma of (sum beta, sum theta), of beta, of
+    theta, and of eta + xi, eta and xi over the k <= l cells (flattened in
+    (k, l, s) order). The caller supplies log_gamma; mathfn imports this
+    module."""
+    iu, ju = np.triu_indices(beta.size)
+    eta, xi = eta[iu, ju, :].ravel(), xi[iu, ju, :].ravel()
+    args = ([beta.sum(), theta.sum()], beta, theta, eta + xi, eta, xi)
+    return np.split(log_gamma(np.concatenate(args)), np.cumsum([len(arg) for arg in args[:-1]]))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Generative parameters: block weights pi (K), component weights rho (Q),
@@ -314,11 +326,9 @@ class PriorHyperparams:
     All strictly positive; eta0 and xi0 symmetric in (k, l), so only the
     k <= l triangle is meaningful.
 
-    log_gammas holds the prior's side of the bound's normalizer ratios,
-    fixed for every fit under these priors and so computed once here, in
-    one log_gamma call: log_gamma of (sum beta0, sum theta0), of beta0, of
-    theta0, and of eta0 + xi0, eta0 and xi0 over the k <= l cells (flattened
-    in (k, l, s) order).
+    log_gammas holds the prior's side of the bound's normalizer ratios
+    (_normalizer_log_gammas), fixed for every fit under these priors and so
+    computed once here.
     """
 
     beta0: np.ndarray
@@ -348,10 +358,7 @@ class PriorHyperparams:
 
         from .mathfn import log_gamma  # mathfn imports this module
 
-        iu, ju = np.triu_indices(b.size)
-        eta0, xi0 = self.eta0[iu, ju, :].ravel(), self.xi0[iu, ju, :].ravel()
-        args = ([self.beta0.sum(), self.theta0.sum()], self.beta0, self.theta0, eta0 + xi0, eta0, xi0)
-        lg = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(arg) for arg in args[:-1]]))
+        lg = _normalizer_log_gammas(log_gamma, self.beta0, self.theta0, self.eta0, self.xi0)
         object.__setattr__(self, "log_gammas", tuple(_locked(part) for part in lg))
 
     @property

@@ -57,7 +57,6 @@ class SimulationConfig:
     p_in / p_out: Bernoulli rates for merged and unmerged block pairs.
     p_switch: per (layer, node) probability of reassigning the node's
         view-local label to one of the other component blocks.
-    pi, rho: optional block / component weights, equiprobable when omitted.
     component_k: optional per-component block counts; when omitted each
         component draws its count uniformly from {2, ..., k}.
     """
@@ -69,8 +68,6 @@ class SimulationConfig:
     p_in: float = 0.99
     p_out: float = 0.01
     p_switch: float = 0.0
-    pi: Optional[Tuple[float, ...]] = None
-    rho: Optional[Tuple[float, ...]] = None
     component_k: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
@@ -86,10 +83,6 @@ class SimulationConfig:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1]")
-        if self.pi is not None and len(self.pi) != self.k:
-            raise DomainError("pi must have length k")
-        if self.rho is not None and len(self.rho) != self.q:
-            raise DomainError("rho must have length q")
         if self.component_k is not None:
             if len(self.component_k) != self.q:
                 raise DomainError("component_k must have length q")
@@ -213,12 +206,13 @@ def _sample_link_map(k: int, c: int, rng: np.random.Generator) -> np.ndarray:
 def generate_dataset(cfg: SimulationConfig, rng: np.random.Generator) -> Tuple[MultilayerGraph, GroundTruth]:
     """Sample a dataset and its ground truth under `cfg`.
 
+    Every node draws its block and every layer its component equiprobably.
     Edges in layer v are Bernoulli(p_in) on dyads whose (possibly switched)
     view-local labels agree and Bernoulli(p_out) otherwise, where the local
     label of node i is link_maps[w_v][z_i].
     """
-    pi = np.full(cfg.k, 1.0 / cfg.k) if cfg.pi is None else np.asarray(cfg.pi, dtype=float)
-    rho = np.full(cfg.q, 1.0 / cfg.q) if cfg.rho is None else np.asarray(cfg.rho, dtype=float)
+    pi = np.full(cfg.k, 1.0 / cfg.k)
+    rho = np.full(cfg.q, 1.0 / cfg.q)
 
     z = sample_partition(cfg.n, pi, rng)
     w = sample_partition(cfg.v, rho, rng)

@@ -40,6 +40,7 @@ from .core import (
     MultilayerGraph,
     PriorHyperparams,
     VariationalState,
+    _normalizer_log_gammas,
     rng_stream,
 )
 from .mathfn import digamma, log_gamma
@@ -475,9 +476,7 @@ def vbe_update_nu(stats: Stats, state: VariationalState) -> np.ndarray:
     hole = np.einsum("kl,kls->s", pair, e)[None, :]
     logits = base[None, :] + 0.5 * (edge + hole)
 
-    nu = _softmax_rows(logits)
-    nu = np.maximum(nu, _UPDATE_FLOOR)
-    return nu / nu.sum(axis=1, keepdims=True)
+    return _floor_rows(_softmax_rows(logits), _UPDATE_FLOOR)
 
 
 def m_step(
@@ -518,10 +517,7 @@ def compute_elbo(state: VariationalState, priors: PriorHyperparams) -> float:
     come from priors.log_gammas; the posterior's come from one call on all
     their arguments. The Beta cells are those with k <= l.
     """
-    iu, ju = np.triu_indices(state.k)
-    eta, xi = state.eta[iu, ju, :].ravel(), state.xi[iu, ju, :].ravel()
-    args = ([state.beta.sum(), state.theta.sum()], state.beta, state.theta, eta + xi, eta, xi)
-    lg = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(x) for x in args[:-1]]))
+    lg = _normalizer_log_gammas(log_gamma, state.beta, state.theta, state.eta, state.xi)
     lg_sums, lg_beta, lg_theta, lg_tot, lg_eta, lg_xi = lg
     lg_sums0, lg_beta0, lg_theta0, lg_tot0, lg_eta0, lg_xi0 = priors.log_gammas
     # log B(post) - log B(prior) per family, B the (multivariate) Beta function

@@ -23,6 +23,7 @@ from scipy.special import betaln, digamma as sp_digamma, gammaln, logsumexp
 from mimisbm import (
     FitConfig,
     FitReport,
+    HardPartition,
     MultilayerGraph,
     PriorHyperparams,
     VariationalState,
@@ -44,7 +45,7 @@ from mimisbm.inference import (
     spectral_basis,
     sufficient_stats,
 )
-from mimisbm.io import ParseError, _content_lines, _ints
+from mimisbm.io import ParseError
 from mimisbm.mathfn import digamma, log_gamma
 
 
@@ -717,7 +718,26 @@ def link_map_exact_oracle(k: int, c: int, rng: np.random.Generator) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# .mlg files: the per-line reader and the per-edge writer
+# .mlg and .part files: the per-line readers and the per-edge writer
+
+
+def _content_lines(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            yield line_no, text
+
+
+def _ints(path: str, line_no: int, text: str, count: int) -> list[int]:
+    parts = text.split()
+    if len(parts) != count:
+        raise ParseError(f"{path}:{line_no}: expected {count} fields, got {len(parts)}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(f"{path}:{line_no}: expected integers, got {text!r}") from None
 
 
 def read_mlg_oracle(path: str, symmetrize: bool = False) -> MultilayerGraph:
@@ -762,3 +782,31 @@ def write_mlg_oracle(path: str, g: MultilayerGraph) -> None:
         handle.write(f"{g.n} {g.v}\n")
         for i, j, lay in edge_list:
             handle.write(f"{i} {j} {lay}\n")
+
+
+def read_partition_oracle(path: str) -> HardPartition:
+    """The per-line reader that io.read_partition replaced: Python's
+    text-mode line iteration, str.strip/split and int() per field."""
+    lines = _content_lines(path)
+    try:
+        line_no, text = next(lines)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file, expected a header line 'k K'") from None
+    parts = text.split()
+    if len(parts) != 2 or parts[0] != "k":
+        raise ParseError(f"{path}:{line_no}: expected header 'k K', got {text!r}")
+    try:
+        k = int(parts[1])
+    except ValueError:
+        raise ParseError(f"{path}:{line_no}: expected an integer cluster count") from None
+    if k < 1:
+        raise ParseError(f"{path}:{line_no}: cluster count must be >= 1")
+    labels = []
+    for line_no, text in lines:
+        (label,) = _ints(path, line_no, text, 1)
+        if not (0 <= label < k):
+            raise ParseError(f"{path}:{line_no}: label {label} outside [0, {k})")
+        labels.append(label)
+    if not labels:
+        raise ParseError(f"{path}: no labels after the header")
+    return HardPartition(labels=np.asarray(labels), k=k)

@@ -135,6 +135,20 @@ def test_fit_oversized_header_with_malformed_body_exits_1_at_its_line(tmp_path):
     assert os.listdir(tmp_path) == ["huge.mlg"]
 
 
+@pytest.mark.parametrize(
+    "command, name, body, line",
+    [("fit", "g.mlg", b"3 1\r\n0 1 0\r\xff\n", 3), ("eval", "p.part", b"k 2\n# \xff\n0\n", 2)],
+    ids=["fit", "eval"],
+)
+def test_file_that_is_not_utf8_exits_1_at_its_line(tmp_path, capsys, command, name, body, line):
+    bad = tmp_path / name
+    bad.write_bytes(body)
+    args = {"fit": ["--graph", str(bad), "--k", "2", "--q", "1"], "eval": ["--pred", str(bad), "--truth", str(bad)]}
+    assert main([command, *args[command], "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{line}: not UTF-8 text: invalid start byte\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_twenty_block_link_map_finishes(tmp_path):
     # a surjection onto 20 of 20 blocks by rejection expects ~4.3e7 draws
     src = os.path.dirname(os.path.dirname(mimisbm.__file__))

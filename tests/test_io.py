@@ -26,7 +26,7 @@ from mimisbm.io import (
     write_partition,
     write_report,
 )
-from helpers import random_graph, read_mlg_oracle, write_mlg_oracle
+from helpers import random_graph, read_mlg_oracle, read_partition_oracle, write_mlg_oracle
 
 
 def test_mlg_minimal_round_trip(tmp_path):
@@ -180,10 +180,10 @@ def test_mlg_reader_matches_per_line_oracle(tmp_path, body, symmetrize, line):
         assert kind == "error" and f"g.mlg:{line}: " in got
 
 
-def _mlg_line(draw, n: int, v: int) -> str:
-    """One line: mostly an edge of an (n, v) graph in either order, sometimes
-    an odd token, a wrong field count, a comment or a blank line, with varied
-    whitespace."""
+def _field_line(draw, sizes: tuple, size: int) -> str:
+    """One line: mostly fields below `sizes`, sometimes an odd token, another
+    field count (of fields below `size`), a comment or a blank line, with
+    varied whitespace."""
     odd = st.sampled_from(["+1", "-0", "01", "-1", "7", "x", "+", "1-", "1+0", "#", "2#"])
     gap = st.sampled_from([" ", " ", "  ", "\t", " \t "])
     kind = draw(st.sampled_from(["edge"] * 8 + ["fields", "comment", "blank"]))
@@ -191,7 +191,7 @@ def _mlg_line(draw, n: int, v: int) -> str:
         return draw(st.sampled_from(["#", "# note", "  # 0 0 0", "#1 2 3"]))
     if kind == "blank":
         return draw(st.sampled_from(["", " ", "\t", " \t\x0b\x0c "]))
-    sizes = (n, n, v) if kind == "edge" else (n,) * draw(st.sampled_from([0, 1, 2, 4]))
+    sizes = sizes if kind == "edge" else (size,) * draw(st.sampled_from([0, 1, 2, 4]))
     fields = [draw(st.integers(0, size - 1).map(str) if draw(st.integers(0, 15)) else odd) for size in sizes]
     text = "".join(f + draw(gap) for f in fields[:-1]) + (fields[-1] if fields else "")
     return draw(gap) * draw(st.booleans()) + text + draw(gap) * draw(st.booleans())
@@ -201,7 +201,8 @@ def _mlg_line(draw, n: int, v: int) -> str:
 def mlg_files(draw) -> bytes:
     n, v = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     header = f"{n} {v}" if draw(st.integers(0, 7)) else draw(st.sampled_from(["0 1", "2", "3 1 1", "x 2", "", "# c"]))
-    lines = [header] + [_mlg_line(draw, n, v) for _ in range(draw(st.integers(0, 10)))]
+    # an edge of the (n, v) graph in either order
+    lines = [header] + [_field_line(draw, (n, n, v), n) for _ in range(draw(st.integers(0, 10)))]
     ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
     text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
     return (text + draw(ends) * draw(st.booleans())).encode("ascii")
@@ -213,24 +214,125 @@ def test_mlg_reader_matches_per_line_oracle_on_generated_files(tmp_path_factory,
     _assert_reads_like_oracle(tmp_path_factory.mktemp("mlg") / "g.mlg", body, symmetrize)
 
 
-@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11"])
-def test_mlg_tokens_are_a_sign_and_ascii_digits(tmp_path, token):
-    # int() accepts these; the .mlg grammar does not, and the line says so
-    p = tmp_path / "g.mlg"
-    p.write_text(f"12 1\n0 {token} 0\n", encoding="utf-8")
-    read_mlg_oracle(str(p))
-    with pytest.raises(ParseError, match=r"g\.mlg:2: expected integers"):
-        read_mlg(str(p))
+def _per_reader(values, mlg, part):
+    """Parameters (reader, oracle, file name, body, error) that put each
+    value into a .mlg and a .part file, where `mlg` and `part` are (body,
+    error) with {} for the value. The .mlg cases keep the value as their id."""
+    return [pytest.param(read_mlg, read_mlg_oracle, "g.mlg", mlg[0].format(x), mlg[1], id=x) for x in values] + [
+        pytest.param(read_partition, read_partition_oracle, "g.part", part[0].format(x), part[1], id=f"part-{x}")
+        for x in values
+    ]
 
 
-@pytest.mark.parametrize("sep", ["\x1c", "\x1f", "\u00a0", "\u2003"])
-def test_mlg_fields_are_separated_by_ascii_whitespace(tmp_path, sep):
-    # str.split() splits on these; the .mlg grammar does not
-    p = tmp_path / "g.mlg"
-    p.write_text(f"3 1\n0 1{sep}0\n", encoding="utf-8")
-    read_mlg_oracle(str(p))
-    with pytest.raises(ParseError, match=r"g\.mlg:2: expected 3 fields, got 2"):
-        read_mlg(str(p))
+@pytest.mark.parametrize(
+    "reader, oracle, name, body, error",
+    _per_reader(
+        ["1_0", "\u0661", "\uff11"],
+        mlg=("12 1\n0 {} 0\n", r"g\.mlg:2: expected integers"),
+        part=("k 12\n{}\n", r"g\.part:2: expected integers"),
+    ),
+)
+def test_mlg_tokens_are_a_sign_and_ascii_digits(tmp_path, reader, oracle, name, body, error):
+    # int() accepts these; the field grammar does not, and the line says so
+    p = tmp_path / name
+    p.write_text(body, encoding="utf-8")
+    oracle(str(p))
+    with pytest.raises(ParseError, match=error):
+        reader(str(p))
+
+
+@pytest.mark.parametrize(
+    "reader, oracle, name, body, error",
+    _per_reader(
+        ["\x1c", "\x1f", "\u00a0", "\u2003"],
+        mlg=("3 1\n0 1{}0\n", r"g\.mlg:2: expected 3 fields, got 2"),
+        part=("k{}3\n0\n", r"g\.part:1: expected header 'k K'"),
+    ),
+)
+def test_mlg_fields_are_separated_by_ascii_whitespace(tmp_path, reader, oracle, name, body, error):
+    # str.split() splits on these; the field grammar does not
+    p = tmp_path / name
+    p.write_text(body, encoding="utf-8")
+    oracle(str(p))
+    with pytest.raises(ParseError, match=error):
+        reader(str(p))
+
+
+def _read_partition_outcome(reader, path):
+    """The labels and K a reader returns, or the message it raises."""
+    try:
+        part = reader(str(path))
+        return "partition", part.labels.tobytes(), part.k
+    except ParseError as err:
+        return "error", str(err)
+
+
+def _assert_reads_partition_like_oracle(path, body: bytes):
+    path.write_bytes(body)
+    got = _read_partition_outcome(read_partition, path)
+    assert got == _read_partition_outcome(read_partition_oracle, path), body
+    return got
+
+
+PART_CASES = [
+    # (body, line of the expected ParseError or None)
+    (b"k 1\n0\n", None),
+    (b"k 3\n2\n0", None),
+    (b"# head\n\n  k\t3 \r\n 1 \r\r\n# 2 2\n\x0b2\x0c\r0", None),
+    (b"k +3\n+2\n-0\n02\n", None),
+    (b"k 99999999999999999999\n5\n", None),
+    (b"", None),
+    (b"k 2\n", None),
+    (b"k 2\n# 0\n", None),
+    (b"K 2\n0\n", 1),
+    (b"k\n0\n", 1),
+    (b"k 2 3\n0\n", 1),
+    (b"k2\n0\n", 1),
+    (b"kk 2\n0\n", 1),
+    (b"k x\n0\n", 1),
+    (b"k 0\n0\n", 1),
+    (b"k -1\n0\n", 1),
+    (b"k 2\n0\n2\n", 3),
+    (b"k 2\n0\n-1\n", 3),
+    (b"k 2\n0\n99999999999999999999\n", 3),
+    (b"k 2\n-99999999999999999999\n", 2),
+    (b"k 2\n0 1\n", 2),
+    (b"k 2\n1-\n", 2),
+    (b"k 2\n0 # note\n", 2),
+    (b"k 2\r0\r\n1\r\n3\n", 4),
+    # several faults: the first in file order wins, whatever its kind
+    (b"k 2\n2\nx\n", 2),
+    (b"k 2\nx\n2\n", 2),
+    (b"k 2\n0\n1 1\n5\n", 3),
+]
+
+
+@pytest.mark.parametrize("body, line", PART_CASES)
+def test_partition_reader_matches_per_line_oracle(tmp_path, body, line):
+    got = _assert_reads_partition_like_oracle(tmp_path / "z.part", body)
+    if line is None:
+        assert got[0] == "partition" or "empty file" in got[1] or "no labels" in got[1]
+    else:
+        assert got[0] == "error" and f"z.part:{line}: " in got[1]
+
+
+@st.composite
+def part_files(draw) -> bytes:
+    k = draw(st.integers(1, 5))
+    header = f"k {k}" if draw(st.integers(0, 7)) else draw(
+        st.sampled_from(["k", "K 2", "k 0", "k -1", "k x", "k 1-", "k 2 3", "k +2", "k 02", "2", "", "# c"])
+    )
+    # a label, sometimes K itself, which is out of range
+    lines = [header] + [_field_line(draw, (k + 1,), k + 1) for _ in range(draw(st.integers(0, 10)))]
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+    return (text + draw(ends) * draw(st.booleans())).encode("ascii")
+
+
+@given(part_files())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_partition_reader_matches_per_line_oracle_on_generated_files(tmp_path_factory, body):
+    _assert_reads_partition_like_oracle(tmp_path_factory.mktemp("part") / "z.part", body)
 
 
 def _mlg_graphs():
@@ -287,6 +389,14 @@ def test_partition_label_out_of_range(tmp_path):
     p = tmp_path / "bad.part"
     p.write_text("k 2\n0\n2\n")
     with pytest.raises(ParseError):
+        read_partition(str(p))
+
+
+def test_partition_label_past_int64_is_out_of_range(tmp_path):
+    # labels are stored as int64, so a larger K cannot admit a larger label
+    p = tmp_path / "big.part"
+    p.write_text("k 100000000000000000000\n5\n99999999999999999999\n")
+    with pytest.raises(ParseError, match=r"big\.part:3: label 99999999999999999999 outside \[0, 9223372036854775807\)"):
         read_partition(str(p))
 
 
