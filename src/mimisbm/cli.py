@@ -15,8 +15,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .core import DomainError, FitConfig, SelfLoopError, rng_stream
-from .generator import LinkMapError, SimulationConfig, generate_dataset
+from .core import FitConfig, rng_stream
+from .generator import SimulationConfig, generate_dataset
 from .inference import fit as run_fit
 from .io import (
     ParseError,
@@ -233,7 +233,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, SelfLoopError, LinkMapError, ValueError) as exc:
+    except ValueError as exc:  # DomainError, SelfLoopError, LinkMapError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

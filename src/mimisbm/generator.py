@@ -10,7 +10,8 @@ are drawn, which is the robustness knob.
 All draws come from the single Generator passed in, in a fixed order:
 node labels, layer labels, per component (size then link map), then per
 layer (switch draws, then dyad draws). Rerunning with an equally seeded
-generator reproduces the dataset bit for bit.
+generator reproduces the dataset bit for bit. The drawn dyads, as (i, j,
+layer) rows, go to the one constructor from edges, which read_mlg also calls.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     HardPartition,
     ModelParams,
     MultilayerGraph,
+    _graph_from_edges,
     _locked,
 )
 
@@ -230,7 +232,7 @@ def generate_dataset(cfg: SimulationConfig, rng: np.random.Generator) -> Tuple[M
     params = ModelParams(pi=pi, rho=rho, alpha=alpha)
 
     iu, ju = np.triu_indices(cfg.n, k=1)
-    adj = np.zeros((cfg.n, cfg.n, cfg.v), dtype=np.uint8)
+    edges = []
     for view in range(cfg.v):
         comp = int(w.labels[view])
         local = link_maps[comp][z.labels]
@@ -241,8 +243,7 @@ def generate_dataset(cfg: SimulationConfig, rng: np.random.Generator) -> Tuple[M
             local = local_part.labels
         prob = np.where(local[iu] == local[ju], cfg.p_in, cfg.p_out)
         hit = rng.random(iu.size) < prob
-        adj[iu[hit], ju[hit], view] = 1
-        adj[ju[hit], iu[hit], view] = 1
+        edges.append(np.column_stack((iu[hit], ju[hit], np.full(hit.sum(), view))))
 
     truth = GroundTruth(z=z, w=w, params=params, link_maps=link_maps, component_k=component_k)
-    return MultilayerGraph._adopt(adj), truth
+    return _graph_from_edges(cfg.n, cfg.v, np.concatenate(edges)), truth

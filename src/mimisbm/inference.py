@@ -393,10 +393,14 @@ def sufficient_stats(a: np.ndarray, tau: np.ndarray) -> Stats:
     """
     m = (tau.T @ (a @ tau)).transpose(1, 2, 0)
     m = (m + m.transpose(1, 0, 2)) / 2.0
+    return (m, *_pair_mass(tau))
+
+
+def _pair_mass(tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(pair, t) of sufficient_stats, which need only tau."""
     t = tau.sum(axis=0)
     gram = tau.T @ tau
-    gram = (gram + gram.T) / 2.0
-    return m, np.outer(t, t) - gram, t
+    return np.outer(t, t) - (gram + gram.T) / 2.0, t
 
 
 def vbe_update_tau(a: np.ndarray, states: Sequence[VariationalState]) -> List[np.ndarray]:

@@ -110,10 +110,11 @@ class _Tokens:
     def text(self, row: int) -> str:
         lo = int(self.starts[self.first[row]])
         hi = self.data.find(b"\n", lo)
-        return self.data[lo : hi if hi >= 0 else None].decode("utf-8").strip()
+        # the grammar's whitespace only, so a stray byte at the end is quoted
+        return self.data[lo : hi if hi >= 0 else None].rstrip(b" \t\v\f").decode("utf-8")
 
-    def exact(self, t: int) -> int:
-        return int(_INTEGER.match(self.data, self.starts[t]).group())
+    def exact(self, pos: int) -> int:  # the well-formed token at byte pos
+        return int(_INTEGER.match(self.data, pos).group())
 
     def body(self, fields: int) -> np.ndarray:
         """First tokens of the rows after the first, up to one that is not
@@ -146,7 +147,7 @@ class _Tokens:
         np.negative(out, out=out, where=neg)
         info = np.iinfo(np.int64)
         for t in np.flatnonzero(live):
-            out[t] = min(max(int(_INTEGER.match(self.data, lo[t]).group()), info.min), info.max)
+            out[t] = min(max(self.exact(lo[t]), info.min), info.max)
         return out
 
 
@@ -160,7 +161,7 @@ def read_mlg(path: str, symmetrize: bool = False) -> MultilayerGraph:
     head = lex.first[0]
     if lex.count[0] != 2 or lex.malformed[head : head + 2].any():
         raise lex.field_fault(0, 2)
-    n, v = lex.exact(head), lex.exact(head + 1)
+    n, v = lex.exact(lex.starts[head]), lex.exact(lex.starts[head + 1])
     if n < 1 or v < 1:
         raise lex.fault(0, f"need N >= 1 and V >= 1, got {n} {v}")
 
@@ -196,7 +197,7 @@ def read_partition(path: str) -> HardPartition:
         raise lex.fault(0, f"expected header 'k K', got {lex.text(0)!r}")
     if lex.malformed[head + 1]:
         raise lex.fault(0, "expected an integer cluster count")
-    k = lex.exact(head + 1)
+    k = lex.exact(lex.starts[head + 1])
     if k < 1:
         raise lex.fault(0, "cluster count must be >= 1")
     body = lex.body(1)
@@ -205,7 +206,7 @@ def read_partition(path: str) -> HardPartition:
     bad = np.flatnonzero((labels < 0) | (labels >= top))
     if bad.size:
         row = int(bad[0])
-        raise lex.fault(row + 1, f"label {lex.exact(body[row])} outside [0, {top})")
+        raise lex.fault(row + 1, f"label {lex.exact(lex.starts[body[row]])} outside [0, {top})")
     if body.size < lex.first.size - 1:
         raise lex.field_fault(body.size + 1, 1)
     if body.size == 0:

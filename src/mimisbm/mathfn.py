@@ -20,8 +20,9 @@ the array around it, so a call on concatenated arguments gives, bit for
 bit, the values of one call per argument. The callers rely on that: one
 digamma call serves a whole variational update and one log_gamma call a
 whole bound. The cost of a call is mostly per-call numpy overhead, so the
-shift loop updates the arguments still below the threshold in place
-(ufuncs with out= and where=) instead of gathering and scattering them.
+one shift loop, shared by both with the term 1/y or log y, updates the
+arguments still below the threshold in place (ufuncs with out= and where=)
+instead of gathering and scattering them.
 """
 
 from __future__ import annotations
@@ -66,26 +67,27 @@ _LGAMMA_COEF = (
 _HALF_LOG_2PI = 0.9189385332046727  # log(2 pi) / 2
 
 
-def _as_positive_array(x, name: str) -> tuple[np.ndarray, bool]:
-    """x as a float array of at least one dimension (the masked in-place
-    updates below cannot write to a 0-d array), and whether x was a scalar."""
+def _shift_up(x, name: str, term):
+    """(x, y, acc, scalar): x as a float array of at least one dimension
+    (the masked in-place updates cannot write to a 0-d array), y = x + n
+    for the least n >= 0 with y >= _SHIFT, acc = -sum_{j < n} term(x + j),
+    and whether x was a scalar."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(arr > 0):
         raise DomainError(f"{name} requires strictly positive arguments")
-    return arr, np.ndim(x) == 0
+    y = arr.copy()
+    acc = np.zeros_like(y)
+    small = y < _SHIFT
+    while small.any():
+        np.subtract(acc, term(y), out=acc, where=small)
+        np.add(y, 1.0, out=y, where=small)
+        np.less(y, _SHIFT, out=small)
+    return arr, y, acc, np.ndim(x) == 0
 
 
 def digamma(x):
     """psi(x) = d/dx log Gamma(x) for x > 0."""
-    arr, scalar = _as_positive_array(x, "digamma")
-    y = arr.copy()
-    acc = np.zeros_like(y)
-    # recurrence: psi(x) = psi(x + 1) - 1/x, applied until y >= _SHIFT
-    small = y < _SHIFT
-    while small.any():
-        np.subtract(acc, 1.0 / y, out=acc, where=small)
-        np.add(y, 1.0, out=y, where=small)
-        np.less(y, _SHIFT, out=small)
+    _, y, acc, scalar = _shift_up(x, "digamma", lambda y: 1.0 / y)
     # asymptotic series at y: log y - 1/(2y) - sum_n coef_n / y^{2n}
     inv2 = 1.0 / (y * y)
     tail = np.zeros_like(y)
@@ -97,14 +99,7 @@ def digamma(x):
 
 def log_gamma(x):
     """log Gamma(x) for x > 0."""
-    arr, scalar = _as_positive_array(x, "log_gamma")
-    y = arr.copy()
-    acc = np.zeros_like(y)
-    small = y < _SHIFT
-    while small.any():
-        np.subtract(acc, np.log(y), out=acc, where=small)
-        np.add(y, 1.0, out=y, where=small)
-        np.less(y, _SHIFT, out=small)
+    arr, y, acc, scalar = _shift_up(x, "log_gamma", np.log)
     inv = 1.0 / y
     inv2 = inv * inv
     # series in odd powers: sum_n coef_n / y^{2n-1}

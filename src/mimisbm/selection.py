@@ -35,7 +35,7 @@ from .core import (
     PriorHyperparams,
     VariationalState,
 )
-from .inference import _xlogx, compute_elbo, fit, m_step, spectral_basis
+from .inference import _pair_mass, _xlogx, compute_elbo, fit, m_step, spectral_basis
 
 __all__ = [
     "pen",
@@ -64,15 +64,13 @@ def pen(k: int, q: int, n: int, v: int) -> float:
 
 def _hardened_state(g: MultilayerGraph, z: HardPartition, w: HardPartition, priors: PriorHyperparams) -> VariationalState:
     """The one-hot state of (z, w) after an M-step. With one-hot tau the
-    sufficient statistics are integer counts, so they are taken one uint8
-    layer at a time, without the float layer stack: the edges of each block
-    pair per layer, the ordered pairs of distinct nodes per block pair
-    (t_k t_l less the diagonal) and the block sizes t. They equal
-    sufficient_stats at the one-hot tau exactly."""
+    edge counts of each block pair per layer are integers, so they are taken
+    one uint8 layer at a time, without the float layer stack; with the pair
+    mass and block sizes of _pair_mass they equal sufficient_stats at the
+    one-hot tau exactly."""
     tau, nu = z.one_hot(), w.one_hot()
     m = np.stack([tau.T @ (g.adj[:, :, v] @ tau) for v in range(g.v)], axis=2)
-    t = tau.sum(axis=0)
-    return VariationalState(tau, nu, *m_step((m, np.outer(t, t) - np.diag(t), t), nu, priors))
+    return VariationalState(tau, nu, *m_step((m, *_pair_mass(tau)), nu, priors))
 
 
 def icl_exact(
@@ -193,6 +191,7 @@ def grid_search(
     # the spectral basis depends on the graph alone: computed once here, every
     # cell (and worker process) slices it instead of eigendecomposing again
     basis = spectral_basis(g, ks[-1]) if cfg.init_strategy == "per_view_spectral" else None
+    # both paths below return the cells in task order, which is (k, q) order
     tasks = [(g, k, q, cfg, basis) for k in ks for q in qs]
     # a pool forks all its workers up front, so start no more than there are cells
     workers = min(jobs, len(tasks))
@@ -201,7 +200,6 @@ def grid_search(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, tasks))
-    cells.sort(key=lambda c: (c.k, c.q))
 
     chosen: Dict[str, Tuple[int, int]] = {}
     for crit in CRITERIA:

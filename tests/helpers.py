@@ -16,6 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb, log
+from typing import Tuple
 
 import numpy as np
 from scipy.special import betaln, digamma as sp_digamma, gammaln, logsumexp
@@ -23,14 +24,20 @@ from scipy.special import betaln, digamma as sp_digamma, gammaln, logsumexp
 from mimisbm import (
     FitConfig,
     FitReport,
+    GroundTruth,
     HardPartition,
+    ModelParams,
     MultilayerGraph,
     PriorHyperparams,
+    SimulationConfig,
     VariationalState,
+    apply_label_switch,
+    build_component_alpha,
     init_variational,
     m_step,
     map_assign,
     rng_stream,
+    sample_partition,
     vbe_update_nu,
     vbe_update_tau,
 )
@@ -45,6 +52,7 @@ from mimisbm.inference import (
     spectral_basis,
     sufficient_stats,
 )
+from mimisbm.generator import _sample_link_map
 from mimisbm.io import ParseError
 from mimisbm.mathfn import digamma, log_gamma
 
@@ -715,6 +723,57 @@ def link_map_exact_oracle(k: int, c: int, rng: np.random.Generator) -> np.ndarra
         else:
             m[j], u = c - u, u - 1
     return rng.permutation(c)[m]
+
+
+# ---------------------------------------------------------------------------
+# datasets: the generator that fills an adjacency tensor
+
+
+def generate_dataset_oracle(cfg: SimulationConfig, rng: np.random.Generator) -> Tuple[MultilayerGraph, GroundTruth]:
+    """The generator that builds its adjacency tensor in place, as
+    generator.generate_dataset did before it built through core's
+    constructor from edges: sample a dataset and its ground truth under `cfg`.
+
+    Every node draws its block and every layer its component equiprobably.
+    Edges in layer v are Bernoulli(p_in) on dyads whose (possibly switched)
+    view-local labels agree and Bernoulli(p_out) otherwise, where the local
+    label of node i is link_maps[w_v][z_i].
+    """
+    pi = np.full(cfg.k, 1.0 / cfg.k)
+    rho = np.full(cfg.q, 1.0 / cfg.q)
+
+    z = sample_partition(cfg.n, pi, rng)
+    w = sample_partition(cfg.v, rho, rng)
+
+    if cfg.component_k is None:
+        component_k = tuple(int(rng.integers(2, cfg.k + 1)) for _ in range(cfg.q))
+    else:
+        component_k = tuple(cfg.component_k)
+    link_maps = tuple(_sample_link_map(cfg.k, ck, rng) for ck in component_k)
+
+    alpha = np.stack(
+        [build_component_alpha(cfg.k, ck, m, cfg.p_in, cfg.p_out) for m, ck in zip(link_maps, component_k)],
+        axis=2,
+    )
+    params = ModelParams(pi=pi, rho=rho, alpha=alpha)
+
+    iu, ju = np.triu_indices(cfg.n, k=1)
+    adj = np.zeros((cfg.n, cfg.n, cfg.v), dtype=np.uint8)
+    for view in range(cfg.v):
+        comp = int(w.labels[view])
+        local = link_maps[comp][z.labels]
+        if cfg.p_switch > 0.0:
+            local_part = apply_label_switch(
+                HardPartition(labels=local, k=component_k[comp]), cfg.p_switch, rng
+            )
+            local = local_part.labels
+        prob = np.where(local[iu] == local[ju], cfg.p_in, cfg.p_out)
+        hit = rng.random(iu.size) < prob
+        adj[iu[hit], ju[hit], view] = 1
+        adj[ju[hit], iu[hit], view] = 1
+
+    truth = GroundTruth(z=z, w=w, params=params, link_maps=link_maps, component_k=component_k)
+    return MultilayerGraph._adopt(adj), truth
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from mimisbm import (
     rng_stream,
     sample_partition,
 )
-from helpers import link_map_exact_oracle
+from helpers import generate_dataset_oracle, link_map_exact_oracle
 
 
 def test_sample_partition_degenerate():
@@ -201,6 +201,45 @@ def test_generate_dataset_bit_reproducible():
     assert np.array_equal(t1.z.labels, t2.z.labels)
     assert np.array_equal(t1.w.labels, t2.w.labels)
     assert t1.component_k == t2.component_k
+
+
+def _truth_bytes(truth):
+    """Every field of a GroundTruth as bytes and ints, so equal truths compare equal."""
+    parts = (truth.z, truth.w)
+    arrays = (truth.params.pi, truth.params.rho, truth.params.alpha) + truth.link_maps
+    return [(p.labels.tobytes(), p.k) for p in parts] + [(a.dtype, a.shape, a.tobytes()) for a in arrays] + [
+        truth.component_k
+    ]
+
+
+@pytest.mark.parametrize(
+    "cfg, seed",
+    [
+        (SimulationConfig(n=40, v=7, k=4, q=3, p_switch=0.3), 1),
+        (SimulationConfig(n=30, v=6, k=5, q=3, component_k=(5, 3, 2), p_switch=0.1), 2),
+        (SimulationConfig(n=25, v=4, k=5, q=2), 3),
+        (SimulationConfig(n=12, v=3, k=1, q=2, component_k=(1, 1)), 4),
+        (SimulationConfig(n=2, v=1, k=2, q=1), 5),
+        (SimulationConfig(n=20, v=3, k=3, q=2, p_in=0.0, p_out=0.0), 6),
+        (SimulationConfig(n=20, v=3, k=3, q=2, p_in=1.0, p_out=1.0), 7),
+        (SimulationConfig(n=200, v=15, k=5, q=3, component_k=(5, 3, 2)), 8),
+        (SimulationConfig(n=300, v=20, k=5, q=3, p_in=0.3, p_out=0.01, component_k=(5, 3, 2), p_switch=0.2), 9),
+    ],
+    ids=["switch", "pinned-k", "drawn-k", "k1", "n2-v1", "no-edges", "all-edges", "dense", "sparse"],
+)
+def test_generate_dataset_matches_tensor_filling_oracle(cfg, seed):
+    rng, oracle_rng = rng_stream(seed), rng_stream(seed)
+    g, truth = generate_dataset(cfg, rng)
+    want, want_truth = generate_dataset_oracle(cfg, oracle_rng)
+    assert g.adj.dtype == want.adj.dtype == np.uint8
+    assert g.adj.shape == want.adj.shape == (cfg.n, cfg.n, cfg.v)
+    assert g.adj.tobytes() == want.adj.tobytes()
+    assert not g.adj.flags.writeable and not want.adj.flags.writeable
+    assert _truth_bytes(truth) == _truth_bytes(want_truth)
+    # both left the stream at the same place
+    assert rng.integers(2**63, size=4).tolist() == oracle_rng.integers(2**63, size=4).tolist()
+    if cfg.p_in == cfg.p_out:
+        assert int(g.adj.sum()) == cfg.p_in * cfg.v * cfg.n * (cfg.n - 1)
 
 
 def test_simulation_config_validation():

@@ -148,6 +148,7 @@ MLG_CASES = [
     (b"3 1\n0 + 0\n", False, 2),
     (b"3 1\n0 1 0-\n", False, 2),
     (b"3 1\n0 1 +-0\n", False, 2),
+    (b"3 1\n0 1 x \t\x0b\x0c\n", False, 2),
     (b"3 1\n0 1 1-0\n", False, 2),
     (b"3 1\n0 1 0\n-", False, 3),
     # header faults
@@ -230,7 +231,14 @@ def _per_reader(values, mlg, part):
         ["1_0", "\u0661", "\uff11"],
         mlg=("12 1\n0 {} 0\n", r"g\.mlg:2: expected integers"),
         part=("k 12\n{}\n", r"g\.part:2: expected integers"),
-    ),
+    )
+    + [
+        # a byte that str.strip drops but the grammar does not, at a line's end
+        pytest.param(read_mlg, read_mlg_oracle, "g.mlg", "12 1\n0 1 0\u00a0\n",
+                     r"g\.mlg:2: expected integers, got '0 1 0\\xa0'$", id="end-\u00a0"),
+        pytest.param(read_partition, read_partition_oracle, "g.part", "k 12\n1\x1c\n",
+                     r"g\.part:2: expected integers, got '1\\x1c'$", id="part-end-\x1c"),
+    ],
 )
 def test_mlg_tokens_are_a_sign_and_ascii_digits(tmp_path, reader, oracle, name, body, error):
     # int() accepts these; the field grammar does not, and the line says so
@@ -298,6 +306,7 @@ PART_CASES = [
     (b"k 2\n-99999999999999999999\n", 2),
     (b"k 2\n0 1\n", 2),
     (b"k 2\n1-\n", 2),
+    (b"k 2\nx\x0b \x0c\t\n", 2),
     (b"k 2\n0 # note\n", 2),
     (b"k 2\r0\r\n1\r\n3\n", 4),
     # several faults: the first in file order wins, whatever its kind

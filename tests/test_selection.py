@@ -256,6 +256,13 @@ def test_grid_deterministic_across_jobs():
         assert c1.icl_approx == c2.icl_approx
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_cells_come_in_k_q_order_from_unsorted_repeated_values(jobs):
+    g = random_graph(np.random.default_rng(12), 8, 2, p=0.4)
+    res = grid_search(g, [5, 2, 2, 3], [2, 1], FitConfig(seed=3, n_restarts=1), jobs=jobs)
+    assert [(c.k, c.q) for c in res.cells] == [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
 def _failing_fit(exc_type, cells):
     real = selection.fit
 
