@@ -231,8 +231,10 @@ def generate_dataset(cfg: SimulationConfig, rng: np.random.Generator) -> Tuple[M
     )
     params = ModelParams(pi=pi, rho=rho, alpha=alpha)
 
-    iu, ju = np.triu_indices(cfg.n, k=1)
-    edges = []
+    # one unsigned dtype holds every dyad position, node and layer index
+    small = np.min_scalar_type(max(cfg.n * (cfg.n - 1) // 2, cfg.v))
+    iu, ju = (idx.astype(small) for idx in np.triu_indices(cfg.n, k=1))
+    hits = []  # per layer, the positions in (iu, ju) of the drawn dyads
     for view in range(cfg.v):
         comp = int(w.labels[view])
         local = link_maps[comp][z.labels]
@@ -242,8 +244,19 @@ def generate_dataset(cfg: SimulationConfig, rng: np.random.Generator) -> Tuple[M
             )
             local = local_part.labels
         prob = np.where(local[iu] == local[ju], cfg.p_in, cfg.p_out)
-        hit = rng.random(iu.size) < prob
-        edges.append(np.column_stack((iu[hit], ju[hit], np.full(hit.sum(), view))))
+        hits.append(np.flatnonzero(rng.random(iu.size) < prob).astype(small))
+    del prob
 
+    # the (i, j, layer) rows as the columns of one (3, E) array, filled layer
+    # by layer
+    edges = np.empty((3, sum(pos.size for pos in hits)), dtype=small)
+    end = 0
+    for view, pos in enumerate(hits):
+        cols = edges[:, end : end + pos.size]
+        np.take(iu, pos, out=cols[0])
+        np.take(ju, pos, out=cols[1])
+        cols[2] = view
+        end += pos.size
+    del hits
     truth = GroundTruth(z=z, w=w, params=params, link_maps=link_maps, component_k=component_k)
-    return _graph_from_edges(cfg.n, cfg.v, np.concatenate(edges)), truth
+    return _graph_from_edges(cfg.n, cfg.v, edges.T), truth

@@ -20,6 +20,12 @@ initialization. A fit's restarts iterate in lockstep: one node sweep call
 per round serves every restart still iterating, and gives each the result
 it would get alone.
 
+Spectral init clusters every layer's embedding with k-means in one batch
+per init, then the layers and the nodes: _kmeans draws all the k-means++
+seeds of its problems first, in the order solving them one after another
+would, and runs the seedings and the Lloyd passes on stacked arrays, so the
+labels and the stream's end are those of the one-at-a-time loop.
+
 Numerics: updates work on logits and are normalized by max-subtracted
 softmax; responsibility rows are floored at 1e-12 (1e-10 at init) and
 renormalized, so no log ever sees a zero during a fit.
@@ -129,93 +135,233 @@ def _log_moments(state: VariationalState, conc: np.ndarray):
 # initialization
 
 
+# (run, point, column) entries of one stacked seeding or Lloyd batch: bounds
+# the batch's temporaries, a few arrays of this many float64 or int64
+_BATCH_ENTRIES = 1 << 14
+
+
 def _sq_dists(x: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances point-to-center via the expanded product form;
-    x2 holds the squared norms of the rows of x."""
-    d = x2[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
-    return np.maximum(d, 0.0)
+    """Squared distances point-to-center of each run via the expanded product
+    form, for runs stacked on the first axis: x (R, N, d) the points, x2
+    (R, N) their squared norms, centers (R, c, d); returns (R, N, c)."""
+    prod = np.matmul(x, centers.transpose(0, 2, 1))
+    prod *= 2.0
+    d = x2[:, :, None] + (centers * centers).sum(axis=2)[:, None, :]
+    d -= prod
+    return np.maximum(d, 0.0, out=d)
 
 
-def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, max_iter: int = 100) -> np.ndarray:
-    """Plain Lloyd k-means with k-means++ seeding, written out so results are
-    bit-reproducible under any thread or worker count.
+def _seed_draws(n: int, k: int, stops: np.ndarray, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """The draws of k-means++ seedings on n points, one run per entry of
+    `stops`, in run order: the first center's index, then one uniform per
+    step before the run's stop and one index per step from it on (the draw
+    taken once every point sits on a center). Returns (picks (R, k): the
+    drawn indices, column 0 and columns >= stop; u (R, k - 1): the
+    uniforms)."""
+    picks = np.zeros((stops.size, k), dtype=np.int64)
+    u = np.zeros((stops.size, k - 1))
+    for run, stop in enumerate(stops):
+        picks[run, 0] = rng.integers(n)
+        u[run, : stop - 1] = rng.random(stop - 1)
+        for c in range(stop, k):
+            picks[run, c] = rng.integers(n)
+    return picks, u
 
-    A Lloyd pass is a deterministic function of the state (centers, labels)
-    and draws nothing from rng, so two shortcuts return the labels the full
-    loop would and leave the stream where it would. A pass that finds the
-    labels unchanged stops before its center update, which would only
-    recompute the non-empty centers from the same rows. A state seen before
-    in the same init recurs with its period and never settles (k above the
-    number of distinct points reseeds empty clusters on points already at
-    distance 0), so the init runs only the passes that lead to the state of
-    pass max_iter; after the first pass a state is fixed by its labels and
-    the point that reseeds the clusters they leave empty. At k = 1 every
-    init ends on all zeros, so only the seed draws are made.
+
+def _seed(x, owner, picks, u, stops):
+    """k-means++ centers of runs on the points x[owner] (R, N, d), from the
+    draws of _seed_draws. Step c picks its center by the uniform, in
+    proportion to each point's squared distance to its nearest center, when
+    c < stop, and takes the drawn index otherwise. Returns (centers (R, k,
+    d), wrong, zero): wrong is each run's first step whose draw was of the
+    other kind than the one its sampling total calls for (k when none), and
+    zero says whether that total was 0."""
+    xa = x[owner]
+    rows = np.arange(owner.size)
+    k = picks.shape[1]
+    by_index = np.arange(k) >= stops[:, None]
+    centers = np.empty((owner.size, k, x.shape[2]))
+    centers[:, 0] = xa[rows, picks[:, 0]]
+    diff = np.empty_like(xa)  # the squares of x - center, in place
+
+    def sq_to(center):
+        np.square(np.subtract(xa, center, out=diff), out=diff)
+        return diff.sum(axis=2)
+
+    d2 = sq_to(centers[:, :1])
+    totals = np.empty((owner.size, k - 1))
+    for c in range(1, k):
+        total = d2.sum(axis=1, out=totals[:, c - 1])
+        # the count of cumulative sums below the target is searchsorted's index
+        sampled = (np.cumsum(d2, axis=1) < (u[:, c - 1] * total)[:, None]).sum(axis=1)
+        centers[:, c] = xa[rows, np.where(by_index[:, c], picks[:, c], sampled)]
+        d2 = np.minimum(d2, sq_to(centers[:, c : c + 1]))
+    zeros = totals <= 0
+    bad = zeros != by_index[:, 1:]
+    wrong = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, k)
+    return centers, wrong, zeros[rows, np.minimum(wrong, k - 1) - 1]
+
+
+def _lloyd(x, x2, owner, centers, max_iter):
+    """Lloyd passes of runs on the points x[owner] with squared norms
+    x2[owner], from the seeds `centers` (R, k, d), which are updated in
+    place. Returns each run's labels (R, N) and inertia (R,).
+
+    Every pass makes one distance evaluation for all runs still passing and
+    for the runs whose last pass is done, which need only their inertia.
+    A run stops when a pass leaves its labels as they were (the update
+    would only recompute its labelled centers from the same rows), after a
+    first pass that keeps the all-zero start labels, or at max_iter passes.
+    A pass draws nothing, and a run's state after its first pass is fixed
+    by its labels and the point that reseeds its empty clusters, so a
+    state seen before recurs with its period and the run needs only the
+    passes that lead to the state of pass max_iter; states are recorded
+    for the runs with an empty cluster (k above the number of distinct
+    points keeps them empty and unsettled), which changes only how many
+    passes an unrecorded cycle takes, not where it ends.
     """
-    n = x.shape[0]
-    if k >= n:
-        return np.arange(n) % k if k > 0 else np.zeros(n, dtype=np.int64)
-    if k == 1:
-        for _ in range(n_init):
-            rng.integers(n)
-        return np.zeros(n, dtype=np.int64)
-    x2 = (x * x).sum(axis=1)
-    # every center sum is one bincount over (label, column) bins; it adds a
-    # cluster's rows in index order, as numpy's mean over axis 0 does for two
-    # or more columns (one column it sums pairwise, so such a center may
-    # differ in its last bit from the mean)
-    dim = x.shape[1]
-    cols = np.arange(dim)
-    flat = x.ravel()
-    best_labels = None
-    best_inertia = np.inf
-    for _ in range(n_init):
-        centers = np.empty((k, x.shape[1]))
-        centers[0] = x[int(rng.integers(n))]
-        d2 = np.sum((x - centers[0]) ** 2, axis=1)
-        for c in range(1, k):
-            total = d2.sum()
-            if total <= 0:
-                centers[c] = x[int(rng.integers(n))]
-            else:
-                r = rng.random() * total
-                centers[c] = x[int(np.searchsorted(np.cumsum(d2), r))]
-            d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
-        labels = np.zeros(n, dtype=np.int64)
-        seen = {}  # state after the first pass -> passes run when it was reached
-        passes, stop = 0, max_iter
-        settled = False
-        while passes < stop:
-            dist = _sq_dists(x, x2, centers)
-            new_labels = dist.argmin(axis=1)
-            if passes > 0 and (new_labels == labels).all():
-                settled = True
+    r, k, dim = centers.shape
+    n = x.shape[1]
+    cols, points = np.arange(dim), np.arange(n)
+    labels = np.zeros((r, n), dtype=np.int64)
+    inertia = np.empty(r)
+    stop = np.full(r, max_iter)
+    seen = {}  # run -> {(labels, far): the pass that reached them}
+    run = np.arange(r)
+    passes = 0
+    while run.size:
+        own = owner[run]
+        xa = x[own]
+        dist = _sq_dists(xa, x2[own], centers[run])
+        new = dist.argmin(axis=2)
+        old = labels[run]
+        same = (new == old).all(axis=1)
+        end = stop[run] <= passes
+        if passes > 0:
+            end |= same
+        some = end.any()
+        if some:
+            ended = np.flatnonzero(end)
+            inertia[run[ended]] = dist[ended[:, None], points, old[ended]].sum(axis=1)
+            for a in run[ended] if seen else ():
+                seen.pop(a, None)
+            if ended.size == run.size:
                 break
-            counts = np.bincount(new_labels, minlength=k)
-            far = int(dist.min(axis=1).argmax()) if counts.min() == 0 else -1
-            sums = np.bincount((new_labels[:, None] * dim + cols).ravel(), weights=flat, minlength=k * dim)
-            centers = sums.reshape(k, dim) / np.maximum(counts, 1)[:, None]
-            if far >= 0:
-                centers[counts == 0] = x[far]
-            passes += 1
-            if (new_labels == labels).all():  # the first pass, from all-zero labels
-                break
-            labels = new_labels
-            if stop == max_iter:
-                key = (labels.tobytes(), far)
-                if key in seen:
-                    stop = passes + (max_iter - passes) % (passes - seen[key])
+        # every center sum is one bincount over (run, label, column) bins; it
+        # adds a cluster's rows in index order, as numpy's mean over axis 0
+        # does for two or more columns (one column it sums pairwise, so such
+        # a center may differ in its last bit from the mean). The runs that
+        # end here are updated too, and dropped after, which copies nothing.
+        bins = new + k * np.arange(run.size)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=run.size * k).reshape(run.size, k)
+        empty = counts == 0
+        far = None
+        if empty.any():
+            far = np.full(run.size, -1)
+            holed = empty.any(axis=1)
+            far[holed] = dist[holed].min(axis=2).argmax(axis=1)
+        del dist
+        bins *= dim
+        sums = np.bincount((bins[:, :, None] + cols).ravel(), weights=xa.ravel(), minlength=run.size * k * dim)
+        moved = sums.reshape(run.size, k, dim) / np.maximum(counts, 1)[:, :, None]
+        if far is not None:
+            at, cl = np.nonzero(empty)
+            moved[at, cl] = xa[at, far[at]]
+        if some:
+            keep = ~end
+            run, new, moved, same = run[keep], new[keep], moved[keep], same[keep]
+            far = None if far is None else far[keep]
+        centers[run] = moved
+        labels[run] = new
+        passes += 1
+        if passes == 1:
+            stop[run[same]] = 1  # the first pass left the all-zero labels
+        for j in () if far is None else np.flatnonzero(far >= 0):
+            a = run[j]
+            if stop[a] == max_iter:
+                states = seen.setdefault(a, {})
+                key = (new[j].tobytes(), int(far[j]))
+                if key in states:
+                    stop[a] = passes + (max_iter - passes) % (passes - states[key])
                 else:
-                    seen[key] = passes
-        if not settled:
-            dist = _sq_dists(x, x2, centers)
-        # a settled pass left the centers of labelled clusters, the only
-        # ones read here, as they were when dist was computed
-        inertia = float(dist[np.arange(n), labels].sum())
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_labels = labels
-    return best_labels
+                    states[key] = passes
+    return labels, inertia
+
+
+def _kmeans(
+    xs: Sequence[np.ndarray], ks: Sequence[int], rng: np.random.Generator, n_init: int = 4, max_iter: int = 100
+) -> List[np.ndarray]:
+    """Plain Lloyd k-means with k-means++ seeding of every problem p, the rows
+    of xs[p] into ks[p] clusters, as one batch; returns each problem's
+    labels. Written out so results are bit-reproducible under any thread or
+    worker count, and each problem gets the labels, and the stream ends
+    where, solving the problems one after another would give and leave it.
+
+    Draw order: problem, then init; an init draws its first center's index,
+    then one uniform per further center. The Lloyd passes draw nothing, so
+    every seeding's draws are made first and the seedings and passes of all
+    problems run stacked: problems of one cluster count and shape form a
+    group, cut into batches of at most _BATCH_ENTRIES entries, and each
+    batch makes one distance evaluation per pass. A problem takes the
+    labels of its init of lowest inertia, ties to the earlier init. k >= n gives every
+    point its own cluster and draws nothing; k = 1 makes only the seed
+    draws.
+
+    The guard: once every point sits on a center (fewer distinct rows than
+    k) a seeding's sampling total is 0 and its later centers are drawn as
+    indices instead. Each run carries the step from which it takes indices
+    (k: never); after the stacked seeding, the first run in draw order
+    whose totals disagree with its step gets the step they call for (and a
+    zero total is assumed for the problem's later inits too), the stream is
+    rewound and everything is drawn and seeded again. A run's draws up to
+    its first disagreement are the sequential ones, so this ends, and it
+    ends with every run's draws and centers those of the sequential
+    seeding.
+    """
+    # k >= n: a cluster per point; k = 1: one cluster; else the best run's
+    out = [np.arange(len(x)) % k if k >= len(x) else np.zeros(len(x), dtype=np.int64) for x, k in zip(xs, ks)]
+    drawn = [p for p, (x, k) in enumerate(zip(xs, ks)) if k < len(x)]
+    groups = {}  # (k, shape) -> its problems, in order
+    for p in drawn:
+        if ks[p] > 1:
+            groups.setdefault((ks[p], xs[p].shape), []).append(p)
+    stops = {p: np.full(n_init, ks[p]) for p in drawn}
+    start = rng.bit_generator.state
+    while True:
+        draws = {p: _seed_draws(len(xs[p]), ks[p], stops[p], rng) for p in drawn}
+        batches, wrong = [], []
+        for (k, (n, dim)), members in groups.items():
+            x = np.stack([xs[p] for p in members])
+            x2 = (x * x).sum(axis=2)
+            owner = np.repeat(np.arange(len(members)), n_init)
+            picks = np.concatenate([draws[p][0] for p in members])
+            u = np.concatenate([draws[p][1] for p in members])
+            run_stops = np.concatenate([stops[p] for p in members])
+            size = max(1, _BATCH_ENTRIES // (n * max(k, dim)))
+            for lo in range(0, owner.size, size):
+                part = slice(lo, lo + size)
+                centers, bad, zero = _seed(x, owner[part], picks[part], u[part], run_stops[part])
+                batches.append((x, x2, owner[part], centers, members))
+                for j in np.flatnonzero(bad < k):
+                    run = lo + j
+                    wrong.append((drawn.index(members[owner[run]]), run % n_init, int(bad[j]), bool(zero[j])))
+        if not wrong:
+            break
+        rng.bit_generator.state = start
+        pos, init, step, zero = min(wrong)
+        stop = stops[drawn[pos]]
+        if zero:
+            stop[init:] = step
+        else:
+            stop[init] = ks[drawn[pos]]
+
+    best = {p: np.inf for members in groups.values() for p in members}  # lowest inertia so far
+    for x, x2, owner, centers, members in batches:
+        labels, inertia = _lloyd(x, x2, owner, centers, max_iter)
+        for p, lab, val in zip((members[o] for o in owner), labels, inertia):
+            if val < best[p]:
+                best[p], out[p] = val, lab
+    return out
 
 
 def spectral_basis(g: MultilayerGraph, k_max: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -254,8 +400,10 @@ def _check_basis(basis: Tuple[np.ndarray, np.ndarray], g: MultilayerGraph, k: in
 
 
 def _spectral_labels(vals: np.ndarray, vecs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized spectral clustering of one layer from its basis (one layer
-    of spectral_basis).
+    """Normalized spectral clustering of layers from their basis: vals (...,
+    m) and vecs (..., N, m), one layer of spectral_basis or a stack of them;
+    returns labels (..., N). All layers' k-means run as one _kmeans batch,
+    in layer order.
 
     The group count is the layer's own effective one, chosen by the largest
     eigengap among the top k eigenvalues of the normalized adjacency (capped
@@ -263,13 +411,19 @@ def _spectral_labels(vals: np.ndarray, vecs: np.ndarray, k: int, rng: np.random.
     true coarse co-membership instead of an arbitrary refinement, which is
     what makes co-membership features comparable across layers.
     """
-    top = vals[::-1][: min(k + 1, vecs.shape[0])]
-    gaps = top[:-1] - top[1:]
-    c = int(np.argmax(gaps)) + 1 if gaps.size else 1
-    emb = vecs[:, -c:]
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    emb = emb / np.where(norms > 0, norms, 1.0)
-    return _kmeans(emb, c, rng)
+    n, m = vecs.shape[-2:]
+    top = vals.reshape(-1, m)[:, ::-1][:, : min(k + 1, n)]
+    gaps = top[:, :-1] - top[:, 1:]
+    counts = gaps.argmax(axis=1) + 1 if gaps.shape[1] else np.ones(top.shape[0], dtype=np.int64)
+    vecs = vecs.reshape(-1, n, m)
+    embs = [None] * counts.size
+    for c in sorted(set(counts.tolist())):
+        lays = np.flatnonzero(counts == c)
+        emb = vecs[lays, :, -c:]
+        norms = np.linalg.norm(emb, axis=2, keepdims=True)
+        for lay, rows in zip(lays, emb / np.where(norms > 0, norms, 1.0)):
+            embs[lay] = rows
+    return np.stack(_kmeans(embs, counts.tolist(), rng)).reshape(vals.shape[:-1] + (n,))
 
 
 def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -292,10 +446,12 @@ def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     dense features, which k-means++ seeding relies on.
     """
     v, n = labels.shape
-    canon = np.empty_like(labels)
-    for lay, lab in enumerate(labels):
-        _, first, inv = np.unique(lab, return_index=True, return_inverse=True)
-        canon[lay] = np.argsort(np.argsort(first))[inv]
+    # (layer, label) keys in layer order; a key's rank by first appearance,
+    # less the number of keys of the earlier layers, is its new label
+    top = labels.max() + 1
+    keys, first, inv = np.unique(labels + top * np.arange(v)[:, None], return_index=True, return_inverse=True)
+    earlier = np.searchsorted(keys, keys // top * top)
+    canon = (np.argsort(np.argsort(first)) - earlier)[inv].reshape(v, n)
     parts, which, mult = np.unique(canon, axis=0, return_inverse=True, return_counts=True)
     sizes = parts.max(axis=1) + 1
     starts = np.cumsum(sizes) - sizes
@@ -356,10 +512,9 @@ def init_variational(
         nu = rng.dirichlet(np.ones(q), size=g.v)
     elif strategy == "per_view_spectral":
         vals, vecs = spectral_basis(g, k) if basis is None else basis
-        labels = np.stack([_spectral_labels(vals[lay], vecs[lay], k, rng) for lay in range(g.v)])
-        layer_rows, node_rows = _comembership_embeddings(labels)
-        w_labels = _kmeans(layer_rows, q, rng)
-        z_labels = _kmeans(node_rows, k, rng)
+        layer_rows, node_rows = _comembership_embeddings(_spectral_labels(vals, vecs, k, rng))
+        w_labels = _kmeans([layer_rows], [q], rng)[0]
+        z_labels = _kmeans([node_rows], [k], rng)[0]
         nu = _soften(w_labels, q)
         tau = _soften(z_labels, k)
     else:

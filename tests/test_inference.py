@@ -275,7 +275,7 @@ def test_kmeans_matches_oracle_on_tied_and_duplicate_points():
         x = base[rng.integers(0, distinct, size=n)]
         max_iter = (100, 1, 2, 7, 13)[trial % 5]
         got_rng, want_rng = rng_stream(trial), rng_stream(trial)
-        got = inference._kmeans(x, k, got_rng, max_iter=max_iter)
+        got = inference._kmeans([x], [k], got_rng, max_iter=max_iter)[0]
         want = kmeans_oracle(x, k, want_rng, max_iter=max_iter)
         assert np.array_equal(got, want), trial
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
@@ -306,7 +306,7 @@ def test_kmeans_matches_oracle_on_one_column():
             x = x[rng.integers(0, max(1, k - 2), size=n)]
         max_iter = (100, 1, 2, 7, 13)[trial % 5]
         got_rng, want_rng = rng_stream(trial), rng_stream(trial)
-        got = inference._kmeans(x, k, got_rng, max_iter=max_iter)
+        got = inference._kmeans([x], [k], got_rng, max_iter=max_iter)[0]
         want = kmeans_oracle(x, k, want_rng, max_iter=max_iter)
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
         if kind < 3:
@@ -332,13 +332,13 @@ def test_kmeans_matches_oracle_when_a_cluster_empties_mid_run(monkeypatch, seed)
     real = inference._sq_dists
 
     def watching(x, x2, centers):
-        dist = real(x, x2, centers)
-        empty.append(np.bincount(dist.argmin(axis=1), minlength=k).min() == 0)
+        dist = real(x, x2, centers)  # one (N, k) slice per run
+        empty.append(any(np.bincount(lab, minlength=k).min() == 0 for lab in dist.argmin(axis=2)))
         return dist
 
     monkeypatch.setattr(inference, "_sq_dists", watching)
     got_rng, want_rng = rng_stream(seed), rng_stream(seed)
-    got = inference._kmeans(x, k, got_rng)
+    got = inference._kmeans([x], [k], got_rng)[0]
     assert any(empty)
     want = kmeans_oracle(x, k, want_rng)
     assert np.array_equal(got, want)
@@ -353,11 +353,129 @@ def test_kmeans_stops_early_when_k_exceeds_distinct_points(monkeypatch):
     x = rng.normal(size=(5, 3))[rng.permutation(np.arange(100) % 5)]
     calls = count_calls(monkeypatch, inference, "_sq_dists")
     got_rng, want_rng = rng_stream(0), rng_stream(0)
-    got = inference._kmeans(x, 7, got_rng)
+    got = inference._kmeans([x], [7], got_rng)[0]
     want = kmeans_oracle(x, 7, want_rng)
     assert np.array_equal(got, want)
     assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
     assert len(calls) < 40, len(calls)
+
+
+def _basis_labels_oracle(vals, vecs, k, rng):
+    """The per-layer loop on a given basis: each layer's eigengap count,
+    row-normed embedding and its own kmeans_oracle call, on one stream."""
+    out = []
+    for w, u in zip(vals, vecs):
+        top = w[::-1][: min(k + 1, u.shape[0])]
+        gaps = top[:-1] - top[1:]
+        c = int(np.argmax(gaps)) + 1 if gaps.size else 1
+        emb = u[:, -c:]
+        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        out.append(kmeans_oracle(emb / np.where(norms > 0, norms, 1.0), c, rng))
+    return np.stack(out)
+
+
+def _guard_basis(rng, n, v):
+    """A basis whose layers have eigengap counts 1 to 4 at k = 5, some with
+    fewer distinct embedding rows than their count (so a k-means++ total
+    reaches 0 and the seeding draws indices), and one with ties."""
+    m = 6
+    vals = np.empty((v, m))
+    vecs = rng.normal(size=(v, n, m))
+    for lay in range(v):
+        c = 1 + lay % 4
+        vals[lay] = np.sort(np.r_[rng.uniform(-0.5, 0.1, m - c), 1.0 - 0.01 * np.arange(c)])
+        if lay % 3 == 1:  # c - 1 distinct rows
+            vecs[lay] = vecs[lay, rng.integers(0, max(1, c - 1), size=n)]
+        elif lay % 3 == 2:  # rows on a few integer points
+            vecs[lay] = np.round(vecs[lay])[rng.integers(0, c + 1, size=n)]
+    return vals, vecs
+
+
+def test_spectral_labels_batch_matches_per_layer_oracle():
+    # one batch per init against the per-layer loop on one shared stream:
+    # same labels, same stream position. Planted layers with several
+    # eigengap counts (one-block components give c = 1), a k = n graph, the
+    # two-disjoint-triangles tie, and made-up bases whose embeddings have
+    # fewer distinct rows than their count (the seeding's guard path)
+    triangles = build_graph(6, 1, [(0, 1, 0), (0, 2, 0), (1, 2, 0), (3, 4, 0), (3, 5, 0), (4, 5, 0)])
+    mixed, _ = generate_dataset(  # eigengap counts 1, 1, 2, 2, 2, 4, 4, 4
+        SimulationConfig(n=40, v=8, k=4, q=3, p_in=0.9, p_out=0.05, component_k=(4, 2, 1)), rng_stream(86)
+    )
+    graphs = [triangles, mixed] + [g for g, _, _ in _spectral_graphs()]
+    for g in graphs:
+        for k in sorted({1, 2, 3, 4, g.n}):
+            vals, vecs = spectral_basis(g, g.n)
+            got_rng, want_rng = rng_stream(k, g.n), rng_stream(k, g.n)
+            got = inference._spectral_labels(vals, vecs, k, got_rng)
+            want = np.stack([spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, want_rng) for lay in range(g.v)])
+            assert np.array_equal(got, want), (g.n, k)
+            assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), (g.n, k)
+    rng = np.random.default_rng(82)
+    for trial in range(40):
+        vals, vecs = _guard_basis(rng, int(rng.integers(6, 40)), int(rng.integers(1, 9)))
+        got_rng, want_rng = rng_stream(trial), rng_stream(trial)
+        got = inference._spectral_labels(vals, vecs, 5, got_rng)
+        want = _basis_labels_oracle(vals, vecs, 5, want_rng)
+        assert np.array_equal(got, want), trial
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
+
+
+def test_kmeans_batch_matches_one_problem_at_a_time():
+    # several problems in one call against kmeans_oracle per problem on one
+    # stream: k = 1, k >= n, k above the number of distinct rows (the guard
+    # and the recurrence stop), ties, equal shapes sharing a group, and
+    # short max_iter
+    rng = np.random.default_rng(83)
+    for trial in range(150):
+        xs, ks = [], []
+        for _ in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(2, 30))
+            distinct = int(rng.integers(1, 8))
+            base = rng.normal(size=(distinct, 2 + trial % 3))
+            if trial % 2:
+                base = np.round(base)
+            xs.append(base[rng.integers(0, distinct, size=n)])
+            ks.append(int(rng.integers(1, min(n, distinct + 3) + 1)) if trial % 5 else n + int(rng.integers(0, 2)))
+        if trial % 4 == 0:  # a second problem of the first one's shape and k
+            xs.append(rng.normal(size=xs[0].shape))
+            ks.append(ks[0])
+        max_iter = (100, 1, 2, 7)[trial % 4]
+        got_rng, want_rng = rng_stream(trial), rng_stream(trial)
+        got = inference._kmeans(xs, ks, got_rng, max_iter=max_iter)
+        want = [kmeans_oracle(x, k, want_rng, max_iter=max_iter) for x, k in zip(xs, ks)]
+        for p, (a, b) in enumerate(zip(got, want)):
+            assert np.array_equal(a, b), (trial, p)
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
+
+
+def test_spectral_labels_evaluate_distances_once_per_pass_per_group(monkeypatch):
+    # the per-layer loop made one distance evaluation per pass per layer (its
+    # inits batched); the batch makes one per pass per eigengap count: as
+    # many as the slowest layer of each count needs alone
+    g, _ = generate_dataset(
+        SimulationConfig(n=40, v=8, k=4, q=3, p_in=0.9, p_out=0.05, component_k=(4, 2, 1)), rng_stream(86)
+    )
+    vals, vecs = spectral_basis(g, 4)
+    problems = []
+    real_kmeans = inference._kmeans
+
+    def recording(xs, ks, rng, **kwargs):
+        problems.extend(zip(xs, ks))
+        return real_kmeans(xs, ks, rng, **kwargs)
+
+    monkeypatch.setattr(inference, "_kmeans", recording)
+    calls = count_calls(monkeypatch, inference, "_sq_dists")
+    inference._spectral_labels(vals, vecs, 4, rng_stream(0))
+    batched = len(calls)
+    alone = {}  # eigengap count -> evaluations of each layer alone
+    rng = rng_stream(0)
+    for x, c in problems:
+        del calls[:]
+        real_kmeans([x], [c], rng)
+        alone.setdefault(c, []).append(len(calls))
+    assert len([c for c in alone if c > 1]) >= 2, alone  # several groups
+    assert batched == sum(max(counts) for counts in alone.values()), (batched, alone)
+    assert batched < sum(sum(counts) for counts in alone.values()), (batched, alone)
 
 
 # ---------------------------------------------------------------- VBE updates
