@@ -18,7 +18,12 @@ so the initial responsibilities are absorbed into the conjugate posteriors;
 without it the first node sweep would start from flat priors and erase the
 initialization. A fit's restarts iterate in lockstep: one node sweep call
 per round serves every restart still iterating, and gives each the result
-it would get alone.
+it would get alone. The loop draws nothing after the init, so a restart
+whose init state is bit-equal to an earlier restart's is not run: it takes
+that restart's state, bound trace and convergence flag, and its entry in
+restart_elbos is that restart's bound. Spectral init renames its node and
+layer labels by first appearance, so its state is a function of the two
+k-means partitions and restarts that find the same partitions repeat.
 
 Spectral init clusters every layer's embedding with k-means in one batch
 per init, then the layers and the nodes: _kmeans draws all the k-means++
@@ -84,8 +89,10 @@ class FitReport:
 
     elbo_trace holds one bound value per outer iteration of the winning
     restart. iterations == len(elbo_trace). restart_elbos holds each
-    restart's final bound; best_restart is the argmax, ties toward the
-    lower index.
+    restart's final bound, one entry per restart; a restart whose init
+    repeats an earlier restart's is not run and its entry is that
+    restart's bound. best_restart is the argmax, ties toward the lower
+    index, so it is always the first restart of its init.
     """
 
     state: VariationalState
@@ -289,7 +296,12 @@ def _lloyd(x, x2, owner, centers, max_iter):
 
 
 def _kmeans(
-    xs: Sequence[np.ndarray], ks: Sequence[int], rng: np.random.Generator, n_init: int = 4, max_iter: int = 100
+    xs: Sequence[np.ndarray],
+    ks: Sequence[int],
+    rng: np.random.Generator,
+    distinct: Optional[Sequence[int]] = None,
+    n_init: int = 4,
+    max_iter: int = 100,
 ) -> List[np.ndarray]:
     """Plain Lloyd k-means with k-means++ seeding of every problem p, the rows
     of xs[p] into ks[p] clusters, as one batch; returns each problem's
@@ -309,14 +321,16 @@ def _kmeans(
 
     The guard: once every point sits on a center (fewer distinct rows than
     k) a seeding's sampling total is 0 and its later centers are drawn as
-    indices instead. Each run carries the step from which it takes indices
-    (k: never); after the stacked seeding, the first run in draw order
-    whose totals disagree with its step gets the step they call for (and a
-    zero total is assumed for the problem's later inits too), the stream is
-    rewound and everything is drawn and seeded again. A run's draws up to
-    its first disagreement are the sequential ones, so this ends, and it
-    ends with every run's draws and centers those of the sequential
-    seeding.
+    indices instead. Each run carries the step from which it takes indices:
+    min(k, distinct[p]) when the caller passes problem p's count of distinct
+    rows (each sampled center is a row not yet covered, so the total is 0
+    from that step on), else k (never). After the stacked seeding, the
+    first run in draw order whose totals disagree with its step gets the
+    step they call for (and a zero total is assumed for the problem's later
+    inits too), the stream is rewound and everything is drawn and seeded
+    again. A run's draws up to its first disagreement are the sequential
+    ones, so this ends, and it ends with every run's draws and centers
+    those of the sequential seeding; a right count only spares the redraw.
     """
     # k >= n: a cluster per point; k = 1: one cluster; else the best run's
     out = [np.arange(len(x)) % k if k >= len(x) else np.zeros(len(x), dtype=np.int64) for x, k in zip(xs, ks)]
@@ -325,7 +339,7 @@ def _kmeans(
     for p in drawn:
         if ks[p] > 1:
             groups.setdefault((ks[p], xs[p].shape), []).append(p)
-    stops = {p: np.full(n_init, ks[p]) for p in drawn}
+    stops = {p: np.full(n_init, ks[p] if distinct is None else min(ks[p], distinct[p])) for p in drawn}
     start = rng.bit_generator.state
     while True:
         draws = {p: _seed_draws(len(xs[p]), ks[p], stops[p], rng) for p in drawn}
@@ -426,10 +440,37 @@ def _spectral_labels(vals: np.ndarray, vecs: np.ndarray, k: int, rng: np.random.
     return np.stack(_kmeans(embs, counts.tolist(), rng)).reshape(vals.shape[:-1] + (n,))
 
 
-def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _first_appearance(labels: np.ndarray) -> np.ndarray:
+    """Each row of the labels (..., N) renamed 0, 1, ... in order of first
+    appearance, so equal partitions get equal labels."""
+    rows = labels.reshape(-1, labels.shape[-1])
+    # (row, label) keys in row order; a key's rank by first appearance, less
+    # the number of keys of the earlier rows, is its new label
+    top = rows.max() + 1
+    keys, first, inv = np.unique(rows + top * np.arange(len(rows))[:, None], return_index=True, return_inverse=True)
+    earlier = np.searchsorted(keys, keys // top * top)
+    return (np.argsort(np.argsort(first)) - earlier)[inv].reshape(labels.shape)
+
+
+def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_inverse=True, return_counts=True) for
+    integer rows, without its sort through a structured dtype: the distinct
+    rows in lexicographic order, each row's index among them, and their
+    counts."""
+    keys = [row.tobytes() for row in rows]
+    first = dict(zip(keys, rows))
+    order = sorted(first, key=lambda key: first[key].tolist())
+    rank = {key: i for i, key in enumerate(order)}
+    which = np.array([rank[key] for key in keys])
+    return np.stack([first[key] for key in order]), which, np.bincount(which)
+
+
+def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
     """Exact low-dimensional stand-ins for the co-membership features of the
     layer partitions `labels` (V, N): the V flattened N x N matrices C_v with
     C_v[i, j] = [labels[v, i] == labels[v, j]], and the N rows of their mean.
+    Also returns the number of distinct partitions, which is the number of
+    distinct layer rows.
 
     Let H be the N x C' one-hot matrix of the blocks of the distinct
     partitions and H = QR. Layer v with partition p maps to vec(R_p R_p^T) =
@@ -446,13 +487,7 @@ def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     dense features, which k-means++ seeding relies on.
     """
     v, n = labels.shape
-    # (layer, label) keys in layer order; a key's rank by first appearance,
-    # less the number of keys of the earlier layers, is its new label
-    top = labels.max() + 1
-    keys, first, inv = np.unique(labels + top * np.arange(v)[:, None], return_index=True, return_inverse=True)
-    earlier = np.searchsorted(keys, keys // top * top)
-    canon = (np.argsort(np.argsort(first)) - earlier)[inv].reshape(v, n)
-    parts, which, mult = np.unique(canon, axis=0, return_inverse=True, return_counts=True)
+    parts, which, mult = _distinct_rows(_first_appearance(labels))
     sizes = parts.max(axis=1) + 1
     starts = np.cumsum(sizes) - sizes
     cols = parts + starts[:, None]  # column of H holding each node's block, per partition
@@ -463,7 +498,7 @@ def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     node_rows = np.zeros((n, r.shape[0]))
     for col, m in zip(cols, mult):
         node_rows += m * r.T[col]
-    return layer_rows[which.ravel()], node_rows / v
+    return layer_rows[which], node_rows / v, len(parts)
 
 
 def _soften(labels: np.ndarray, k: int) -> np.ndarray:
@@ -489,7 +524,9 @@ def init_variational(
     per layer, layers grouped by k-means on their co-membership patterns,
     nodes by k-means on the mean co-membership matrix (both on the exact
     embeddings of _comembership_embeddings, no N x N matrix is formed);
-    both softened to 0.9 on the assigned cluster plus 0.1 spread uniformly.
+    both renamed by first appearance, so the state is a function of the two
+    partitions alone, and softened to 0.9 on the assigned cluster plus 0.1
+    spread uniformly.
     The spectral labels come from `basis`, the output of
     spectral_basis(g, k_max) for some k_max >= k; when it is None it is
     computed here.
@@ -512,11 +549,11 @@ def init_variational(
         nu = rng.dirichlet(np.ones(q), size=g.v)
     elif strategy == "per_view_spectral":
         vals, vecs = spectral_basis(g, k) if basis is None else basis
-        layer_rows, node_rows = _comembership_embeddings(_spectral_labels(vals, vecs, k, rng))
-        w_labels = _kmeans([layer_rows], [q], rng)[0]
+        layer_rows, node_rows, parts = _comembership_embeddings(_spectral_labels(vals, vecs, k, rng))
+        w_labels = _kmeans([layer_rows], [q], rng, [parts])[0]
         z_labels = _kmeans([node_rows], [k], rng)[0]
-        nu = _soften(w_labels, q)
-        tau = _soften(z_labels, k)
+        nu = _soften(_first_appearance(w_labels), q)
+        tau = _soften(_first_appearance(z_labels), k)
     else:
         raise DomainError(f"unknown init strategy: {strategy!r}")
 
@@ -714,6 +751,13 @@ def fit(
     max_iter. The sweep gives each state the result it would get alone, so
     every restart ends where it would if the restarts ran one after another.
 
+    Repeats run once: nothing after the init draws, so a restart whose init
+    (tau, nu) is bit-equal to an earlier restart's neither joins the batch
+    nor takes the absorbing M-step, and takes that restart's state, bound
+    trace and convergence flag; its restart_elbos entry is that restart's
+    bound. Spectral inits repeat whenever the k-means partitions do (their
+    labels are renamed by first appearance); random inits never do.
+
     With spectral init every restart slices one spectral basis: `basis` when
     given (spectral_basis(g, k_max), k_max >= k, as a grid driver shares it
     across cells), else one computed here before the first restart.
@@ -732,15 +776,20 @@ def fit(
         basis = spectral_basis(g, k)
     a = g.layer_stack()
 
-    states = []
+    # source[r]: the first restart whose init is bit-equal to restart r's;
+    # only those run, the loop draws nothing and so the others repeat them
+    states, source, inits = [], [], {}
     for r in range(cfg.n_restarts):
         state = init_variational(g, k, q, priors, cfg.init_strategy, rng_stream(cfg.seed, k, q, r), basis)
-        stats = sufficient_stats(a, state.tau)
-        states.append(VariationalState(state.tau, state.nu, *m_step(stats, state.nu, priors)))
+        source.append(inits.setdefault((state.tau.tobytes(), state.nu.tobytes()), r))
+        if source[r] == r:
+            stats = sufficient_stats(a, state.tau)
+            state = VariationalState(state.tau, state.nu, *m_step(stats, state.nu, priors))
+        states.append(state)
 
     traces: list[list[float]] = [[] for _ in states]
     done = [False] * len(states)
-    live = list(range(len(states)))
+    live = [r for r in range(len(states)) if source[r] == r]
     for _ in range(cfg.max_iter):
         for r, tau in zip(live, vbe_update_tau(a, [states[r] for r in live])):
             stats = sufficient_stats(a, tau)
@@ -754,6 +803,7 @@ def fit(
         live = [r for r in live if not done[r]]
         if not live:
             break
+    states, traces, done = ([xs[s] for s in source] for xs in (states, traces, done))
 
     restart_elbos = [trace[-1] for trace in traces]
     # max keeps the first of equal bounds, i.e. the lowest restart index

@@ -461,6 +461,12 @@ def comembership_features(labels: np.ndarray):
     return coms.reshape(v, -1), coms.mean(axis=0)
 
 
+def first_appearance_oracle(labels) -> np.ndarray:
+    """The labels renamed 0, 1, ... in order of first appearance."""
+    names = {}
+    return np.array([names.setdefault(x, len(names)) for x in np.asarray(labels).tolist()], dtype=np.int64)
+
+
 def init_variational_oracle(g, k, q, priors, strategy="random", rng=None, basis=None):
     """init_variational with every call eigendecomposing each layer again.
     Takes init_variational's arguments so it can stand in for it; `basis` is
@@ -471,8 +477,8 @@ def init_variational_oracle(g, k, q, priors, strategy="random", rng=None, basis=
         rng = rng_stream(0)
     labels = np.stack([spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, rng) for lay in range(g.v)])
     layer_features, node_features = comembership_features(labels)
-    w_labels = kmeans_oracle(layer_features, q, rng)
-    z_labels = kmeans_oracle(node_features, k, rng)
+    w_labels = first_appearance_oracle(kmeans_oracle(layer_features, q, rng))
+    z_labels = first_appearance_oracle(kmeans_oracle(node_features, k, rng))
     return VariationalState(
         tau=_floor_rows(_soften(z_labels, k), _INIT_FLOOR),
         nu=_floor_rows(_soften(w_labels, q), _INIT_FLOOR),

@@ -36,6 +36,7 @@ from helpers import (
     connectivity_oracle,
     count_calls,
     count_eigh,
+    first_appearance_oracle,
     fit_oracle,
     init_variational_oracle,
     kmeans_oracle,
@@ -202,12 +203,45 @@ def test_comembership_embeddings_keep_distances_of_dense_features():
 
 def test_comembership_embeddings_equal_partitions_give_equal_rows():
     a, b, _ = _label_sets()
-    layers, nodes = inference._comembership_embeddings(a)
+    layers, nodes, parts = inference._comembership_embeddings(a)
     assert layers[0].tobytes() == layers[1].tobytes()
     assert layers[2].tobytes() == layers[3].tobytes()
     assert nodes[3].tobytes() == nodes[5].tobytes()
-    layers, nodes = inference._comembership_embeddings(b)
+    assert parts == len({tuple(first_appearance_oracle(row)) for row in a}) == len({row.tobytes() for row in layers})
+    layers, nodes, parts = inference._comembership_embeddings(b)
     assert layers[0].tobytes() == layers[1].tobytes()
+    assert parts == 3
+
+
+def test_first_appearance_renames_each_row():
+    rng = np.random.default_rng(91)
+    for trial in range(100):
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 30)))
+        labels = rng.integers(0, int(rng.integers(1, 9)), size=shape) * int(rng.integers(1, 4))
+        got = inference._first_appearance(labels)
+        assert np.array_equal(got, np.stack([first_appearance_oracle(row) for row in labels])), trial
+        assert np.array_equal(inference._first_appearance(labels[0]), first_appearance_oracle(labels[0])), trial
+
+
+def test_distinct_rows_match_numpy_unique():
+    # random partitions, V = 1, all partitions equal, and a relabelled copy
+    # that first appearance makes equal
+    rng = np.random.default_rng(92)
+    cases = []
+    for trial in range(60):
+        v, n = int(rng.integers(1, 16)), int(rng.integers(1, 40))
+        labels = rng.integers(0, int(rng.integers(1, 6)), size=(v, n))
+        if trial % 3 == 1:
+            labels = labels[rng.integers(0, max(1, v // 3), size=v)]
+        cases.append(labels)
+    cases += [np.zeros((1, 7), dtype=np.int64), np.tile(np.arange(5), (4, 1)), np.array([[1, 0, 1], [0, 1, 0]])]
+    for trial, labels in enumerate(cases):
+        canon = inference._first_appearance(labels)
+        got = inference._distinct_rows(canon)
+        want = np.unique(canon, axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(got[0], want[0]), trial
+        assert np.array_equal(got[1], want[1].ravel()), trial
+        assert np.array_equal(got[2], want[2]), trial
 
 
 def test_init_spectral_memory_is_below_one_byte_per_comembership_entry():
@@ -358,6 +392,58 @@ def test_kmeans_stops_early_when_k_exceeds_distinct_points(monkeypatch):
     assert np.array_equal(got, want)
     assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
     assert len(calls) < 40, len(calls)
+
+
+def test_layer_grouping_seeds_once_when_q_exceeds_the_distinct_partitions(monkeypatch):
+    # a select-grid-sized cell (N=100, V=12, switch 0) with q above the
+    # number of distinct layer partitions: the seeding starts drawing indices
+    # at that count instead of finding it by a redraw, with the labels and
+    # stream end of kmeans_oracle
+    g, _ = generate_dataset(
+        SimulationConfig(n=100, v=12, k=5, q=3, p_in=0.99, p_out=0.01, component_k=(5, 3, 2)), rng_stream(2000)
+    )
+    vals, vecs = spectral_basis(g, 5)
+    layer_rows, _, parts = inference._comembership_embeddings(inference._spectral_labels(vals, vecs, 5, rng_stream(1)))
+    q = 5
+    assert parts < q
+    seeds = count_calls(monkeypatch, inference, "_seed")
+    for distinct, seedings in ((None, 2), ([parts], 1)):
+        seeds.clear()
+        got_rng, want_rng = rng_stream(7), rng_stream(7)
+        got = inference._kmeans([layer_rows], [q], got_rng, distinct)[0]
+        assert len(seeds) == seedings
+        assert np.array_equal(got, kmeans_oracle(layer_rows, q, want_rng))
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+    # in the init, the layer grouping is the one-problem call on V rows
+    grouping = []
+    real = inference._kmeans
+
+    def recording(xs, ks, rng, *args, **kwargs):
+        before = len(seeds)
+        out = real(xs, ks, rng, *args, **kwargs)
+        if len(xs) == 1 and len(xs[0]) == g.v:
+            grouping.append(len(seeds) - before)
+        return out
+
+    monkeypatch.setattr(inference, "_kmeans", recording)
+    init_variational(g, 5, q, PriorHyperparams.jeffreys(5, q), "per_view_spectral", rng_stream(1), (vals, vecs))
+    assert grouping == [1]
+
+
+def test_kmeans_guard_corrects_a_wrong_distinct_count():
+    # the count is a hint that the seeding's guard checks: too low or too
+    # high, labels and stream end stay those of kmeans_oracle
+    rng = np.random.default_rng(93)
+    for trial in range(60):
+        distinct = int(rng.integers(1, 6))
+        n = int(rng.integers(distinct + 1, 30))
+        x = rng.normal(size=(distinct, 2))[rng.permutation(np.arange(n) % distinct)]
+        k = int(rng.integers(2, min(n, distinct + 3) + 1))
+        hint = max(1, distinct + int(rng.integers(-2, 3)))
+        got_rng, want_rng = rng_stream(trial), rng_stream(trial)
+        got = inference._kmeans([x], [k], got_rng, [hint])[0]
+        assert np.array_equal(got, kmeans_oracle(x, k, want_rng)), trial
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
 
 
 def _basis_labels_oracle(vals, vecs, k, rng):
@@ -606,20 +692,39 @@ def _sweep_batches(monkeypatch) -> list:
     return batches
 
 
+def _distinct_inits(monkeypatch) -> list:
+    """Record the (tau, nu) bytes of each inference.init_variational call
+    for the rest of the test."""
+    inits = []
+    real = inference.init_variational
+
+    def init(*args):
+        state = real(*args)
+        inits.append((state.tau.tobytes(), state.nu.tobytes()))
+        return state
+
+    monkeypatch.setattr(inference, "init_variational", init)
+    return inits
+
+
 def test_fit_sweeps_the_live_restarts_once_per_round(monkeypatch):
-    # the batch shrinks as restarts converge or run out of iterations, and
-    # every restart in a round's batch evaluates one bound in that round
+    # the batch, one state per distinct init, shrinks as restarts converge
+    # or run out of iterations, and every restart in a round's batch
+    # evaluates one bound in that round
     g = random_graph(np.random.default_rng(90), 30, 4, p=0.3)
     batches = _sweep_batches(monkeypatch)
     bounds = count_calls(monkeypatch, inference, "compute_elbo")
+    inits = _distinct_inits(monkeypatch)
     seen = {}
     for strategy, restarts, max_iter in (("random", 5, 200), ("random", 4, 3), ("per_view_spectral", 3, 200)):
         batches.clear()
         bounds.clear()
+        inits.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             rep = fit(g, 3, 2, FitConfig(seed=6, n_restarts=restarts, max_iter=max_iter, init_strategy=strategy))
-        assert batches[0] == restarts and rep.iterations <= len(batches) <= max_iter
+        assert len(inits) == restarts
+        assert batches[0] == len(set(inits)) and rep.iterations <= len(batches) <= max_iter
         assert all(x >= y for x, y in zip(batches, batches[1:])), batches
         assert sum(batches) == len(bounds)
         seen[strategy, max_iter] = list(batches)
@@ -987,6 +1092,94 @@ def test_fit_eigendecomposes_each_layer_once(monkeypatch):
     assert calls == []
 
 
+def _assert_same_report(got, want, where=None):
+    """Byte equality of two FitReports' state, traces and winner."""
+    for name in ("tau", "nu", "beta", "theta", "eta", "xi"):
+        assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes(), (where, name)
+    assert np.array(got.elbo_trace).tobytes() == np.array(want.elbo_trace).tobytes(), where
+    assert np.array(got.restart_elbos).tobytes() == np.array(want.restart_elbos).tobytes(), where
+    assert (got.best_restart, got.converged) == (want.best_restart, want.converged), where
+
+
+def _acceptance_fits():
+    """(graph, k, q, config) of fits on the acceptance-4 data (N=200, V=15,
+    switch 0, 5 spectral restarts, at the planted (5, 3)) and on the
+    acceptance-5 data (N=100, V=12, 3 spectral restarts, K 2..8 x Q 2..5)."""
+    fits = []
+    for seed in range(5):
+        cfg = SimulationConfig(n=200, v=15, k=5, q=3, p_in=0.99, p_out=0.01, p_switch=0.0)
+        g, _ = generate_dataset(cfg, rng_stream(seed))
+        fits.append((g, 5, 3, FitConfig(seed=seed, n_restarts=5, init_strategy="per_view_spectral")))
+    for seed in range(2):
+        cfg = SimulationConfig(n=100, v=12, k=5, q=3, p_in=0.99, p_out=0.01, p_switch=0.0, component_k=(5, 3, 2))
+        g, _ = generate_dataset(cfg, rng_stream(2000 + seed))
+        fc = FitConfig(seed=seed, n_restarts=3, init_strategy="per_view_spectral")
+        fits += [(g, k, q, fc) for k in range(2, 9) for q in range(2, 6)]
+    return fits
+
+
+def test_fit_equals_every_restart_run_on_acceptance_data(monkeypatch):
+    # fit runs each distinct init once; the oracle runs every restart, one
+    # after another. Most of these restarts repeat an earlier one's init
+    inits = _distinct_inits(monkeypatch)
+    repeats = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        for g, k, q, cfg in _acceptance_fits():
+            inits.clear()
+            _assert_same_report(fit(g, k, q, cfg), fit_oracle(g, k, q, cfg), (k, q))
+            repeats += cfg.n_restarts - len(set(inits))
+    assert repeats > 50, repeats
+
+
+def test_fit_sweeps_and_bounds_each_distinct_init_once(monkeypatch):
+    # acceptance-4 data: of 5 spectral restarts only the distinct inits join
+    # the first round's sweep; a repeat takes no absorbing M-step and no
+    # bound of its own, and its restart_elbos entry is its first's bound
+    g, _ = generate_dataset(SimulationConfig(n=200, v=15, k=5, q=3, p_in=0.99, p_out=0.01, p_switch=0.0), rng_stream(0))
+    batches = _sweep_batches(monkeypatch)
+    bounds = count_calls(monkeypatch, inference, "compute_elbo")
+    m_steps = count_calls(monkeypatch, inference, "m_step")
+    inits = _distinct_inits(monkeypatch)
+    rep = fit(g, 5, 3, FitConfig(seed=0, n_restarts=5, init_strategy="per_view_spectral"))
+    first = {}
+    for r, key in enumerate(inits):
+        first.setdefault(key, r)
+        assert rep.restart_elbos[r] == rep.restart_elbos[first[key]]
+    assert len(inits) == 5 and len(first) < 5
+    assert batches[0] == len(first) and rep.best_restart in first.values()
+    assert len(bounds) == sum(batches)
+    assert len(m_steps) == len(first) + sum(batches)
+
+
+def test_fit_repeats_only_restarts_whose_tau_and_nu_both_repeat(monkeypatch):
+    # inits that share tau but not nu, or nu but not tau, are distinct runs;
+    # only restart 3, a copy of restart 0's (tau, nu), is a repeat
+    import helpers
+
+    g, _ = generate_dataset(
+        SimulationConfig(n=30, v=6, k=3, q=2, p_in=0.6, p_out=0.2, component_k=(3, 2)), rng_stream(94)
+    )
+    pr = PriorHyperparams.jeffreys(3, 2)
+    a, b = (init_variational(g, 3, 2, pr, "random", rng_stream(s)) for s in (0, 1))
+    table = [(a.tau, a.nu), (a.tau, b.nu), (b.tau, a.nu), (a.tau, a.nu), (b.tau, b.nu)]
+    calls = []
+
+    def init(g, k, q, priors, strategy, rng, basis):
+        tau, nu = table[len(calls) % len(table)]
+        calls.append(None)
+        return replace(a, tau=tau.copy(), nu=nu.copy())
+
+    monkeypatch.setattr(inference, "init_variational", init)
+    monkeypatch.setattr(helpers, "init_variational", init)
+    batches = _sweep_batches(monkeypatch)
+    cfg = FitConfig(seed=0, n_restarts=5)
+    got = fit(g, 3, 2, cfg)
+    assert batches[0] == 4
+    _assert_same_report(got, fit_oracle(g, 3, 2, cfg))
+    assert len(set(got.restart_elbos)) > 1 and got.restart_elbos[3] == got.restart_elbos[0]
+
+
 def test_fit_matches_dense_oracle():
     # the loop on shared sufficient statistics against the dense loop that
     # recomputes connectivity per update, for both inits, on a graph with a
@@ -994,12 +1187,7 @@ def test_fit_matches_dense_oracle():
     for strategy in ("random", "per_view_spectral"):
         cfg = FitConfig(seed=8, n_restarts=3, init_strategy=strategy)
         for g, k, q in _spectral_graphs():
-            got, want = fit(g, k, q, cfg), fit_oracle(g, k, q, cfg)
-            for name in ("tau", "nu", "beta", "theta", "eta", "xi"):
-                assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes(), name
-            assert np.array(got.elbo_trace).tobytes() == np.array(want.elbo_trace).tobytes()
-            assert np.array(got.restart_elbos).tobytes() == np.array(want.restart_elbos).tobytes()
-            assert got.best_restart == want.best_restart
+            _assert_same_report(fit(g, k, q, cfg), fit_oracle(g, k, q, cfg), (strategy, k, q))
 
 
 def test_fit_computes_statistics_and_state_once_per_iteration(monkeypatch):
@@ -1101,14 +1289,16 @@ def test_fit_makes_one_special_function_call_per_update_and_per_bound(monkeypatc
     per_tau = _calls_per(monkeypatch, "vbe_update_tau", psi)
     per_nu = _calls_per(monkeypatch, "vbe_update_nu", psi)
     per_bound = _calls_per(monkeypatch, "compute_elbo", lgam)
+    inits = _distinct_inits(monkeypatch)
     for strategy in ("random", "per_view_spectral"):
         for restarts in (1, 3):
-            for counts in (psi, lgam, sweeps, per_tau, per_nu, per_bound):
+            for counts in (psi, lgam, sweeps, per_tau, per_nu, per_bound, inits):
                 counts.clear()
             rep = fit(g, 3, 2, FitConfig(seed=4, n_restarts=restarts, init_strategy=strategy))
             assert rep.iterations > 1
-            # one digamma call per live restart in each round's sweep
-            assert per_tau == sweeps and sweeps[0] == restarts
+            # one digamma call per live restart in each round's sweep; a
+            # restart whose init repeats an earlier one's never sweeps
+            assert per_tau == sweeps and sweeps[0] == len(set(inits))
             assert per_nu == [1] * len(per_nu) and len(per_nu) == sum(per_tau)
             assert per_bound == [1] * len(per_bound) == per_nu
             assert len(psi) == 2 * len(per_nu) and len(lgam) == len(per_bound)
