@@ -26,7 +26,9 @@ layer labels by first appearance, so its state is a function of the two
 k-means partitions and restarts that find the same partitions repeat.
 
 Spectral init clusters every layer's embedding with k-means in one batch
-per init, then the layers and the nodes: _kmeans draws all the k-means++
+per init, then the layers and the nodes. A k-means++ init draws one index
+and k - 1 uniforms whatever the data; a step whose sampling total is 0
+(every point already on a center) takes row 0. So _kmeans draws all the
 seeds of its problems first, in the order solving them one after another
 would, and runs the seedings and the Lloyd passes on stacked arrays, so the
 labels and the stream's end are those of the one-at-a-time loop.
@@ -158,37 +160,29 @@ def _sq_dists(x: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0, out=d)
 
 
-def _seed_draws(n: int, k: int, stops: np.ndarray, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """The draws of k-means++ seedings on n points, one run per entry of
-    `stops`, in run order: the first center's index, then one uniform per
-    step before the run's stop and one index per step from it on (the draw
-    taken once every point sits on a center). Returns (picks (R, k): the
-    drawn indices, column 0 and columns >= stop; u (R, k - 1): the
-    uniforms)."""
-    picks = np.zeros((stops.size, k), dtype=np.int64)
-    u = np.zeros((stops.size, k - 1))
-    for run, stop in enumerate(stops):
-        picks[run, 0] = rng.integers(n)
-        u[run, : stop - 1] = rng.random(stop - 1)
-        for c in range(stop, k):
-            picks[run, c] = rng.integers(n)
-    return picks, u
+def _seed_draws(n: int, k: int, runs: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """The draws of `runs` k-means++ seedings on n points, in run order: the
+    first center's index, then one uniform per further center. Returns
+    (first (R,), u (R, k - 1))."""
+    first = np.empty(runs, dtype=np.int64)
+    u = np.empty((runs, k - 1))
+    for run in range(runs):
+        first[run] = rng.integers(n)
+        u[run] = rng.random(k - 1)
+    return first, u
 
 
-def _seed(x, owner, picks, u, stops):
-    """k-means++ centers of runs on the points x[owner] (R, N, d), from the
-    draws of _seed_draws. Step c picks its center by the uniform, in
-    proportion to each point's squared distance to its nearest center, when
-    c < stop, and takes the drawn index otherwise. Returns (centers (R, k,
-    d), wrong, zero): wrong is each run's first step whose draw was of the
-    other kind than the one its sampling total calls for (k when none), and
-    zero says whether that total was 0."""
+def _seed(x, owner, first, u):
+    """k-means++ centers (R, k, d) of runs on the points x[owner] (R, N, d),
+    from the draws of _seed_draws. Step c takes the first point whose
+    cumulative squared distance to its nearest center is at least u[:, c - 1]
+    times their total; a zero total (every point already on a center, so
+    any row will do) takes row 0."""
     xa = x[owner]
     rows = np.arange(owner.size)
-    k = picks.shape[1]
-    by_index = np.arange(k) >= stops[:, None]
+    k = u.shape[1] + 1
     centers = np.empty((owner.size, k, x.shape[2]))
-    centers[:, 0] = xa[rows, picks[:, 0]]
+    centers[:, 0] = xa[rows, first]
     diff = np.empty_like(xa)  # the squares of x - center, in place
 
     def sq_to(center):
@@ -196,17 +190,13 @@ def _seed(x, owner, picks, u, stops):
         return diff.sum(axis=2)
 
     d2 = sq_to(centers[:, :1])
-    totals = np.empty((owner.size, k - 1))
     for c in range(1, k):
-        total = d2.sum(axis=1, out=totals[:, c - 1])
+        total = d2.sum(axis=1)
         # the count of cumulative sums below the target is searchsorted's index
         sampled = (np.cumsum(d2, axis=1) < (u[:, c - 1] * total)[:, None]).sum(axis=1)
-        centers[:, c] = xa[rows, np.where(by_index[:, c], picks[:, c], sampled)]
+        centers[:, c] = xa[rows, sampled]
         d2 = np.minimum(d2, sq_to(centers[:, c : c + 1]))
-    zeros = totals <= 0
-    bad = zeros != by_index[:, 1:]
-    wrong = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, k)
-    return centers, wrong, zeros[rows, np.minimum(wrong, k - 1) - 1]
+    return centers
 
 
 def _lloyd(x, x2, owner, centers, max_iter):
@@ -299,7 +289,6 @@ def _kmeans(
     xs: Sequence[np.ndarray],
     ks: Sequence[int],
     rng: np.random.Generator,
-    distinct: Optional[Sequence[int]] = None,
     n_init: int = 4,
     max_iter: int = 100,
 ) -> List[np.ndarray]:
@@ -310,71 +299,38 @@ def _kmeans(
     where, solving the problems one after another would give and leave it.
 
     Draw order: problem, then init; an init draws its first center's index,
-    then one uniform per further center. The Lloyd passes draw nothing, so
-    every seeding's draws are made first and the seedings and passes of all
-    problems run stacked: problems of one cluster count and shape form a
-    group, cut into batches of at most _BATCH_ENTRIES entries, and each
-    batch makes one distance evaluation per pass. A problem takes the
-    labels of its init of lowest inertia, ties to the earlier init. k >= n gives every
+    then k - 1 uniforms, whatever the data (a step whose sampling total is 0
+    takes row 0). The Lloyd passes draw nothing, so every seeding's draws
+    are made first and the seedings and passes of all problems run stacked:
+    problems of one cluster count and shape form a group, cut into batches
+    of at most _BATCH_ENTRIES entries, and each batch is seeded once and
+    makes one distance evaluation per pass. A problem takes the labels of
+    its init of lowest inertia, ties to the earlier init. k >= n gives every
     point its own cluster and draws nothing; k = 1 makes only the seed
     draws.
-
-    The guard: once every point sits on a center (fewer distinct rows than
-    k) a seeding's sampling total is 0 and its later centers are drawn as
-    indices instead. Each run carries the step from which it takes indices:
-    min(k, distinct[p]) when the caller passes problem p's count of distinct
-    rows (each sampled center is a row not yet covered, so the total is 0
-    from that step on), else k (never). After the stacked seeding, the
-    first run in draw order whose totals disagree with its step gets the
-    step they call for (and a zero total is assumed for the problem's later
-    inits too), the stream is rewound and everything is drawn and seeded
-    again. A run's draws up to its first disagreement are the sequential
-    ones, so this ends, and it ends with every run's draws and centers
-    those of the sequential seeding; a right count only spares the redraw.
     """
     # k >= n: a cluster per point; k = 1: one cluster; else the best run's
     out = [np.arange(len(x)) % k if k >= len(x) else np.zeros(len(x), dtype=np.int64) for x, k in zip(xs, ks)]
-    drawn = [p for p, (x, k) in enumerate(zip(xs, ks)) if k < len(x)]
+    draws = {p: _seed_draws(len(x), k, n_init, rng) for p, (x, k) in enumerate(zip(xs, ks)) if k < len(x)}
     groups = {}  # (k, shape) -> its problems, in order
-    for p in drawn:
+    for p in draws:
         if ks[p] > 1:
             groups.setdefault((ks[p], xs[p].shape), []).append(p)
-    stops = {p: np.full(n_init, ks[p] if distinct is None else min(ks[p], distinct[p])) for p in drawn}
-    start = rng.bit_generator.state
-    while True:
-        draws = {p: _seed_draws(len(xs[p]), ks[p], stops[p], rng) for p in drawn}
-        batches, wrong = [], []
-        for (k, (n, dim)), members in groups.items():
-            x = np.stack([xs[p] for p in members])
-            x2 = (x * x).sum(axis=2)
-            owner = np.repeat(np.arange(len(members)), n_init)
-            picks = np.concatenate([draws[p][0] for p in members])
-            u = np.concatenate([draws[p][1] for p in members])
-            run_stops = np.concatenate([stops[p] for p in members])
-            size = max(1, _BATCH_ENTRIES // (n * max(k, dim)))
-            for lo in range(0, owner.size, size):
-                part = slice(lo, lo + size)
-                centers, bad, zero = _seed(x, owner[part], picks[part], u[part], run_stops[part])
-                batches.append((x, x2, owner[part], centers, members))
-                for j in np.flatnonzero(bad < k):
-                    run = lo + j
-                    wrong.append((drawn.index(members[owner[run]]), run % n_init, int(bad[j]), bool(zero[j])))
-        if not wrong:
-            break
-        rng.bit_generator.state = start
-        pos, init, step, zero = min(wrong)
-        stop = stops[drawn[pos]]
-        if zero:
-            stop[init:] = step
-        else:
-            stop[init] = ks[drawn[pos]]
-
-    best = {p: np.inf for members in groups.values() for p in members}  # lowest inertia so far
-    for x, x2, owner, centers, members in batches:
-        labels, inertia = _lloyd(x, x2, owner, centers, max_iter)
-        for p, lab, val in zip((members[o] for o in owner), labels, inertia):
-            if val < best[p]:
-                best[p], out[p] = val, lab
+    best = dict.fromkeys(draws, np.inf)  # lowest inertia so far
+    for (k, (n, dim)), members in groups.items():
+        x = np.stack([xs[p] for p in members])
+        x2 = (x * x).sum(axis=2)
+        owner = np.repeat(np.arange(len(members)), n_init)
+        first = np.concatenate([draws[p][0] for p in members])
+        u = np.concatenate([draws[p][1] for p in members])
+        size = max(1, _BATCH_ENTRIES // (n * max(k, dim)))
+        for lo in range(0, owner.size, size):
+            part = slice(lo, lo + size)
+            centers = _seed(x, owner[part], first[part], u[part])
+            labels, inertia = _lloyd(x, x2, owner[part], centers, max_iter)
+            for p, lab, val in zip((members[o] for o in owner[part]), labels, inertia):
+                if val < best[p]:
+                    best[p], out[p] = val, lab
     return out
 
 
@@ -465,12 +421,10 @@ def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     return np.stack([first[key] for key in order]), which, np.bincount(which)
 
 
-def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Exact low-dimensional stand-ins for the co-membership features of the
     layer partitions `labels` (V, N): the V flattened N x N matrices C_v with
     C_v[i, j] = [labels[v, i] == labels[v, j]], and the N rows of their mean.
-    Also returns the number of distinct partitions, which is the number of
-    distinct layer rows.
 
     Let H be the N x C' one-hot matrix of the blocks of the distinct
     partitions and H = QR. Layer v with partition p maps to vec(R_p R_p^T) =
@@ -498,7 +452,7 @@ def _comembership_embeddings(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     node_rows = np.zeros((n, r.shape[0]))
     for col, m in zip(cols, mult):
         node_rows += m * r.T[col]
-    return layer_rows[which], node_rows / v, len(parts)
+    return layer_rows[which], node_rows / v
 
 
 def _soften(labels: np.ndarray, k: int) -> np.ndarray:
@@ -549,8 +503,8 @@ def init_variational(
         nu = rng.dirichlet(np.ones(q), size=g.v)
     elif strategy == "per_view_spectral":
         vals, vecs = spectral_basis(g, k) if basis is None else basis
-        layer_rows, node_rows, parts = _comembership_embeddings(_spectral_labels(vals, vecs, k, rng))
-        w_labels = _kmeans([layer_rows], [q], rng, [parts])[0]
+        layer_rows, node_rows = _comembership_embeddings(_spectral_labels(vals, vecs, k, rng))
+        w_labels = _kmeans([layer_rows], [q], rng)[0]
         z_labels = _kmeans([node_rows], [k], rng)[0]
         nu = _soften(_first_appearance(w_labels), q)
         tau = _soften(_first_appearance(z_labels), k)
@@ -584,7 +538,8 @@ def sufficient_stats(a: np.ndarray, tau: np.ndarray) -> Stats:
     update and the M-step see the graph only through these.
     """
     m = (tau.T @ (a @ tau)).transpose(1, 2, 0)
-    m = (m + m.transpose(1, 0, 2)) / 2.0
+    # C order, so that m_step's products do not depend on how m was computed
+    m = np.ascontiguousarray((m + m.transpose(1, 0, 2)) / 2.0)
     return (m, *_pair_mass(tau))
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "read_partition",
     "write_partition",
     "write_report",
-    "read_report",
 ]
 
 
@@ -324,8 +323,3 @@ def write_report(path: str, report: Union[FitReport, SelectionResult, dict]) -> 
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2, ensure_ascii=False)
         handle.write("\n")
-
-
-def read_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)

@@ -404,12 +404,9 @@ def kmeans_oracle(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int =
         centers[0] = x[int(rng.integers(n))]
         d2 = np.sum((x - centers[0]) ** 2, axis=1)
         for c in range(1, k):
-            total = d2.sum()
-            if total <= 0:
-                centers[c] = x[int(rng.integers(n))]
-            else:
-                r = rng.random() * total
-                centers[c] = x[int(np.searchsorted(np.cumsum(d2), r))]
+            # a zero total (every point on a center) gives index 0
+            r = rng.random() * d2.sum()
+            centers[c] = x[int(np.searchsorted(np.cumsum(d2), r))]
             d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
         labels = np.zeros(n, dtype=np.int64)
         for _ in range(max_iter):

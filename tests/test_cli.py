@@ -1,5 +1,6 @@
 """Command-line workflows: simulate, fit, select, eval."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import mimisbm
 from mimisbm import HardPartition
-from mimisbm.io import read_report, write_partition
+from mimisbm.io import write_partition
 from mimisbm.cli import main
 
 
@@ -44,7 +45,7 @@ def test_simulate_switch_flag_changes_data(tmp_path):
     assert _simulate(a, seed=3) == 0
     assert _simulate(b, seed=3, extra=("--switch", "0.5")) == 0
     assert (a / "graph.mlg").read_bytes() != (b / "graph.mlg").read_bytes()
-    truth = read_report(str(b / "truth.json"))
+    truth = json.loads((b / "truth.json").read_text(encoding="utf-8"))
     assert truth["p_switch"] == 0.5
 
 
@@ -66,7 +67,7 @@ def test_fit_k1_q1(tmp_path):
     out = tmp_path / "fit"
     assert main(["fit", "--graph", str(sim / "graph.mlg"), "--k", "1", "--q", "1",
                  "--seed", "0", "--out", str(out)]) == 0
-    report = read_report(str(out / "fit.json"))
+    report = json.loads((out / "fit.json").read_text(encoding="utf-8"))
     assert report["converged"] is True
     assert report["iterations"] <= 2
     assert set(report["z_map"]) == {0}
@@ -160,7 +161,7 @@ def test_simulate_twenty_block_link_map_finishes(tmp_path):
         capture_output=True, text=True, env=env, timeout=20,
     )
     assert proc.returncode == 0, proc.stderr
-    (link_map,) = read_report(str(out / "truth.json"))["link_maps"]
+    (link_map,) = json.loads((out / "truth.json").read_text(encoding="utf-8"))["link_maps"]
     assert sorted(link_map) == list(range(20))
 
 
@@ -234,7 +235,7 @@ def test_select_criterion_flag(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "icl_approx ->" in printed
     assert "ilvb ->" not in printed
-    data = read_report(str(out / "select.json"))
+    data = json.loads((out / "select.json").read_text(encoding="utf-8"))
     assert data["criterion"] == "icl_approx"
 
 
@@ -245,7 +246,7 @@ def test_eval_pinned_pair(tmp_path, capsys):
     write_partition(str(truth), HardPartition(labels=np.array([0, 0, 1, 2]), k=3))
     out = tmp_path / "eval"
     assert main(["eval", "--pred", str(pred), "--truth", str(truth), "--out", str(out)]) == 0
-    data = read_report(str(out / "eval.json"))
+    data = json.loads((out / "eval.json").read_text(encoding="utf-8"))
     assert data["ari"] == pytest.approx(4.0 / 7.0, abs=1e-15)
     assert "ari=" in capsys.readouterr().out
 
@@ -257,7 +258,7 @@ def test_eval_identical_and_permuted(tmp_path):
     write_partition(str(p2), HardPartition(labels=np.array([2, 0, 0, 1]), k=3))
     out = tmp_path / "eval"
     assert main(["eval", "--pred", str(p1), "--truth", str(p2), "--out", str(out)]) == 0
-    assert read_report(str(out / "eval.json"))["ari"] == 1.0
+    assert json.loads((out / "eval.json").read_text(encoding="utf-8"))["ari"] == 1.0
 
 
 def test_eval_length_mismatch_exits_2(tmp_path, capsys):

@@ -203,14 +203,14 @@ def test_comembership_embeddings_keep_distances_of_dense_features():
 
 def test_comembership_embeddings_equal_partitions_give_equal_rows():
     a, b, _ = _label_sets()
-    layers, nodes, parts = inference._comembership_embeddings(a)
+    layers, nodes = inference._comembership_embeddings(a)
     assert layers[0].tobytes() == layers[1].tobytes()
     assert layers[2].tobytes() == layers[3].tobytes()
     assert nodes[3].tobytes() == nodes[5].tobytes()
-    assert parts == len({tuple(first_appearance_oracle(row)) for row in a}) == len({row.tobytes() for row in layers})
-    layers, nodes, parts = inference._comembership_embeddings(b)
+    assert len({row.tobytes() for row in layers}) == len({tuple(first_appearance_oracle(row)) for row in a})
+    layers, nodes = inference._comembership_embeddings(b)
     assert layers[0].tobytes() == layers[1].tobytes()
-    assert parts == 3
+    assert len({row.tobytes() for row in layers}) == 3
 
 
 def test_first_appearance_renames_each_row():
@@ -396,31 +396,29 @@ def test_kmeans_stops_early_when_k_exceeds_distinct_points(monkeypatch):
 
 def test_layer_grouping_seeds_once_when_q_exceeds_the_distinct_partitions(monkeypatch):
     # a select-grid-sized cell (N=100, V=12, switch 0) with q above the
-    # number of distinct layer partitions: the seeding starts drawing indices
-    # at that count instead of finding it by a redraw, with the labels and
-    # stream end of kmeans_oracle
+    # number of distinct layer partitions: the seeding's totals reach 0, yet
+    # it is seeded once, with the labels and stream end of kmeans_oracle
     g, _ = generate_dataset(
         SimulationConfig(n=100, v=12, k=5, q=3, p_in=0.99, p_out=0.01, component_k=(5, 3, 2)), rng_stream(2000)
     )
     vals, vecs = spectral_basis(g, 5)
-    layer_rows, _, parts = inference._comembership_embeddings(inference._spectral_labels(vals, vecs, 5, rng_stream(1)))
+    layer_rows, _ = inference._comembership_embeddings(inference._spectral_labels(vals, vecs, 5, rng_stream(1)))
     q = 5
-    assert parts < q
+    assert len({row.tobytes() for row in layer_rows}) < q
     seeds = count_calls(monkeypatch, inference, "_seed")
-    for distinct, seedings in ((None, 2), ([parts], 1)):
-        seeds.clear()
-        got_rng, want_rng = rng_stream(7), rng_stream(7)
-        got = inference._kmeans([layer_rows], [q], got_rng, distinct)[0]
-        assert len(seeds) == seedings
-        assert np.array_equal(got, kmeans_oracle(layer_rows, q, want_rng))
-        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+    batches = count_calls(monkeypatch, inference, "_lloyd")
+    got_rng, want_rng = rng_stream(7), rng_stream(7)
+    got = inference._kmeans([layer_rows], [q], got_rng)[0]
+    assert len(seeds) == len(batches) == 1
+    assert np.array_equal(got, kmeans_oracle(layer_rows, q, want_rng))
+    assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
     # in the init, the layer grouping is the one-problem call on V rows
     grouping = []
     real = inference._kmeans
 
-    def recording(xs, ks, rng, *args, **kwargs):
+    def recording(xs, ks, rng, **kwargs):
         before = len(seeds)
-        out = real(xs, ks, rng, *args, **kwargs)
+        out = real(xs, ks, rng, **kwargs)
         if len(xs) == 1 and len(xs[0]) == g.v:
             grouping.append(len(seeds) - before)
         return out
@@ -430,20 +428,19 @@ def test_layer_grouping_seeds_once_when_q_exceeds_the_distinct_partitions(monkey
     assert grouping == [1]
 
 
-def test_kmeans_guard_corrects_a_wrong_distinct_count():
-    # the count is a hint that the seeding's guard checks: too low or too
-    # high, labels and stream end stay those of kmeans_oracle
-    rng = np.random.default_rng(93)
-    for trial in range(60):
-        distinct = int(rng.integers(1, 6))
-        n = int(rng.integers(distinct + 1, 30))
-        x = rng.normal(size=(distinct, 2))[rng.permutation(np.arange(n) % distinct)]
-        k = int(rng.integers(2, min(n, distinct + 3) + 1))
-        hint = max(1, distinct + int(rng.integers(-2, 3)))
-        got_rng, want_rng = rng_stream(trial), rng_stream(trial)
-        got = inference._kmeans([x], [k], got_rng, [hint])[0]
-        assert np.array_equal(got, kmeans_oracle(x, k, want_rng)), trial
-        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
+def test_kmeans_draws_do_not_depend_on_the_data():
+    # fewer distinct rows than k: the sampling total reaches 0 and the
+    # seeding still draws one index and k - 1 uniforms per init
+    rng = np.random.default_rng(94)
+    x = rng.normal(size=(3, 2))[np.arange(20) % 3]
+    n_init = 4
+    for k in (4, 6):
+        got_rng, want_rng = rng_stream(k), rng_stream(k)
+        inference._kmeans([x], [k], got_rng, n_init=n_init)
+        for _ in range(n_init):
+            want_rng.integers(len(x))
+            want_rng.random(k - 1)
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), k
 
 
 def _basis_labels_oracle(vals, vecs, k, rng):
@@ -460,10 +457,10 @@ def _basis_labels_oracle(vals, vecs, k, rng):
     return np.stack(out)
 
 
-def _guard_basis(rng, n, v):
+def _degenerate_basis(rng, n, v):
     """A basis whose layers have eigengap counts 1 to 4 at k = 5, some with
     fewer distinct embedding rows than their count (so a k-means++ total
-    reaches 0 and the seeding draws indices), and one with ties."""
+    reaches 0 and the seeding takes row 0), and one with ties."""
     m = 6
     vals = np.empty((v, m))
     vecs = rng.normal(size=(v, n, m))
@@ -482,7 +479,7 @@ def test_spectral_labels_batch_matches_per_layer_oracle():
     # same labels, same stream position. Planted layers with several
     # eigengap counts (one-block components give c = 1), a k = n graph, the
     # two-disjoint-triangles tie, and made-up bases whose embeddings have
-    # fewer distinct rows than their count (the seeding's guard path)
+    # fewer distinct rows than their count (zero seeding totals)
     triangles = build_graph(6, 1, [(0, 1, 0), (0, 2, 0), (1, 2, 0), (3, 4, 0), (3, 5, 0), (4, 5, 0)])
     mixed, _ = generate_dataset(  # eigengap counts 1, 1, 2, 2, 2, 4, 4, 4
         SimulationConfig(n=40, v=8, k=4, q=3, p_in=0.9, p_out=0.05, component_k=(4, 2, 1)), rng_stream(86)
@@ -498,7 +495,7 @@ def test_spectral_labels_batch_matches_per_layer_oracle():
             assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), (g.n, k)
     rng = np.random.default_rng(82)
     for trial in range(40):
-        vals, vecs = _guard_basis(rng, int(rng.integers(6, 40)), int(rng.integers(1, 9)))
+        vals, vecs = _degenerate_basis(rng, int(rng.integers(6, 40)), int(rng.integers(1, 9)))
         got_rng, want_rng = rng_stream(trial), rng_stream(trial)
         got = inference._spectral_labels(vals, vecs, 5, got_rng)
         want = _basis_labels_oracle(vals, vecs, 5, want_rng)
@@ -508,9 +505,9 @@ def test_spectral_labels_batch_matches_per_layer_oracle():
 
 def test_kmeans_batch_matches_one_problem_at_a_time():
     # several problems in one call against kmeans_oracle per problem on one
-    # stream: k = 1, k >= n, k above the number of distinct rows (the guard
-    # and the recurrence stop), ties, equal shapes sharing a group, and
-    # short max_iter
+    # stream: k = 1, k >= n, k above the number of distinct rows (zero
+    # seeding totals and the recurrence stop), ties, equal shapes sharing a
+    # group, and short max_iter
     rng = np.random.default_rng(83)
     for trial in range(150):
         xs, ks = [], []
@@ -1104,7 +1101,7 @@ def _assert_same_report(got, want, where=None):
 def _acceptance_fits():
     """(graph, k, q, config) of fits on the acceptance-4 data (N=200, V=15,
     switch 0, 5 spectral restarts, at the planted (5, 3)) and on the
-    acceptance-5 data (N=100, V=12, 3 spectral restarts, K 2..8 x Q 2..5)."""
+    acceptance-5 data (N=100, V=12, 3 spectral restarts, K 2..8 x Q 1..5)."""
     fits = []
     for seed in range(5):
         cfg = SimulationConfig(n=200, v=15, k=5, q=3, p_in=0.99, p_out=0.01, p_switch=0.0)
@@ -1114,7 +1111,7 @@ def _acceptance_fits():
         cfg = SimulationConfig(n=100, v=12, k=5, q=3, p_in=0.99, p_out=0.01, p_switch=0.0, component_k=(5, 3, 2))
         g, _ = generate_dataset(cfg, rng_stream(2000 + seed))
         fc = FitConfig(seed=seed, n_restarts=3, init_strategy="per_view_spectral")
-        fits += [(g, k, q, fc) for k in range(2, 9) for q in range(2, 6)]
+        fits += [(g, k, q, fc) for k in range(2, 9) for q in range(1, 6)]
     return fits
 
 

@@ -21,7 +21,6 @@ from mimisbm.io import (
     ParseError,
     read_mlg,
     read_partition,
-    read_report,
     write_mlg,
     write_partition,
     write_report,
@@ -422,7 +421,7 @@ def test_fit_report_round_trip_bit_exact(tmp_path):
     rep = fit(g, 2, 2, FitConfig(seed=0, n_restarts=1))
     path = tmp_path / "fit.json"
     write_report(str(path), rep)
-    data = read_report(str(path))
+    data = json.loads(path.read_text(encoding="utf-8"))
     assert data["elbo_trace"] == list(rep.elbo_trace)
     assert data["best_restart"] == rep.best_restart
     assert data["converged"] == rep.converged
@@ -437,7 +436,7 @@ def test_selection_report_sorted_and_bit_exact(tmp_path):
     res = grid_search(g, [1, 2], [1, 2], FitConfig(seed=1, n_restarts=1))
     path = tmp_path / "select.json"
     write_report(str(path), res)
-    data = read_report(str(path))
+    data = json.loads(path.read_text(encoding="utf-8"))
     kqs = [(c["k"], c["q"]) for c in data["cells"]]
     assert kqs == sorted(kqs)
     assert data["criterion"] == res.criterion
@@ -468,7 +467,7 @@ def test_truth_payload_serializes(tmp_path):
     payload = _truth_payload(cfg, truth, seed=5)
     path = tmp_path / "truth.json"
     write_report(str(path), payload)
-    data = read_report(str(path))
+    data = json.loads(path.read_text(encoding="utf-8"))
     assert data["n"] == 12 and data["v"] == 4
     assert len(data["link_maps"]) == 2
     assert data["component_k"] == list(truth.component_k)
