@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--criterion", choices=tuple(_CRITERION_CHOICES) + ("all",), default="all",
                        help="which criterion's winner to report; 'all' prints every one")
     _add_fit_options(p_sel)
-    p_sel.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_sel.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, min(jobs, K values): each runs one K's cells in lockstep")
     p_sel.add_argument("--seed", type=int, default=None)
     p_sel.add_argument("--out", required=True)
 

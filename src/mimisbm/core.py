@@ -271,6 +271,15 @@ def _check_symmetric_kkq(name: str, a: np.ndarray):
         raise DomainError(f"{name} must be symmetric in its first two axes")
 
 
+def _check_finite(fields) -> None:
+    """DomainError naming the first of the (name, array) fields that holds a
+    NaN or an infinity. Runs before the sign, sum and symmetry checks, which
+    a NaN passes or fails under another name."""
+    for name, arr in fields:
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must be finite")
+
+
 def _normalizer_log_gammas(log_gamma, beta, theta, eta, xi) -> list:
     """One side of the bound's normalizer ratios, prior or posterior, from
     one log_gamma call: log_gamma of (sum beta, sum theta), of beta, of
@@ -323,8 +332,8 @@ class PriorHyperparams:
 
     beta0 (K) for the Dirichlet over pi, theta0 (Q) for the Dirichlet over
     rho, eta0 / xi0 (K, K, Q) for the Beta over each connectivity entry.
-    All strictly positive; eta0 and xi0 symmetric in (k, l), so only the
-    k <= l triangle is meaningful.
+    All finite and strictly positive; eta0 and xi0 symmetric in (k, l), so
+    only the k <= l triangle is meaningful.
 
     log_gammas holds the prior's side of the bound's normalizer ratios
     (_normalizer_log_gammas), fixed for every fit under these priors and so
@@ -344,6 +353,7 @@ class PriorHyperparams:
         x = np.asarray(self.xi0, dtype=float)
         if b.ndim != 1 or t.ndim != 1:
             raise DomainError("beta0 and theta0 must be vectors")
+        _check_finite((("beta0", b), ("theta0", t), ("eta0", e), ("xi0", x)))
         _check_symmetric_kkq("eta0", e)
         _check_symmetric_kkq("xi0", x)
         if e.shape != x.shape or e.shape[0] != b.size or e.shape[2] != t.size:
@@ -391,8 +401,9 @@ class VariationalState:
     beta (K), theta (Q): Dirichlet posteriors, strictly positive.
     eta, xi (K, K, Q): Beta posteriors, strictly positive, symmetric in (k, l).
 
-    Row sums are checked to 1e-10. Entries of tau and nu may be exactly zero
-    (hardened states); the update rules themselves floor at 1e-12.
+    Every entry must be finite. Row sums are checked to 1e-10. Entries of
+    tau and nu may be exactly zero (hardened states); the update rules
+    themselves floor at 1e-12.
     """
 
     tau: np.ndarray
@@ -411,6 +422,7 @@ class VariationalState:
         xi = np.asarray(self.xi, dtype=float)
         if tau.ndim != 2 or nu.ndim != 2:
             raise DomainError("tau and nu must be matrices")
+        _check_finite((("tau", tau), ("nu", nu), ("beta", beta), ("theta", theta), ("eta", eta), ("xi", xi)))
         k, q = tau.shape[1], nu.shape[1]
         if beta.shape != (k,) or theta.shape != (q,):
             raise DomainError("beta/theta shapes must match tau/nu columns")

@@ -25,6 +25,16 @@ restart_elbos is that restart's bound. Spectral init renames its node and
 layer labels by first appearance, so its state is a function of the two
 k-means partitions and restarts that find the same partitions repeat.
 
+The driver, _fit_cells, runs the jobs (cell, restart) of one K: fit is its
+one-cell case, and fit given several Q values (as grid_search calls it, once
+per K) runs every restart of every cell in the same lockstep batch, since a
+sweep's states need to share only N, V and K. Statistics, layer update,
+M-step, bound and convergence test stay per job, under its cell's priors;
+repeats are found per cell; a DomainError, LinAlgError or FloatingPointError
+in a cell's own work drops that cell's jobs and is returned in its place.
+When the batched sweep raises one, the kernel runs once per live state,
+which gives each state its own result and pins the failure on its cell.
+
 Spectral init clusters every layer's embedding with k-means in one batch
 per init, then the layers and the nodes. A k-means++ init draws one index
 and k - 1 uniforms whatever the data; a step whose sampling total is 0
@@ -42,7 +52,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -127,17 +137,25 @@ def _xlogx(a: np.ndarray) -> float:
     return float(np.sum(a * np.log(safe)))
 
 
-def _log_moments(state: VariationalState, conc: np.ndarray):
-    """The Beta log-moments per cell, E[log alpha] - E[log(1 - alpha)] and
-    E[log(1 - alpha)], and the Dirichlet log-moments psi(conc) -
-    psi(sum conc) of the concentrations `conc` (state.beta or state.theta),
-    from one digamma call on all their arguments."""
-    eta, xi = state.eta.ravel(), state.xi.ravel()
-    c = eta.size
-    psi = digamma(np.concatenate([eta, xi, eta + xi, conc, [conc.sum()]]))
-    d = (psi[:c] - psi[c : 2 * c]).reshape(state.eta.shape)
-    e = (psi[c : 2 * c] - psi[2 * c : 3 * c]).reshape(state.eta.shape)
-    return d, e, psi[3 * c : -1] - psi[-1]
+def _log_moments(states: Sequence[VariationalState], concs: Sequence[np.ndarray]) -> list:
+    """Per state, (d, e, base): the Beta log-moments per cell, E[log alpha] -
+    E[log(1 - alpha)] and E[log(1 - alpha)], and the Dirichlet log-moments
+    psi(conc) - psi(sum conc) of its concentrations `conc` (its beta or
+    theta), from one digamma call on the arguments of all the states."""
+    args = []
+    for st, conc in zip(states, concs):
+        eta, xi = st.eta.ravel(), st.xi.ravel()
+        args += [eta, xi, eta + xi, conc, [conc.sum()]]
+    psi = digamma(np.concatenate(args))
+    out, at = [], 0
+    for st, conc in zip(states, concs):
+        c = st.eta.size
+        part = psi[at : at + 3 * c + conc.size + 1]
+        at += part.size
+        d = (part[:c] - part[c : 2 * c]).reshape(st.eta.shape)
+        e = (part[c : 2 * c] - part[2 * c : 3 * c]).reshape(st.eta.shape)
+        out.append((d, e, part[3 * c : -1] - part[-1]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +584,8 @@ def vbe_update_tau(a: np.ndarray, states: Sequence[VariationalState]) -> List[np
     plus the Dirichlet term psi(beta_k) - psi(sum beta). Per state and
     sweep the weights form one matrix w: w[k, v K + l] = sum_s d[k, l, s]
     nu_vs for the edge term, K columns for the non-edge term (which needs
-    only the column sums of nu) and the Dirichlet term. Row i's logits are
+    only the column sums of nu) and the Dirichlet term; the log-moments of
+    all the states come from one digamma call. Row i's logits are
     w times the row's profile: a[:, i, :] @ tau (V x K), the column sums of
     tau less tau_i (kept as a running sum) and a 1. The states' rows are
     computed together, each product as a batch of same-shape 2-D products
@@ -577,8 +596,9 @@ def vbe_update_tau(a: np.ndarray, states: Sequence[VariationalState]) -> List[np
     r, k = len(states), states[0].k
     vk = v * k
     weights = np.empty((r, k, vk + k + 1))
-    for s, st in enumerate(states):
-        d, e, weights[s, :, -1] = _log_moments(st, st.beta)
+    moments = _log_moments(states, [st.beta for st in states])
+    for s, (st, (d, e, base)) in enumerate(zip(states, moments)):
+        weights[s, :, -1] = base
         weights[s, :, :vk] = (d @ st.nu.T).transpose(0, 2, 1).reshape(k, vk)
         weights[s, :, vk:-1] = e @ st.nu.sum(axis=0)
 
@@ -621,7 +641,7 @@ def vbe_update_nu(stats: Stats, state: VariationalState) -> np.ndarray:
     given tau.
     """
     m, pair, _ = stats
-    d, e, base = _log_moments(state, state.theta)
+    d, e, base = _log_moments([state], [state.theta])[0]
 
     edge = np.einsum("klv,kls->vs", m, d)
     hole = np.einsum("kl,kls->s", pair, e)[None, :]
@@ -685,11 +705,11 @@ def compute_elbo(state: VariationalState, priors: PriorHyperparams) -> float:
 def fit(
     g: MultilayerGraph,
     k: int,
-    q: int,
+    q: Union[int, Sequence[int]],
     cfg: FitConfig,
-    priors: Optional[PriorHyperparams] = None,
+    priors: Union[None, PriorHyperparams, Sequence[PriorHyperparams]] = None,
     basis: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> FitReport:
+) -> Union[FitReport, List[Union[FitReport, Exception]]]:
     """Fit the model at fixed (k, q) with restarts; return the best restart.
 
     Restart r draws its stream from rng_stream(cfg.seed, k, q, r), so a grid
@@ -716,67 +736,136 @@ def fit(
     With spectral init every restart slices one spectral basis: `basis` when
     given (spectral_basis(g, k_max), k_max >= k, as a grid driver shares it
     across cells), else one computed here before the first restart.
+
+    Several cells of one k, as grid_search fits them: `q` may be a sequence
+    of component counts, with `priors` None (Jeffreys) or one
+    PriorHyperparams per entry. Every restart of every cell (k, q) joins the
+    one lockstep batch, under one layer stack, and each cell ends bit for
+    bit where it would alone. The result is a list holding, per entry of q,
+    the cell's FitReport or the DomainError, LinAlgError or
+    FloatingPointError its own work raised; such a failure drops only that
+    cell. One q returns its report, or raises its error.
     """
-    if k < 1 or q < 1:
+    one = np.ndim(q) == 0
+    qs = [q] if one else list(q)
+    if not qs:
+        raise DomainError("q must name at least one component count")
+    if k < 1 or min(qs) < 1:
         raise DomainError("k and q must be >= 1")
-    if k > g.n or q > g.v:
+    if k > g.n or max(qs) > g.v:
         raise DomainError(
             f"k={k}, q={q} out of range for a graph with n={g.n}, v={g.v}"
         )
     if priors is None:
-        priors = PriorHyperparams.jeffreys(k, q)
-    elif priors.k != k or priors.q != q:
+        priors = [PriorHyperparams.jeffreys(k, x) for x in qs]
+    elif one:
+        priors = [priors]
+    if len(priors) != len(qs) or any(pr.k != k or pr.q != x for pr, x in zip(priors, qs)):
         raise DomainError("prior shapes must match (k, q)")
     if basis is None and cfg.init_strategy == "per_view_spectral":
         basis = spectral_basis(g, k)
+    out = _fit_cells(g, k, qs, cfg, priors, basis)
+    if not one:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
+
+
+# the failures that stay with their cell; any other exception propagates
+_CELL_ERRORS = (DomainError, np.linalg.LinAlgError, FloatingPointError)
+
+
+def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]]:
+    """fit's lockstep loop for the cells (k, q), q in qs, under their priors,
+    on one layer stack: the jobs are the (cell, restart) pairs. Inits are
+    drawn in (q, r) order and repeats are found per cell. Each round makes
+    one vbe_update_tau call for every live job; the rest of a round, the
+    winner and the report are per job or per cell. A _CELL_ERRORS failure
+    in a cell's init, statistics, updates, bound or state validation drops
+    that cell's jobs and becomes its entry. When the batched sweep itself
+    fails, the kernel is called once per live state, which gives each its
+    own result and pins the failure on its cells."""
     a = g.layer_stack()
+    failed = {}  # cell -> the first failure of its own work
+    states, sources = [], []  # per cell, per restart
+    for c, (q, pr) in enumerate(zip(qs, priors)):
+        # source[r]: the first restart whose init is bit-equal to restart r's;
+        # only those run, the loop draws nothing and so the others repeat them
+        cell, source, inits = [], [], {}
+        try:
+            for r in range(cfg.n_restarts):
+                state = init_variational(g, k, q, pr, cfg.init_strategy, rng_stream(cfg.seed, k, q, r), basis)
+                source.append(inits.setdefault((state.tau.tobytes(), state.nu.tobytes()), r))
+                if source[r] == r:
+                    stats = sufficient_stats(a, state.tau)
+                    state = VariationalState(state.tau, state.nu, *m_step(stats, state.nu, pr))
+                cell.append(state)
+        except _CELL_ERRORS as exc:
+            failed[c] = exc
+        states.append(cell)
+        sources.append(source)
 
-    # source[r]: the first restart whose init is bit-equal to restart r's;
-    # only those run, the loop draws nothing and so the others repeat them
-    states, source, inits = [], [], {}
-    for r in range(cfg.n_restarts):
-        state = init_variational(g, k, q, priors, cfg.init_strategy, rng_stream(cfg.seed, k, q, r), basis)
-        source.append(inits.setdefault((state.tau.tobytes(), state.nu.tobytes()), r))
-        if source[r] == r:
-            stats = sufficient_stats(a, state.tau)
-            state = VariationalState(state.tau, state.nu, *m_step(stats, state.nu, priors))
-        states.append(state)
-
-    traces: list[list[float]] = [[] for _ in states]
-    done = [False] * len(states)
-    live = [r for r in range(len(states)) if source[r] == r]
+    traces = [[[] for _ in cell] for cell in states]
+    done = [[False] * len(cell) for cell in states]
+    live = [(c, r) for c, source in enumerate(sources) if c not in failed for r, s in enumerate(source) if s == r]
     for _ in range(cfg.max_iter):
-        for r, tau in zip(live, vbe_update_tau(a, [states[r] for r in live])):
-            stats = sufficient_stats(a, tau)
-            nu = vbe_update_nu(stats, states[r])
-            states[r] = VariationalState(tau, nu, *m_step(stats, nu, priors))
-            trace = traces[r]
-            trace.append(compute_elbo(states[r], priors))
-            if len(trace) >= 2:
-                delta = abs(trace[-1] - trace[-2])
-                done[r] = delta < cfg.eps or delta < _REL_EPS * abs(trace[-2])
-        live = [r for r in live if not done[r]]
         if not live:
             break
-    states, traces, done = ([xs[s] for s in source] for xs in (states, traces, done))
+        try:
+            taus = vbe_update_tau(a, [states[c][r] for c, r in live])
+        except _CELL_ERRORS:
+            taus = []
+            for c, r in live:
+                try:
+                    taus.append(None if c in failed else vbe_update_tau(a, [states[c][r]])[0])
+                except _CELL_ERRORS as exc:
+                    failed[c] = exc
+                    taus.append(None)
+        for (c, r), tau in zip(live, taus):
+            if c in failed:
+                continue
+            trace = traces[c][r]
+            try:
+                stats = sufficient_stats(a, tau)
+                nu = vbe_update_nu(stats, states[c][r])
+                states[c][r] = VariationalState(tau, nu, *m_step(stats, nu, priors[c]))
+                trace.append(compute_elbo(states[c][r], priors[c]))
+            except _CELL_ERRORS as exc:
+                failed[c] = exc
+                continue
+            if len(trace) >= 2:
+                delta = abs(trace[-1] - trace[-2])
+                done[c][r] = delta < cfg.eps or delta < _REL_EPS * abs(trace[-2])
+        live = [(c, r) for c, r in live if c not in failed and not done[c][r]]
 
-    restart_elbos = [trace[-1] for trace in traces]
-    # max keeps the first of equal bounds, i.e. the lowest restart index
-    best_restart = max(range(len(states)), key=restart_elbos.__getitem__)
-    state, trace, converged = states[best_restart], tuple(traces[best_restart]), done[best_restart]
-    if not converged:
-        warnings.warn(
-            f"fit(k={k}, q={q}) stopped at max_iter={cfg.max_iter} without meeting eps={cfg.eps}",
-            ConvergenceWarning,
-            stacklevel=2,
+    out = []
+    for c, q in enumerate(qs):
+        if c in failed:
+            out.append(failed[c])
+            continue
+        source = sources[c]
+        restart_elbos = [traces[c][s][-1] for s in source]
+        # max keeps the first of equal bounds, i.e. the lowest restart index
+        best_restart = max(range(len(source)), key=restart_elbos.__getitem__)
+        run = source[best_restart]
+        state, trace, converged = states[c][run], tuple(traces[c][run]), done[c][run]
+        if not converged:
+            warnings.warn(
+                f"fit(k={k}, q={q}) stopped at max_iter={cfg.max_iter} without meeting eps={cfg.eps}",
+                ConvergenceWarning,
+                stacklevel=3,
+            )
+        out.append(
+            FitReport(
+                state=state,
+                elbo_trace=trace,
+                converged=converged,
+                iterations=len(trace),
+                best_restart=best_restart,
+                z_map=map_assign(state.tau),
+                w_map=map_assign(state.nu),
+                restart_elbos=tuple(restart_elbos),
+            )
         )
-    return FitReport(
-        state=state,
-        elbo_trace=trace,
-        converged=converged,
-        iterations=len(trace),
-        best_restart=best_restart,
-        z_map=map_assign(state.tau),
-        w_map=map_assign(state.nu),
-        restart_elbos=tuple(restart_elbos),
-    )
+    return out

@@ -11,9 +11,13 @@ icl_variational  the same normalizer ratios at the soft counts, i.e. the
 icl_approx       the bound minus the asymptotic penalty pen(K, Q).
 
 The grid driver refits every cell from scratch; nothing is warm-started
-across cells, so a cell's result depends only on (data, K, Q, seed). The
-one thing cells share is the spectral basis of the graph's layers, which
-depends on the data alone. A cell is scored from its fit's final bound; only
+across cells, so a cell's result depends only on (data, K, Q, seed). What
+cells share is the spectral basis of the graph's layers, which depends on
+the data alone, and, within one K, the fit: the cells of one K are one task
+and one fit call, which builds one layer stack and runs every restart of
+every Q in lockstep, one node sweep call per round. The sweep gives each
+state the result it would get alone, so each cell's result is bit for bit
+that of fitting it alone. A cell is scored from its fit's final bound; only
 icl_exact evaluates a bound of its own, at the hardened state.
 """
 
@@ -23,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import log
 from operator import attrgetter
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .core import (
     PriorHyperparams,
     VariationalState,
 )
-from .inference import _pair_mass, _xlogx, compute_elbo, fit, m_step, spectral_basis
+from .inference import _CELL_ERRORS, _pair_mass, _xlogx, compute_elbo, fit, m_step, spectral_basis
 
 __all__ = [
     "pen",
@@ -110,9 +114,13 @@ def icl_approx(elbo: float, k: int, q: int, n: int, v: int) -> float:
 @dataclass(frozen=True)
 class GridCell:
     """One (k, q) cell's outcome. A cell fails on a DomainError, LinAlgError
-    or FloatingPointError; then `error` carries the message and every
-    criterion is None, and failed cells never win the argmax. Any other
-    exception propagates out of grid_search."""
+    or FloatingPointError in its own work (init, statistics, updates, bound,
+    state validation, scoring); then `error` carries the message and every
+    criterion is None, and failed cells never win the argmax. A failure
+    drops only its cell from its K's lockstep batch: the other cells of that
+    K keep their bits. When the shared node sweep fails, it is rerun once
+    per state to find the failing cells. Any other exception propagates out
+    of grid_search."""
 
     k: int
     q: int
@@ -136,11 +144,12 @@ class SelectionResult:
     best: Optional[Tuple[int, int]]
 
 
-def _run_cell(args) -> GridCell:
-    g, k, q, cfg, basis = args
+def _score(g: MultilayerGraph, k: int, q: int, priors: PriorHyperparams, report) -> GridCell:
+    """Cell (k, q) from its FitReport under `priors`, or from the exception
+    its fit failed with."""
     try:
-        priors = PriorHyperparams.jeffreys(k, q)
-        report = fit(g, k, q, cfg, priors=priors, basis=basis)
+        if isinstance(report, Exception):
+            raise report
         bound = report.elbo_trace[-1]
         return GridCell(
             k=k,
@@ -152,10 +161,18 @@ def _run_cell(args) -> GridCell:
             converged=report.converged,
             iterations=report.iterations,
         )
-    except (DomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except _CELL_ERRORS as exc:
         # a domain or numerical failure is data, not a crash; anything else
         # is a bug and propagates
         return GridCell(k=k, q=q, error=f"{type(exc).__name__}: {exc}")
+
+
+def _run_k(args) -> List[GridCell]:
+    """The cells (k, q), q in qs, of one task, in q order, fitted together."""
+    g, k, qs, cfg, basis = args
+    priors = [PriorHyperparams.jeffreys(k, q) for q in qs]
+    reports = fit(g, k, qs, cfg, priors=priors, basis=basis)
+    return [_score(g, k, q, pr, report) for q, pr, report in zip(qs, priors, reports)]
 
 
 def grid_search(
@@ -168,12 +185,15 @@ def grid_search(
 ) -> SelectionResult:
     """Fit every (k, q) in the product grid and rank the cells.
 
-    Cells run independently, on min(jobs, cells) worker processes when that
-    exceeds 1. Each cell derives its randomness from (cfg.seed, k, q), so
-    the result is identical for any `jobs`. All four criteria are recorded
-    for every cell and a winner is chosen per criterion by maximization,
-    ties broken toward smaller k, then smaller q; `criterion` names the one
-    reported as `best`.
+    The cells of one k are one task, a fit of all its q values in lockstep
+    (see the module docstring); tasks run on min(jobs, k values) worker
+    processes when that exceeds 1, else one after another. Each cell derives
+    its randomness from (cfg.seed, k, q), and gets the bits it would get
+    fitted alone, so the result is identical for any `jobs`. A cell that
+    fails records its error without touching the other cells (GridCell).
+    All four criteria are recorded for every cell and a winner is chosen
+    per criterion by maximization, ties broken toward smaller k, then
+    smaller q; `criterion` names the one reported as `best`.
     """
     ks = sorted(set(int(k) for k in k_values))
     qs = sorted(set(int(q) for q in q_values))
@@ -191,15 +211,16 @@ def grid_search(
     # the spectral basis depends on the graph alone: computed once here, every
     # cell (and worker process) slices it instead of eigendecomposing again
     basis = spectral_basis(g, ks[-1]) if cfg.init_strategy == "per_view_spectral" else None
-    # both paths below return the cells in task order, which is (k, q) order
-    tasks = [(g, k, q, cfg, basis) for k in ks for q in qs]
-    # a pool forks all its workers up front, so start no more than there are cells
+    # both paths below return the tasks in k order, each its cells in q order
+    tasks = [(g, k, qs, cfg, basis) for k in ks]
+    # a pool forks all its workers up front, so start no more than there are tasks
     workers = min(jobs, len(tasks))
     if workers == 1:
-        cells = [_run_cell(t) for t in tasks]
+        groups = [_run_k(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, tasks))
+            groups = list(pool.map(_run_k, tasks))
+    cells = [cell for group in groups for cell in group]
 
     chosen: Dict[str, Tuple[int, int]] = {}
     for crit in CRITERIA:

@@ -22,17 +22,24 @@ import numpy as np
 from scipy.special import betaln, digamma as sp_digamma, gammaln, logsumexp
 
 from mimisbm import (
+    CRITERIA,
+    DomainError,
     FitConfig,
     FitReport,
+    GridCell,
     GroundTruth,
     HardPartition,
     ModelParams,
     MultilayerGraph,
     PriorHyperparams,
+    SelectionResult,
     SimulationConfig,
     VariationalState,
     apply_label_switch,
     build_component_alpha,
+    compute_elbo,
+    icl_approx,
+    icl_variational,
     init_variational,
     m_step,
     map_assign,
@@ -703,6 +710,43 @@ def hardened_state_oracle(g, z, w, priors) -> VariationalState:
     )
     beta, theta, eta, xi = m_step_oracle(g, state, priors)
     return VariationalState(tau=state.tau, nu=state.nu, beta=beta, theta=theta, eta=eta, xi=xi)
+
+
+def grid_search_oracle(g, k_values, q_values, cfg: FitConfig, criterion: str = "ilvb") -> SelectionResult:
+    """grid_search as a loop over its cells, each fitted alone by fit_oracle
+    (restarts one after another, each sweep on one state) and scored on
+    hardened_state_oracle; a cell's DomainError, LinAlgError or
+    FloatingPointError becomes its error. The spectral basis is the grid's,
+    spectral_basis(g, max k)."""
+    ks, qs = sorted(set(k_values)), sorted(set(q_values))
+    basis = spectral_basis(g, ks[-1]) if cfg.init_strategy == "per_view_spectral" else None
+    cells = []
+    for k, q in product(ks, qs):
+        try:
+            priors = PriorHyperparams.jeffreys(k, q)
+            report = fit_oracle(g, k, q, cfg, priors=priors, basis=basis)
+            bound = report.elbo_trace[-1]
+            cells.append(
+                GridCell(
+                    k=k,
+                    q=q,
+                    ilvb=bound,
+                    icl_exact=compute_elbo(hardened_state_oracle(g, report.z_map, report.w_map, priors), priors),
+                    icl_variational=icl_variational(bound, report.state),
+                    icl_approx=icl_approx(bound, k, q, g.n, g.v),
+                    converged=report.converged,
+                    iterations=report.iterations,
+                )
+            )
+        except (DomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            cells.append(GridCell(k=k, q=q, error=f"{type(exc).__name__}: {exc}"))
+    chosen = {}
+    for crit in CRITERIA:
+        scored = [c for c in cells if getattr(c, crit) is not None]
+        if scored:
+            top = max(scored, key=lambda c: getattr(c, crit))
+            chosen[crit] = (top.k, top.q)
+    return SelectionResult(cells=tuple(cells), chosen=chosen, criterion=criterion, best=chosen.get(criterion))
 
 
 # ---------------------------------------------------------------------------

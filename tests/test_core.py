@@ -1,5 +1,7 @@
 """Core data structures: graphs, partitions, hyperparameters, RNG streams."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,50 @@ def test_variational_state_validation():
     asym[0, 1, 0] = 0.7
     with pytest.raises(DomainError):
         VariationalState(tau=tau, nu=nu, beta=pr.beta0, theta=pr.theta0, eta=asym, xi=pr.xi0)
+
+
+def _with_entry(arr, value):
+    """A float copy of `arr` with its first entry, and for a (K, K, Q) array
+    its mirror, set to `value`."""
+    out = np.array(arr, dtype=float)
+    out.flat[0] = value
+    if out.ndim == 3 and out.shape[0] > 1:
+        out[0, 1, 0] = out[1, 0, 0] = value
+    return out
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ["tau", "nu", "beta", "theta", "eta", "xi"])
+def test_variational_state_rejects_non_finite_entries(name, value):
+    # a NaN tau entry passed the row-sum check (nan > 1e-10 is False) and an
+    # infinite posterior the positivity check; each is now named
+    pr = PriorHyperparams.jeffreys(2, 2)
+    fields = dict(
+        tau=np.full((3, 2), 0.5), nu=np.full((2, 2), 0.5), beta=pr.beta0, theta=pr.theta0, eta=pr.eta0, xi=pr.xi0
+    )
+    VariationalState(**fields)
+    fields[name] = _with_entry(fields[name], value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            VariationalState(**fields)
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ["beta0", "theta0", "eta0", "xi0"])
+def test_prior_hyperparams_reject_non_finite_entries(name, value):
+    # +inf was accepted with a RuntimeWarning and NaN log_gammas, and NaN was
+    # rejected only by log_gamma's message; both now fail before log_gamma
+    pr = PriorHyperparams.jeffreys(2, 2)
+    fields = dict(beta0=pr.beta0, theta0=pr.theta0, eta0=pr.eta0, xi0=pr.xi0)
+    fields[name] = _with_entry(fields[name], value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            PriorHyperparams(**fields)
 
 
 def test_multilayer_graph_locked_against_mutation():

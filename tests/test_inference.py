@@ -1223,7 +1223,7 @@ def test_log_moments_and_bound_bytes_match_one_call_per_argument():
         states.append(replace(states[0], tau=np.eye(k)[rng.integers(0, k, g.n)], nu=np.eye(q)[rng.integers(0, q, g.v)]))
         for st in states:
             for conc in (st.beta, st.theta):
-                d, e, base = inference._log_moments(st, conc)
+                d, e, base = inference._log_moments([st], [conc])[0]
                 want_d, want_e = beta_log_moments_oracle(st)
                 assert d.tobytes() == want_d.tobytes() and e.tobytes() == want_e.tobytes()
                 want_base = inference.digamma(conc) - inference.digamma(float(conc.sum()))
@@ -1293,9 +1293,58 @@ def test_fit_makes_one_special_function_call_per_update_and_per_bound(monkeypatc
                 counts.clear()
             rep = fit(g, 3, 2, FitConfig(seed=4, n_restarts=restarts, init_strategy=strategy))
             assert rep.iterations > 1
-            # one digamma call per live restart in each round's sweep; a
+            # one digamma call per sweep, whatever its live restarts; a
             # restart whose init repeats an earlier one's never sweeps
-            assert per_tau == sweeps and sweeps[0] == len(set(inits))
-            assert per_nu == [1] * len(per_nu) and len(per_nu) == sum(per_tau)
+            assert per_tau == [1] * len(sweeps) and sweeps[0] == len(set(inits))
+            assert per_nu == [1] * len(per_nu) and len(per_nu) == sum(sweeps)
             assert per_bound == [1] * len(per_bound) == per_nu
-            assert len(psi) == 2 * len(per_nu) and len(lgam) == len(per_bound)
+            assert len(psi) == len(per_tau) + len(per_nu) and len(lgam) == len(per_bound)
+
+
+def test_tau_sweep_makes_one_digamma_call_for_states_of_any_q(monkeypatch):
+    # states of one k and different q share a sweep, as a grid's cells do:
+    # one digamma call, and each state's solo result
+    rng = np.random.default_rng(92)
+    g = random_graph(rng, 12, 5, p=0.4)
+    a = g.layer_stack()
+    states = [random_post_m_state(rng, g, 3, q, PriorHyperparams.jeffreys(3, q), cycles=2) for q in (1, 2, 3, 5, 2)]
+    solo = [vbe_update_tau(a, [st])[0] for st in states]
+    psi = count_calls(monkeypatch, inference, "digamma")
+    got = vbe_update_tau(a, states)
+    assert len(psi) == 1
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in solo]
+
+
+def test_fit_of_several_q_equals_each_fit_alone(monkeypatch):
+    # the cells of one k in one lockstep batch under their own priors: each
+    # report is byte for byte its one-cell fit's, and a failing cell returns
+    # its error in its place
+    g = random_graph(np.random.default_rng(93), 14, 4, p=0.4)
+    qs = [1, 3, 2]
+    priors = [PriorHyperparams.jeffreys(3, q) for q in qs]
+    priors[1] = replace(priors[1], beta0=np.full(3, 0.8))
+    for strategy in ("random", "per_view_spectral"):
+        cfg = FitConfig(seed=3, n_restarts=3, init_strategy=strategy)
+        got = fit(g, 3, qs, cfg, priors=priors)
+        assert isinstance(got, list) and len(got) == len(qs)
+        for q, pr, rep in zip(qs, priors, got):
+            _assert_same_report(rep, fit(g, 3, q, cfg, priors=pr), (strategy, q))
+        jeffreys = fit(g, 3, qs, cfg)  # priors None: each cell's Jeffreys priors
+        _assert_same_report(jeffreys[1], fit(g, 3, 3, cfg), (strategy, 3))
+    real = inference.init_variational
+
+    def init(g, k, q, *args):
+        if q == 3:
+            raise DomainError("cell (3, 3) failed on purpose")
+        return real(g, k, q, *args)
+
+    monkeypatch.setattr(inference, "init_variational", init)
+    cfg = FitConfig(seed=3, n_restarts=2)
+    got = fit(g, 3, qs, cfg)
+    assert isinstance(got[1], DomainError) and "on purpose" in str(got[1])
+    _assert_same_report(got[2], fit(g, 3, 2, cfg))
+    with pytest.raises(DomainError, match="on purpose"):
+        fit(g, 3, 3, cfg)
+    for bad_q, bad_priors in (([], None), ([1, 5], None), ([0, 2], None), ([1, 2], priors[:1]), ([1, 2], priors[:2])):
+        with pytest.raises(DomainError):
+            fit(g, 3, bad_q, cfg, priors=bad_priors)

@@ -1,6 +1,7 @@
 """Selection criteria, their identities, and the (k, q) grid driver."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ import mimisbm.inference as inference
 import mimisbm.selection as selection
 from mimisbm import (
     CRITERIA,
+    ConvergenceWarning,
     DomainError,
     FitConfig,
     HardPartition,
@@ -33,7 +35,7 @@ from mimisbm.inference import sufficient_stats
 from helpers import (
     count_calls,
     count_eigh,
-    fit_oracle,
+    grid_search_oracle,
     hard_completed_loglik,
     hardened_state_oracle,
     init_variational_oracle,
@@ -263,15 +265,28 @@ def test_grid_cells_come_in_k_q_order_from_unsorted_repeated_values(jobs):
     assert [(c.k, c.q) for c in res.cells] == [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]
 
 
-def _failing_fit(exc_type, cells):
-    real = selection.fit
+def _failing_init(exc_type, cells):
+    """inference.init_variational, raising exc_type for the cells (k, q) in
+    `cells`: a failure in a cell's own work."""
+    real = inference.init_variational
 
-    def fit(g, k, q, cfg, **kwargs):
+    def init(g, k, q, *args):
         if (k, q) in cells:
             raise exc_type(f"cell ({k}, {q}) failed on purpose")
-        return real(g, k, q, cfg, **kwargs)
+        return real(g, k, q, *args)
 
-    return fit
+    return init
+
+
+def _assert_only_cells_failed(res, clean, failing, error):
+    """Every cell of `failing` carries an error starting with `error` and no
+    criterion; every other cell is byte for byte the clean grid's."""
+    for cell, want in zip(res.cells, clean.cells):
+        if (cell.k, cell.q) in failing:
+            assert cell.error.startswith(error), cell
+            assert all(getattr(cell, crit) is None for crit in CRITERIA)
+        else:
+            assert repr(cell) == repr(want)
 
 
 def test_grid_failed_cell_never_wins(monkeypatch):
@@ -280,23 +295,92 @@ def test_grid_failed_cell_never_wins(monkeypatch):
     cfg = FitConfig(seed=2, n_restarts=1)
     clean = grid_search(g, [1, 2, 3], [1, 2], cfg)
     winners = set(clean.chosen.values())
-    monkeypatch.setattr(selection, "fit", _failing_fit(DomainError, winners))
+    # a winner's k keeps a q cell that does not fail, in the same lockstep batch
+    assert any((k, q) not in winners for k, _ in winners for q in (1, 2))
+    monkeypatch.setattr(inference, "init_variational", _failing_init(DomainError, winners))
     res = grid_search(g, [1, 2, 3], [1, 2], cfg)
-    for cell in res.cells:
-        if (cell.k, cell.q) in winners:
-            assert cell.error.startswith("DomainError")
-            assert all(getattr(cell, crit) is None for crit in CRITERIA)
-        else:
-            assert cell.error is None
+    _assert_only_cells_failed(res, clean, winners, "DomainError")
     assert set(res.chosen) == set(CRITERIA)
     assert not winners & set(res.chosen.values())
 
 
 def test_grid_propagates_unexpected_errors(monkeypatch):
     g = random_graph(np.random.default_rng(11), 8, 2, p=0.4)
-    monkeypatch.setattr(selection, "fit", _failing_fit(RuntimeError, {(2, 1)}))
+    monkeypatch.setattr(inference, "init_variational", _failing_init(RuntimeError, {(2, 1)}))
     with pytest.raises(RuntimeError, match=r"cell \(2, 1\)"):
         grid_search(g, [1, 2], [1, 2], FitConfig(seed=0, n_restarts=1), jobs=1)
+
+
+@pytest.mark.parametrize("fault", ["linalg", "nan"])
+def test_grid_cell_failing_mid_iteration_fails_alone(monkeypatch, fault):
+    # after round 1, cell (3, 2)'s layer update raises LinAlgError, or its
+    # M-step yields a NaN posterior that the state rejects; the cell fails
+    # and every other cell, (3, 1) and (3, 3) of its batch too, keeps its bits
+    g = random_graph(np.random.default_rng(19), 12, 3, p=0.4)
+    cfg = FitConfig(seed=7, n_restarts=2)
+    ks, qs = [2, 3], [1, 2, 3]
+    clean = grid_search(g, ks, qs, cfg)
+    assert (clean.cells[4].k, clean.cells[4].q) == (3, 2) and clean.cells[4].iterations > 1
+    calls = []
+    if fault == "linalg":
+        real_nu = inference.vbe_update_nu
+
+        def faulty_nu(stats, state):
+            if (state.k, state.q) == (3, 2):
+                calls.append(None)
+                if len(calls) > cfg.n_restarts:  # past round 1
+                    raise np.linalg.LinAlgError("cell (3, 2) failed on purpose")
+            return real_nu(stats, state)
+
+        monkeypatch.setattr(inference, "vbe_update_nu", faulty_nu)
+        error, raised = "LinAlgError: cell (3, 2)", np.linalg.LinAlgError
+    else:
+        real_m_step = inference.m_step
+
+        def faulty_m_step(stats, nu, priors):
+            beta, theta, eta, xi = real_m_step(stats, nu, priors)
+            if (priors.k, priors.q) == (3, 2):
+                calls.append(None)
+                if len(calls) > 2 * cfg.n_restarts:  # past the absorbing M-steps and round 1
+                    eta = eta * np.nan
+            return beta, theta, eta, xi
+
+        monkeypatch.setattr(inference, "m_step", faulty_m_step)
+        error, raised = "DomainError: eta must be finite", DomainError
+    res = grid_search(g, ks, qs, cfg)
+    _assert_only_cells_failed(res, clean, {(3, 2)}, error)
+    # the failure came in round 2, after which the cell made no more calls
+    assert len(calls) == (3 if fault == "linalg" else 5)
+    calls.clear()
+    with pytest.raises(raised):
+        inference.fit(g, 3, 2, cfg)
+
+
+def test_grid_pins_a_failing_batched_sweep_on_its_cell(monkeypatch):
+    # a sweep batch holding a state of cell (2, 2) raises FloatingPointError
+    # from round 2 on; one kernel call per live state then finds that cell,
+    # and the other states of the round take their solo results
+    g = random_graph(np.random.default_rng(20), 12, 3, p=0.4)
+    cfg = FitConfig(seed=8, n_restarts=2)
+    ks, qs = [2, 3], [1, 2, 3]
+    clean = grid_search(g, ks, qs, cfg)
+    assert clean.cells[1].iterations > 1
+    batches = []
+    real = inference.vbe_update_tau
+
+    def sweep(a, states):
+        batches.append(len(states))
+        if len(batches) > 1 and any((st.k, st.q) == (2, 2) for st in states):
+            raise FloatingPointError("overflow encountered in exp")
+        return real(a, states)
+
+    monkeypatch.setattr(inference, "vbe_update_tau", sweep)
+    res = grid_search(g, ks, qs, cfg)
+    _assert_only_cells_failed(res, clean, {(2, 2)}, "FloatingPointError: overflow")
+    # round 2 of k = 2: the batch of all 6 states fails, then one call per
+    # live state up to the first of (2, 2) and after its cell's states; round
+    # 3 leaves (2, 2) out of the batch
+    assert batches[:8] == [6, 6] + [1] * 5 + [4], batches
 
 
 def test_grid_spectral_matches_per_restart_oracle(monkeypatch):
@@ -325,20 +409,68 @@ def test_grid_eigendecomposes_each_layer_once(monkeypatch):
     assert calls == []
 
 
-def test_grid_matches_dense_oracle(monkeypatch):
+def test_grid_matches_dense_oracle():
     # every cell's fit and hardened state on shared sufficient statistics
-    # against the dense loop, at both worker counts, with a degree-0 node and
-    # a k = n cell
+    # against the per-cell dense loop, at both worker counts, with a degree-0
+    # node and a k = n cell
     g = with_isolated_node(random_graph(np.random.default_rng(14), 6, 3, p=0.5), node=1, layer=2)
     cfg = FitConfig(seed=6, n_restarts=2)
     ks, qs = range(1, g.n + 1), [1, 2]
-    got = [grid_search(g, ks, qs, cfg, jobs=jobs) for jobs in (1, 2)]
-    monkeypatch.setattr(selection, "fit", fit_oracle)
-    monkeypatch.setattr(selection, "_hardened_state", hardened_state_oracle)
-    want = grid_search(g, ks, qs, cfg, jobs=1)
+    want = grid_search_oracle(g, ks, qs, cfg)
     assert all(c.error is None for c in want.cells)
-    assert repr(got[0]) == repr(want)
-    assert repr(got[1]) == repr(want)
+    for jobs in (1, 2):
+        assert repr(grid_search(g, ks, qs, cfg, jobs=jobs)) == repr(want)
+
+
+@pytest.mark.parametrize("strategy", ["random", "per_view_spectral"])
+def test_grid_equals_the_per_cell_oracle_on_acceptance_data(strategy):
+    # acceptance-5 data, K 2..8 x Q 1..5 and 3 restarts: the cells of one k
+    # share their sweeps, the oracle fits every cell alone
+    sim = SimulationConfig(n=100, v=12, k=5, q=3, p_in=0.99, p_out=0.01, p_switch=0.0, component_k=(5, 3, 2))
+    g, _ = generate_dataset(sim, rng_stream(2000))
+    cfg = FitConfig(seed=0, n_restarts=3, init_strategy=strategy)
+    want = grid_search_oracle(g, range(2, 9), range(1, 6), cfg)
+    assert all(c.error is None for c in want.cells)
+    for jobs in (1, 2):
+        assert repr(grid_search(g, range(2, 9), range(1, 6), cfg, jobs=jobs)) == repr(want)
+
+
+def test_grid_sweeps_each_k_once_per_round_of_its_longest_cell(monkeypatch):
+    # one restart per cell: k's sweep calls are as many as its cells' most
+    # iterations, and each batch holds that k's cells still iterating
+    g = random_graph(np.random.default_rng(21), 12, 4, p=0.4)
+    batches = []
+    real = inference.vbe_update_tau
+
+    def sweep(a, states):
+        batches.append((states[0].k, len(states)))
+        return real(a, states)
+
+    monkeypatch.setattr(inference, "vbe_update_tau", sweep)
+    uneven = 0
+    for strategy in ("random", "per_view_spectral"):
+        batches.clear()
+        res = grid_search(g, [2, 3, 4], [1, 2, 3, 4], FitConfig(seed=9, n_restarts=1, init_strategy=strategy))
+        for k in (2, 3, 4):
+            iters = [c.iterations for c in res.cells if c.k == k]
+            sizes = [size for kk, size in batches if kk == k]
+            assert len(sizes) == max(iters), (strategy, k)
+            assert sizes == [sum(i > r for i in iters) for r in range(max(iters))], (strategy, k)
+            uneven += len(set(iters)) > 1
+    assert uneven > 0  # some batch shrinks as its cells converge
+
+
+def test_grid_warns_once_per_unconverged_cell_in_k_q_order():
+    g = random_graph(np.random.default_rng(22), 10, 3, p=0.4)
+    cfg = FitConfig(seed=4, n_restarts=2, max_iter=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = grid_search(g, [3, 2], [2, 1], cfg)
+    unconverged = [(c.k, c.q) for c in res.cells if not c.converged]
+    assert len(unconverged) > 1
+    assert [str(w.message) for w in caught if issubclass(w.category, ConvergenceWarning)] == [
+        f"fit(k={k}, q={q}) stopped at max_iter=2 without meeting eps={cfg.eps}" for k, q in unconverged
+    ]
 
 
 def test_grid_bounds_each_cell_once(monkeypatch):
@@ -354,11 +486,13 @@ def test_grid_bounds_each_cell_once(monkeypatch):
 
 
 def test_grid_builds_one_layer_stack_per_fit_and_hardened_state(monkeypatch):
+    # one fit, and so one layer stack, per k task for all its q cells
     g = random_graph(np.random.default_rng(17), 8, 3, p=0.4)
     builds = count_calls(monkeypatch, MultilayerGraph, "layer_stack")
+    fits = count_calls(monkeypatch, selection, "fit")
     res = grid_search(g, [1, 2, 3], [1, 2], FitConfig(seed=3, n_restarts=3), jobs=1)
-    assert all(c.error is None for c in res.cells)
-    assert len(builds) == len(res.cells) == 6
+    assert all(c.error is None for c in res.cells) and len(res.cells) == 6
+    assert len(builds) == len(fits) == 3
     builds.clear()
     icl_exact(g, map_assign(np.eye(2)[np.arange(g.n) % 2]), map_assign(np.ones((g.v, 1))))
     assert len(builds) == 0
@@ -401,9 +535,10 @@ def test_grid_starts_no_more_workers_than_cells(monkeypatch):
     g = random_graph(np.random.default_rng(16), 8, 2, p=0.4)
     cfg = FitConfig(seed=4, n_restarts=1)
     monkeypatch.setattr(selection, "ProcessPoolExecutor", SerialPool)
-    serial = grid_search(g, [1, 2], [1, 2], cfg, jobs=1)
-    for ks, qs, jobs, workers in (([2], [1], 100000, []), ([1, 2], [1, 2], 100000, [4]),
-                                  ([1, 2], [1, 2], 3, [3]), ([1, 2], [1], 2, [2])):
+    serial = grid_search(g, [1, 2, 3], [1, 2], cfg, jobs=1)
+    # a task is one k, so the pool gets min(jobs, k values) workers
+    for ks, qs, jobs, workers in (([2], [1], 100000, []), ([2], [1, 2], 4, []), ([1, 2], [1, 2], 100000, [2]),
+                                  ([1, 2, 3], [1, 2], 2, [2]), ([1, 2, 3], [1], 3, [3]), ([1, 2], [1], 2, [2])):
         started.clear()
         res = grid_search(g, ks, qs, cfg, jobs=jobs)
         assert started == workers
