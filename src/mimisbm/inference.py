@@ -31,14 +31,20 @@ per K) runs every restart of every cell in the same lockstep batch, since a
 sweep's states need to share only N, V and K. Statistics, layer update,
 M-step, bound and convergence test stay per job, under its cell's priors;
 repeats are found per cell; a DomainError, LinAlgError or FloatingPointError
-in a cell's own work drops that cell's jobs and is returned in its place.
-When the batched sweep raises one, the kernel runs once per live state,
-which gives each state its own result and pins the failure on its cell.
+in a cell's own work drops that cell's jobs and is returned in its place,
+and one in a restart's spectral start (below), which every cell shares, is
+returned in place of every cell. When the batched sweep raises one, the
+kernel runs once per live state, which gives each state its own result and
+pins the failure on its cell.
 
-Spectral init clusters every layer's embedding with k-means in one batch
-per init, then the layers and the nodes. A k-means++ init draws one index
-and k - 1 uniforms whatever the data; a step whose sampling total is 0
-(every point already on a center) takes row 0. So _kmeans draws all the
+Spectral init clusters every layer's embedding with k-means in one batch,
+then the nodes, then the layers. Only the layer grouping depends on q, so
+_fit_cells draws the rest, the start, once per restart from the stream
+rng_stream(seed, k, r, -1) and every cell (k, q) groups the layers of that
+start on its own stream rng_stream(seed, k, q, r): the cells of one K and
+restart start from the same node partition. A k-means++ init draws one
+index and k - 1 uniforms whatever the data; a step whose sampling total is
+0 (every point already on a center) takes row 0. So _kmeans draws all the
 seeds of its problems first, in the order solving them one after another
 would, and runs the seedings and the Lloyd passes on stacked arrays, so the
 labels and the stream's end are those of the one-at-a-time loop.
@@ -479,6 +485,20 @@ def _soften(labels: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _spectral_start(
+    basis: Tuple[np.ndarray, np.ndarray], k: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The part of a per-view spectral init that does not depend on q:
+    spectral labels per layer from `basis`, their co-membership embeddings,
+    and the nodes grouped by k-means on the node rows. Returns (layer_rows,
+    tau): the layers' embedding rows, which init_variational groups into q
+    components, and the node responsibilities, renamed by first appearance
+    and softened. Draws the per-layer k-means, then the node k-means."""
+    vals, vecs = basis
+    layer_rows, node_rows = _comembership_embeddings(_spectral_labels(vals, vecs, k, rng))
+    return layer_rows, _soften(_first_appearance(_kmeans([node_rows], [k], rng)[0]), k)
+
+
 def init_variational(
     g: MultilayerGraph,
     k: int,
@@ -487,21 +507,25 @@ def init_variational(
     strategy: str = "random",
     rng: Optional[np.random.Generator] = None,
     basis: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> VariationalState:
     """Build a starting state: responsibilities by the chosen strategy, the
     conjugate posteriors set to the priors (the first M-step absorbs the
     responsibilities right after).
 
-    random: rows drawn flat-Dirichlet. per_view_spectral: spectral labels
-    per layer, layers grouped by k-means on their co-membership patterns,
-    nodes by k-means on the mean co-membership matrix (both on the exact
-    embeddings of _comembership_embeddings, no N x N matrix is formed);
-    both renamed by first appearance, so the state is a function of the two
-    partitions alone, and softened to 0.9 on the assigned cluster plus 0.1
-    spread uniformly.
-    The spectral labels come from `basis`, the output of
-    spectral_basis(g, k_max) for some k_max >= k; when it is None it is
-    computed here.
+    random: rows drawn flat-Dirichlet from `rng`. per_view_spectral: spectral
+    labels per layer, nodes grouped by k-means on the mean co-membership
+    matrix, layers by k-means on their co-membership patterns (both on the
+    exact embeddings of _comembership_embeddings, no N x N matrix is
+    formed); both renamed by first appearance, so the state is a function
+    of the two partitions alone, and softened to 0.9 on the assigned
+    cluster plus 0.1 spread uniformly.
+    Only the layer grouping depends on q. The rest is `start`, the
+    (layer_rows, tau) of _spectral_start, which fit draws once per restart
+    on its own stream and shares across the q values; when it is None it is
+    drawn here from `rng`, before the layer grouping. The spectral labels
+    come from `basis`, the output of spectral_basis(g, k_max) for some
+    k_max >= k; when it is None it is computed here.
     """
     if k < 1 or q < 1:
         raise DomainError("k and q must be >= 1")
@@ -520,12 +544,10 @@ def init_variational(
         tau = rng.dirichlet(np.ones(k), size=g.n)
         nu = rng.dirichlet(np.ones(q), size=g.v)
     elif strategy == "per_view_spectral":
-        vals, vecs = spectral_basis(g, k) if basis is None else basis
-        layer_rows, node_rows = _comembership_embeddings(_spectral_labels(vals, vecs, k, rng))
-        w_labels = _kmeans([layer_rows], [q], rng)[0]
-        z_labels = _kmeans([node_rows], [k], rng)[0]
-        nu = _soften(_first_appearance(w_labels), q)
-        tau = _soften(_first_appearance(z_labels), k)
+        if start is None:
+            start = _spectral_start(spectral_basis(g, k) if basis is None else basis, k, rng)
+        layer_rows, tau = start
+        nu = _soften(_first_appearance(_kmeans([layer_rows], [q], rng)[0]), q)
     else:
         raise DomainError(f"unknown init strategy: {strategy!r}")
 
@@ -712,11 +734,18 @@ def fit(
 ) -> Union[FitReport, List[Union[FitReport, Exception]]]:
     """Fit the model at fixed (k, q) with restarts; return the best restart.
 
-    Restart r draws its stream from rng_stream(cfg.seed, k, q, r), so a grid
-    driver may schedule cells in any order or process count without changing
-    any result. Restarts are ranked by final bound, ties toward the lower
-    index. converged reflects the winning restart; when it ran into
-    max_iter a ConvergenceWarning is emitted and the flag stays False.
+    Restart r of cell (k, q) draws from two streams. With spectral init,
+    the part of its init that does not depend on q (the per-layer spectral
+    labels, their co-membership embedding and the node grouping) comes from
+    rng_stream(cfg.seed, k, r, -1), once per restart, and every q value
+    starts from it; the layer grouping comes from rng_stream(cfg.seed, k, q,
+    r). A random init draws all of (tau, nu) from rng_stream(cfg.seed, k, q,
+    r). Both depend on (seed, k, q, r) alone, so a grid driver may schedule
+    cells in any order or process count without changing any result, and a
+    cell fitted alone gets its bits in the grid. Restarts are ranked by
+    final bound, ties toward the lower index. converged reflects the
+    winning restart; when it ran into max_iter a ConvergenceWarning is
+    emitted and the flag stays False.
 
     The restarts run in lockstep. Each draws its init and takes its
     absorbing M-step first; then each round sweeps the nodes of every
@@ -744,7 +773,8 @@ def fit(
     bit where it would alone. The result is a list holding, per entry of q,
     the cell's FitReport or the DomainError, LinAlgError or
     FloatingPointError its own work raised; such a failure drops only that
-    cell. One q returns its report, or raises its error.
+    cell. A failure of a restart's spectral start is every cell's. One q
+    returns its report, or raises its error.
     """
     one = np.ndim(q) == 0
     qs = [q] if one else list(q)
@@ -783,19 +813,30 @@ def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]
     one vbe_update_tau call for every live job; the rest of a round, the
     winner and the report are per job or per cell. A _CELL_ERRORS failure
     in a cell's init, statistics, updates, bound or state validation drops
-    that cell's jobs and becomes its entry. When the batched sweep itself
-    fails, the kernel is called once per live state, which gives each its
-    own result and pins the failure on its cells."""
+    that cell's jobs and becomes its entry; one in a spectral start, which
+    every cell shares, becomes every cell's entry. When the batched sweep
+    itself fails, the kernel is called once per live state, which gives
+    each its own result and pins the failure on its cells."""
     a = g.layer_stack()
     failed = {}  # cell -> the first failure of its own work
+    # restart r's spectral start, shared by every q: drawn from a path that
+    # no cell stream (k, q, r), r >= 0, takes; its failure is every cell's
+    starts = [None] * cfg.n_restarts
+    if cfg.init_strategy == "per_view_spectral":
+        try:
+            _check_basis(basis, g, k)
+            starts = [_spectral_start(basis, k, rng_stream(cfg.seed, k, r, -1)) for r in range(cfg.n_restarts)]
+        except _CELL_ERRORS as exc:
+            failed = dict.fromkeys(range(len(qs)), exc)
     states, sources = [], []  # per cell, per restart
     for c, (q, pr) in enumerate(zip(qs, priors)):
         # source[r]: the first restart whose init is bit-equal to restart r's;
         # only those run, the loop draws nothing and so the others repeat them
         cell, source, inits = [], [], {}
         try:
-            for r in range(cfg.n_restarts):
-                state = init_variational(g, k, q, pr, cfg.init_strategy, rng_stream(cfg.seed, k, q, r), basis)
+            for r in () if c in failed else range(cfg.n_restarts):
+                rng = rng_stream(cfg.seed, k, q, r)
+                state = init_variational(g, k, q, pr, cfg.init_strategy, rng, basis, starts[r])
                 source.append(inits.setdefault((state.tau.tobytes(), state.nu.tobytes()), r))
                 if source[r] == r:
                     stats = sufficient_stats(a, state.tau)

@@ -15,10 +15,15 @@ across cells, so a cell's result depends only on (data, K, Q, seed). What
 cells share is the spectral basis of the graph's layers, which depends on
 the data alone, and, within one K, the fit: the cells of one K are one task
 and one fit call, which builds one layer stack and runs every restart of
-every Q in lockstep, one node sweep call per round. The sweep gives each
-state the result it would get alone, so each cell's result is bit for bit
-that of fitting it alone. A cell is scored from its fit's final bound; only
-icl_exact evaluates a bound of its own, at the hardened state.
+every Q in lockstep, one node sweep call per round. With spectral init
+that fit also draws, once per restart r, the part of the init that does
+not depend on Q (per-layer spectral labels, co-membership embedding, node
+grouping) from rng_stream(seed, K, r, -1); each cell groups the layers on
+its own stream rng_stream(seed, K, Q, r). The sweep gives each state the
+result it would get alone, and fit at one (K, Q) draws the same streams,
+so each cell's result is bit for bit that of fitting it alone. A cell is
+scored from its fit's final bound; only icl_exact evaluates a bound of its
+own, at the hardened state.
 """
 
 from __future__ import annotations
@@ -118,9 +123,11 @@ class GridCell:
     state validation, scoring); then `error` carries the message and every
     criterion is None, and failed cells never win the argmax. A failure
     drops only its cell from its K's lockstep batch: the other cells of that
-    K keep their bits. When the shared node sweep fails, it is rerun once
-    per state to find the failing cells. Any other exception propagates out
-    of grid_search."""
+    K keep their bits. A failure of a restart's spectral start, which the
+    cells of one K share, is the error of every cell of that K and of no
+    other cell. When the shared node sweep fails, it is rerun once per state
+    to find the failing cells. Any other exception propagates out of
+    grid_search."""
 
     k: int
     q: int
@@ -188,12 +195,13 @@ def grid_search(
     The cells of one k are one task, a fit of all its q values in lockstep
     (see the module docstring); tasks run on min(jobs, k values) worker
     processes when that exceeds 1, else one after another. Each cell derives
-    its randomness from (cfg.seed, k, q), and gets the bits it would get
-    fitted alone, so the result is identical for any `jobs`. A cell that
-    fails records its error without touching the other cells (GridCell).
-    All four criteria are recorded for every cell and a winner is chosen
-    per criterion by maximization, ties broken toward smaller k, then
-    smaller q; `criterion` names the one reported as `best`.
+    its randomness from (cfg.seed, k, q) and, for the spectral start it
+    shares with the cells of its k, from (cfg.seed, k); it gets the bits it
+    would get fitted alone, so the result is identical for any `jobs`. A
+    cell that fails records its error without touching the other cells
+    (GridCell). All four criteria are recorded for every cell and a winner
+    is chosen per criterion by maximization, ties broken toward smaller k,
+    then smaller q; `criterion` names the one reported as `best`.
     """
     ks = sorted(set(int(k) for k in k_values))
     qs = sorted(set(int(q) for q in q_values))

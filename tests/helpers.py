@@ -55,6 +55,7 @@ from mimisbm.inference import (
     _floor_rows,
     _soften,
     _softmax_rows,
+    _spectral_start,
     _xlogx,
     spectral_basis,
     sufficient_stats,
@@ -471,20 +472,31 @@ def first_appearance_oracle(labels) -> np.ndarray:
     return np.array([names.setdefault(x, len(names)) for x in np.asarray(labels).tolist()], dtype=np.int64)
 
 
-def init_variational_oracle(g, k, q, priors, strategy="random", rng=None, basis=None):
+def spectral_start_oracle(g, k, rng):
+    """The q-free part of a spectral init with each layer eigendecomposed
+    again: per-layer spectral labels, then the nodes grouped by k-means on
+    the dense mean co-membership rows. Returns (the dense layer features,
+    the softened node responsibilities)."""
+    labels = np.stack([spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, rng) for lay in range(g.v)])
+    layer_features, node_features = comembership_features(labels)
+    z_labels = first_appearance_oracle(kmeans_oracle(node_features, k, rng))
+    return layer_features, _soften(z_labels, k)
+
+
+def init_variational_oracle(g, k, q, priors, strategy="random", rng=None, basis=None, start=None):
     """init_variational with every call eigendecomposing each layer again.
     Takes init_variational's arguments so it can stand in for it; `basis` is
-    ignored and random init is delegated."""
+    ignored and random init is delegated. Without a `start`, the start is
+    spectral_start_oracle's on `rng`; the layers are then grouped by k-means
+    on the start's layer rows, on `rng`."""
     if strategy != "per_view_spectral":
         return init_variational(g, k, q, priors, strategy, rng)
     if rng is None:
         rng = rng_stream(0)
-    labels = np.stack([spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, rng) for lay in range(g.v)])
-    layer_features, node_features = comembership_features(labels)
-    w_labels = first_appearance_oracle(kmeans_oracle(layer_features, q, rng))
-    z_labels = first_appearance_oracle(kmeans_oracle(node_features, k, rng))
+    layer_rows, tau = spectral_start_oracle(g, k, rng) if start is None else start
+    w_labels = first_appearance_oracle(kmeans_oracle(layer_rows, q, rng))
     return VariationalState(
-        tau=_floor_rows(_soften(z_labels, k), _INIT_FLOOR),
+        tau=_floor_rows(tau, _INIT_FLOOR),
         nu=_floor_rows(_soften(w_labels, q), _INIT_FLOOR),
         beta=priors.beta0,
         theta=priors.theta0,
@@ -654,7 +666,9 @@ def m_step_oracle(g: MultilayerGraph, state: VariationalState, priors: PriorHype
 def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
     """fit's restart loop on the dense reference updates, with the state
     rebuilt after the node sweep, the layer update and the M-step, and the
-    restarts run one after another, each sweep on one state. Takes fit's
+    restarts run one after another, each sweep on one state. A spectral
+    restart r takes its start from rng_stream(cfg.seed, k, r, -1) and the
+    rest of its init from rng_stream(cfg.seed, k, q, r). Takes fit's
     arguments so it can stand in for it; emits no ConvergenceWarning."""
     if priors is None:
         priors = PriorHyperparams.jeffreys(k, q)
@@ -666,8 +680,11 @@ def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
     best = None
     restart_elbos = []
     for r in range(cfg.n_restarts):
+        start = None
+        if cfg.init_strategy == "per_view_spectral":
+            start = _spectral_start(basis, k, rng_stream(cfg.seed, k, r, -1))
         rng = rng_stream(cfg.seed, k, q, r)
-        state = init_variational(g, k, q, priors, cfg.init_strategy, rng, basis)
+        state = init_variational(g, k, q, priors, cfg.init_strategy, rng, basis, start)
         beta, theta, eta, xi = m_step_oracle(g, state, priors)
         state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
 

@@ -225,6 +225,29 @@ def test_select_deterministic_across_jobs(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_select_spectral_repeats_and_its_pick_refits_to_its_bound(tmp_path):
+    # select --init spectral writes the same bytes on every run and at any
+    # --jobs; fit --init spectral at the chosen cell writes the bound that
+    # select.json records for that cell
+    sim = tmp_path / "sim"
+    _simulate(sim, seed=6)
+    common = ["--graph", str(sim / "graph.mlg"), "--seed", "9", "--restarts", "2", "--init", "spectral"]
+    outs = []
+    for jobs in ("1", "2", "1"):
+        out = tmp_path / f"sel{len(outs)}"
+        assert main(["select", *common, "--k-range", "1..3", "--q-range", "1..2", "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        outs.append(_dir_bytes(out))
+    assert sorted(outs[0]) == ["select.csv", "select.json"]
+    assert outs[0] == outs[1] == outs[2]
+    sel = json.loads(outs[0]["select.json"].decode("utf-8"))
+    k, q = sel["best"]
+    (cell,) = [c for c in sel["cells"] if (c["k"], c["q"]) == (k, q)]
+    out = tmp_path / "fit"
+    assert main(["fit", *common, "--k", str(k), "--q", str(q), "--out", str(out)]) == 0
+    assert json.loads((out / "fit.json").read_text(encoding="utf-8"))["elbo"] == cell["ilvb"]
+
+
 def test_select_criterion_flag(tmp_path, capsys):
     sim = tmp_path / "sim"
     _simulate(sim, seed=2)

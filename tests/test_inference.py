@@ -49,6 +49,7 @@ from helpers import (
     scalar_nu_update,
     scalar_tau_sweep,
     spectral_labels_oracle,
+    spectral_start_oracle,
     vbe_update_tau_oracle,
     with_isolated_node,
 )
@@ -1068,7 +1069,10 @@ def test_fit_spectral_matches_per_restart_oracle(monkeypatch):
     graphs = _spectral_graphs()
     got = [fit(g, k, q, FitConfig(**cfg)) for g, k, q in graphs]
     monkeypatch.setattr(inference, "init_variational", init_variational_oracle)
-    want = [fit(g, k, q, FitConfig(**cfg)) for g, k, q in graphs]
+    want = []
+    for g, k, q in graphs:
+        monkeypatch.setattr(inference, "_spectral_start", lambda basis, k, rng, g=g: spectral_start_oracle(g, k, rng))
+        want.append(fit(g, k, q, FitConfig(**cfg)))
     for a, b in zip(got, want):
         assert a.state.tau.tobytes() == b.state.tau.tobytes()
         assert a.state.nu.tobytes() == b.state.nu.tobytes()
@@ -1162,7 +1166,7 @@ def test_fit_repeats_only_restarts_whose_tau_and_nu_both_repeat(monkeypatch):
     table = [(a.tau, a.nu), (a.tau, b.nu), (b.tau, a.nu), (a.tau, a.nu), (b.tau, b.nu)]
     calls = []
 
-    def init(g, k, q, priors, strategy, rng, basis):
+    def init(g, k, q, priors, strategy, rng, basis, start):
         tau, nu = table[len(calls) % len(table)]
         calls.append(None)
         return replace(a, tau=tau.copy(), nu=nu.copy())

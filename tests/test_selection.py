@@ -1,5 +1,6 @@
 """Selection criteria, their identities, and the (k, q) grid driver."""
 
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -35,6 +36,7 @@ from mimisbm.inference import sufficient_stats
 from helpers import (
     count_calls,
     count_eigh,
+    fit_oracle,
     grid_search_oracle,
     hard_completed_loglik,
     hardened_state_oracle,
@@ -42,6 +44,7 @@ from helpers import (
     log_evidence_enumeration,
     random_graph,
     random_post_m_state,
+    spectral_start_oracle,
     with_isolated_node,
 )
 
@@ -311,6 +314,31 @@ def test_grid_propagates_unexpected_errors(monkeypatch):
         grid_search(g, [1, 2], [1, 2], FitConfig(seed=0, n_restarts=1), jobs=1)
 
 
+@pytest.mark.parametrize("exc_type", [DomainError, np.linalg.LinAlgError, FloatingPointError])
+def test_grid_failed_spectral_start_fails_every_cell_of_its_k(monkeypatch, exc_type):
+    # restart 1's start at k = 3, which the q cells of k = 3 share, fails:
+    # every cell of k = 3 carries its error, every other cell keeps its bits
+    g = random_graph(np.random.default_rng(23), 10, 3, p=0.4)
+    cfg = FitConfig(seed=3, n_restarts=2, init_strategy="per_view_spectral")
+    ks, qs = [2, 3, 4], [1, 2, 3]
+    clean = grid_search(g, ks, qs, cfg)
+    real = inference._spectral_start
+    calls = []
+
+    def start(basis, k, rng):
+        calls.append(k)
+        if k == 3 and calls.count(3) % 2 == 0:  # restart 1 of a fit at k = 3
+            raise exc_type("start (3, 1) failed on purpose")
+        return real(basis, k, rng)
+
+    monkeypatch.setattr(inference, "_spectral_start", start)
+    res = grid_search(g, ks, qs, cfg)
+    _assert_only_cells_failed(res, clean, {(3, q) for q in qs}, f"{exc_type.__name__}: start (3, 1)")
+    assert calls == [2, 2, 3, 3, 4, 4]
+    with pytest.raises(exc_type):
+        inference.fit(g, 3, 2, cfg)
+
+
 @pytest.mark.parametrize("fault", ["linalg", "nan"])
 def test_grid_cell_failing_mid_iteration_fails_alone(monkeypatch, fault):
     # after round 1, cell (3, 2)'s layer update raises LinAlgError, or its
@@ -390,6 +418,7 @@ def test_grid_spectral_matches_per_restart_oracle(monkeypatch):
     ks, qs = range(1, g.n + 1), [1, 2]
     got = [grid_search(g, ks, qs, cfg, jobs=jobs) for jobs in (1, 2)]
     monkeypatch.setattr(inference, "init_variational", init_variational_oracle)
+    monkeypatch.setattr(inference, "_spectral_start", lambda basis, k, rng: spectral_start_oracle(g, k, rng))
     want = grid_search(g, ks, qs, cfg, jobs=1)
     assert all(c.error is None for c in want.cells)
     # repr prints every float round-trip exactly, so equal reprs are equal bits
@@ -433,6 +462,63 @@ def test_grid_equals_the_per_cell_oracle_on_acceptance_data(strategy):
     assert all(c.error is None for c in want.cells)
     for jobs in (1, 2):
         assert repr(grid_search(g, range(2, 9), range(1, 6), cfg, jobs=jobs)) == repr(want)
+
+
+@pytest.mark.parametrize("restarts, labellings", [(1, 7), (3, 21)])
+def test_grid_clusters_the_layers_once_per_k_and_restart(monkeypatch, restarts, labellings):
+    # select-grid's shape, K 2..8 x Q 1..5: the per-layer spectral labels
+    # run once per (k, restart), and each restart's cells of one k start from
+    # bit-equal tau; inits come in (q, restart) order within a k
+    sim = SimulationConfig(n=100, v=12, k=5, q=3, p_in=0.99, p_out=0.01, p_switch=0.0, component_k=(5, 3, 2))
+    g, _ = generate_dataset(sim, rng_stream(2001))
+    labels = count_calls(monkeypatch, inference, "_spectral_labels")
+    taus = {}
+    real = inference.init_variational
+
+    def init(g, k, q, *args):
+        state = real(g, k, q, *args)
+        taus.setdefault(k, []).append(state.tau.tobytes())
+        return state
+
+    monkeypatch.setattr(inference, "init_variational", init)
+    grid_search(g, range(2, 9), range(1, 6), FitConfig(seed=1, n_restarts=restarts, init_strategy="per_view_spectral"))
+    assert len(labels) == labellings
+    assert sorted(taus) == list(range(2, 9))
+    for k, per_call in taus.items():
+        by_q = [per_call[i : i + restarts] for i in range(0, len(per_call), restarts)]
+        assert len(by_q) == 5 and all(row == by_q[0] for row in by_q), k
+
+
+# sha256 of (k, q, tau, nu) of every random init, in call order, of the grid
+# and the fit below, recorded before the spectral start was shared
+PINNED_RANDOM_INITS = "ac55277467efa2e74815ad76aaeb2f6f0df7348bdee55a7203a8643c44debe4e"
+
+
+def test_random_init_grid_and_fit_keep_their_streams(monkeypatch):
+    # random inits draw (tau, nu) from the cell stream (seed, k, q, r) alone
+    # and take no spectral start: every init keeps its pinned bytes, and the
+    # fits from them are the oracle's
+    g = random_graph(np.random.default_rng(24), 12, 4, p=0.4)
+    cfg = FitConfig(seed=11, n_restarts=2)
+    starts = count_calls(monkeypatch, inference, "_spectral_start")
+    digest = hashlib.sha256()
+    real = inference.init_variational
+
+    def init(g, k, q, *args):
+        state = real(g, k, q, *args)
+        digest.update(bytes([k, q]) + state.tau.tobytes() + state.nu.tobytes())
+        return state
+
+    monkeypatch.setattr(inference, "init_variational", init)
+    grid = grid_search(g, [1, 2, 3], [1, 2], cfg)
+    report = inference.fit(g, 3, 2, replace(cfg, n_restarts=3))
+    assert starts == []
+    assert digest.hexdigest() == PINNED_RANDOM_INITS
+    assert repr(grid) == repr(grid_search_oracle(g, [1, 2, 3], [1, 2], cfg))
+    want = fit_oracle(g, 3, 2, replace(cfg, n_restarts=3))
+    for name in ("tau", "nu", "beta", "theta", "eta", "xi"):
+        assert getattr(report.state, name).tobytes() == getattr(want.state, name).tobytes(), name
+    assert report.restart_elbos == want.restart_elbos
 
 
 def test_grid_sweeps_each_k_once_per_round_of_its_longest_cell(monkeypatch):
