@@ -280,16 +280,21 @@ def _check_finite(fields) -> None:
             raise DomainError(f"{name} must be finite")
 
 
-def _normalizer_log_gammas(log_gamma, beta, theta, eta, xi) -> list:
-    """One side of the bound's normalizer ratios, prior or posterior, from
-    one log_gamma call: log_gamma of (sum beta, sum theta), of beta, of
-    theta, and of eta + xi, eta and xi over the k <= l cells (flattened in
-    (k, l, s) order). The caller supplies log_gamma; mathfn imports this
-    module."""
-    iu, ju = np.triu_indices(beta.size)
-    eta, xi = eta[iu, ju, :].ravel(), xi[iu, ju, :].ravel()
-    args = ([beta.sum(), theta.sum()], beta, theta, eta + xi, eta, xi)
-    return np.split(log_gamma(np.concatenate(args)), np.cumsum([len(arg) for arg in args[:-1]]))
+def _normalizer_log_gammas(log_gamma, sides) -> list:
+    """The bound's normalizer log-gammas of each side (beta, theta, eta, xi)
+    in `sides`, prior or posterior, from one log_gamma call on the arguments
+    of all the sides: per side, log_gamma of (sum beta, sum theta), of beta,
+    of theta, and of eta + xi, eta and xi over the k <= l cells (flattened
+    in (k, l, s) order). log_gamma is elementwise, so a side's values do not
+    depend on the other sides of the call. The caller supplies log_gamma;
+    mathfn imports this module."""
+    args = []
+    for beta, theta, eta, xi in sides:
+        iu, ju = np.triu_indices(beta.size)
+        eta, xi = eta[iu, ju, :].ravel(), xi[iu, ju, :].ravel()
+        args += [[beta.sum(), theta.sum()], beta, theta, eta + xi, eta, xi]
+    parts = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(arg) for arg in args[:-1]]))
+    return [parts[at : at + 6] for at in range(0, len(parts), 6)]
 
 
 @dataclass(frozen=True)
@@ -368,7 +373,7 @@ class PriorHyperparams:
 
         from .mathfn import log_gamma  # mathfn imports this module
 
-        lg = _normalizer_log_gammas(log_gamma, self.beta0, self.theta0, self.eta0, self.xi0)
+        lg = _normalizer_log_gammas(log_gamma, [(self.beta0, self.theta0, self.eta0, self.xi0)])[0]
         object.__setattr__(self, "log_gammas", tuple(_locked(part) for part in lg))
 
     @property
@@ -473,8 +478,13 @@ class FitConfig:
     max_iter: cap on outer iterations; hitting it sets converged=False.
     n_restarts: independent initializations; the best final bound wins,
         ties broken toward the lower restart index.
-    seed: root seed; restart r of cell (k, q) draws from
-        rng_stream(seed, k, q, r), so results never depend on scheduling.
+    seed: root seed. Restart r of cell (k, q) draws its init from
+        rng_stream(seed, k, q, r); with per_view_spectral init the part
+        that does not depend on q (the per-layer spectral labels, their
+        co-membership embedding and the node grouping) comes from
+        rng_stream(seed, k, r, -1), which every q of that k and restart
+        shares, and the layer grouping from rng_stream(seed, k, q, r). So
+        results never depend on scheduling.
     init_strategy: "random" or "per_view_spectral".
     """
 

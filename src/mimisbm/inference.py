@@ -10,32 +10,42 @@ that property is load bearing and the test suite enforces it.
 Update order per outer iteration: node sweep(s), layer update, closed-form
 M-step, bound evaluation. A fit builds the graph's float layer stack once;
 the node sweep reads it, and the layer update and the M-step see the graph
-only through sufficient_stats, computed from it once per iteration on the
-new node responsibilities. Each iteration builds one VariationalState. The
-bound uses the simplified form that is exact right after an M-step, which is
-the only place the loop evaluates it. One M-step runs before the first iteration
-so the initial responsibilities are absorbed into the conjugate posteriors;
-without it the first node sweep would start from flat priors and erase the
-initialization. A fit's restarts iterate in lockstep: one node sweep call
-per round serves every restart still iterating, and gives each the result
-it would get alone. The loop draws nothing after the init, so a restart
-whose init state is bit-equal to an earlier restart's is not run: it takes
-that restart's state, bound trace and convergence flag, and its entry in
-restart_elbos is that restart's bound. Spectral init renames its node and
-layer labels by first appearance, so its state is a function of the two
-k-means partitions and restarts that find the same partitions repeat.
+only through the sufficient statistics, computed from it once per iteration
+on the new node responsibilities. Each iteration builds one
+VariationalState. The bound uses the simplified form that is exact right
+after an M-step, which is the only place the loop evaluates it. One M-step
+runs before the first iteration so the initial responsibilities are
+absorbed into the conjugate posteriors; without it the first node sweep
+would start from flat priors and erase the initialization. A fit's restarts
+iterate in lockstep: one node sweep call per round serves every restart
+still iterating, and gives each the result it would get alone. The loop
+draws nothing after the init, so a restart whose init state is bit-equal to
+an earlier restart's is not run: it takes that restart's state, bound trace
+and convergence flag, and its entry in restart_elbos is that restart's
+bound. Spectral init renames its node and layer labels by first appearance,
+so its state is a function of the two k-means partitions and restarts that
+find the same partitions repeat.
 
 The driver, _fit_cells, runs the jobs (cell, restart) of one K: fit is its
 one-cell case, and fit given several Q values (as grid_search calls it, once
 per K) runs every restart of every cell in the same lockstep batch, since a
-sweep's states need to share only N, V and K. Statistics, layer update,
-M-step, bound and convergence test stay per job, under its cell's priors;
-repeats are found per cell; a DomainError, LinAlgError or FloatingPointError
-in a cell's own work drops that cell's jobs and is returned in its place,
-and one in a restart's spectral start (below), which every cell shares, is
-returned in place of every cell. When the batched sweep raises one, the
-kernel runs once per live state, which gives each state its own result and
-pins the failure on its cell.
+sweep's states need to share only N, V and K. A round does its shared work
+once for all the live jobs: one digamma call gives every job's Beta and
+Dirichlet log-moments, which its node sweep and its layer update share; one
+vbe_update_tau call sweeps them all; one batched product over the layer
+stack gives every job's statistics (_stats_pass, which also serves the
+absorbing M-steps, once per distinct init tau); and one log_gamma call,
+once the round's states are built, gives the posterior side of every
+bound. The layer update, M-step, bound and convergence test stay per job,
+under its cell's priors; the public updates and the bound take the
+precomputed values as an optional argument. The special functions are
+elementwise and every batched product has a solo call's shape and layout,
+so each job gets bit for bit what it gets alone. Repeats are found per
+cell; a DomainError, LinAlgError or FloatingPointError in a cell's own work
+drops that cell's jobs and is returned in its place, and one in a restart's
+spectral start (below), which every cell shares, is returned in place of
+every cell. When a shared call raises one, its step runs once per live job,
+which gives each job its own result and pins the failure on its cell.
 
 Spectral init clusters every layer's embedding with k-means in one batch,
 then the nodes, then the layers. Only the layer grouping depends on q, so
@@ -56,6 +66,7 @@ renormalized, so no log ever sees a zero during a fit.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -143,24 +154,31 @@ def _xlogx(a: np.ndarray) -> float:
     return float(np.sum(a * np.log(safe)))
 
 
-def _log_moments(states: Sequence[VariationalState], concs: Sequence[np.ndarray]) -> list:
-    """Per state, (d, e, base): the Beta log-moments per cell, E[log alpha] -
-    E[log(1 - alpha)] and E[log(1 - alpha)], and the Dirichlet log-moments
-    psi(conc) - psi(sum conc) of its concentrations `conc` (its beta or
-    theta), from one digamma call on the arguments of all the states."""
+def _log_moments(states: Sequence[VariationalState], *concs: Sequence[np.ndarray]) -> list:
+    """Per state, (d, e, *bases): the Beta log-moments per cell, E[log alpha] -
+    E[log(1 - alpha)] and E[log(1 - alpha)], and for each list in `concs`
+    the Dirichlet log-moments psi(conc) - psi(sum conc) of that state's
+    concentrations `conc` in it (its beta or theta), from one digamma call
+    on the arguments of all the states. digamma is elementwise, so a
+    state's values do not depend on the other states of the call."""
     args = []
-    for st, conc in zip(states, concs):
+    for st, *cs in zip(states, *concs):
         eta, xi = st.eta.ravel(), st.xi.ravel()
-        args += [eta, xi, eta + xi, conc, [conc.sum()]]
+        args += [eta, xi, eta + xi]
+        for conc in cs:
+            args += [conc, [conc.sum()]]
     psi = digamma(np.concatenate(args))
     out, at = [], 0
-    for st, conc in zip(states, concs):
+    for st, *cs in zip(states, *concs):
         c = st.eta.size
-        part = psi[at : at + 3 * c + conc.size + 1]
-        at += part.size
-        d = (part[:c] - part[c : 2 * c]).reshape(st.eta.shape)
-        e = (part[c : 2 * c] - part[2 * c : 3 * c]).reshape(st.eta.shape)
-        out.append((d, e, part[3 * c : -1] - part[-1]))
+        d = (psi[at : at + c] - psi[at + c : at + 2 * c]).reshape(st.eta.shape)
+        e = (psi[at + c : at + 2 * c] - psi[at + 2 * c : at + 3 * c]).reshape(st.eta.shape)
+        at += 3 * c
+        bases = []
+        for conc in cs:
+            bases.append(psi[at : at + conc.size] - psi[at + conc.size])
+            at += conc.size + 1
+        out.append((d, e, *bases))
     return out
 
 
@@ -577,10 +595,27 @@ def sufficient_stats(a: np.ndarray, tau: np.ndarray) -> Stats:
     sum_i tau_ik tau_il; and the block sizes t = tau.sum(0). The layer
     update and the M-step see the graph only through these.
     """
-    m = (tau.T @ (a @ tau)).transpose(1, 2, 0)
-    # C order, so that m_step's products do not depend on how m was computed
-    m = np.ascontiguousarray((m + m.transpose(1, 0, 2)) / 2.0)
-    return (m, *_pair_mass(tau))
+    return _stats_pass(a, [tau])[0]
+
+
+def _stats_pass(a: np.ndarray, taus: Sequence[np.ndarray]) -> List[Stats]:
+    """sufficient_stats(a, tau) for each tau of `taus`, which share N and K,
+    from one pass over the layer stack: one batched product gives a[v] @ tau
+    for every layer v and distinct tau, layer by layer, so each layer is read
+    once for all of them. Every 2-D product has the shape and layout of a
+    solo call's, so each tau's statistics do not depend on the others; equal
+    taus share one entry."""
+    distinct = {}  # tau bytes -> tau, in order of first appearance
+    for tau in taus:
+        distinct.setdefault(tau.tobytes(), tau)
+    at = np.matmul(a[:, None], np.stack(list(distinct.values()))[None])  # (V, R, N, K)
+    stats = {}
+    for j, (key, tau) in enumerate(distinct.items()):
+        m = (tau.T @ at[:, j]).transpose(1, 2, 0)
+        # C order, so that m_step's products do not depend on how m was computed
+        m = np.ascontiguousarray((m + m.transpose(1, 0, 2)) / 2.0)
+        stats[key] = (m, *_pair_mass(tau))
+    return [stats[tau.tobytes()] for tau in taus]
 
 
 def _pair_mass(tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -590,10 +625,15 @@ def _pair_mass(tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.outer(t, t) - (gram + gram.T) / 2.0, t
 
 
-def vbe_update_tau(a: np.ndarray, states: Sequence[VariationalState]) -> List[np.ndarray]:
+def vbe_update_tau(
+    a: np.ndarray, states: Sequence[VariationalState], moments: Optional[Sequence[tuple]] = None
+) -> List[np.ndarray]:
     """One full sweep of the node fixed point over the layer stack `a`
     (MultilayerGraph.layer_stack, (V, N, N)) for each state in `states`,
     which share N, V and K; returns the new tau of each, in order.
+    `moments` holds each state's log-moments (d, e, base), base those of
+    its beta, as _log_moments gives them; when None they come from one
+    digamma call here.
 
     Rows are updated in index order and each row sees the rows already
     updated in this sweep, which keeps the sweep a chain of exact
@@ -606,8 +646,7 @@ def vbe_update_tau(a: np.ndarray, states: Sequence[VariationalState]) -> List[np
     plus the Dirichlet term psi(beta_k) - psi(sum beta). Per state and
     sweep the weights form one matrix w: w[k, v K + l] = sum_s d[k, l, s]
     nu_vs for the edge term, K columns for the non-edge term (which needs
-    only the column sums of nu) and the Dirichlet term; the log-moments of
-    all the states come from one digamma call. Row i's logits are
+    only the column sums of nu) and the Dirichlet term. Row i's logits are
     w times the row's profile: a[:, i, :] @ tau (V x K), the column sums of
     tau less tau_i (kept as a running sum) and a 1. The states' rows are
     computed together, each product as a batch of same-shape 2-D products
@@ -618,7 +657,8 @@ def vbe_update_tau(a: np.ndarray, states: Sequence[VariationalState]) -> List[np
     r, k = len(states), states[0].k
     vk = v * k
     weights = np.empty((r, k, vk + k + 1))
-    moments = _log_moments(states, [st.beta for st in states])
+    if moments is None:
+        moments = _log_moments(states, [st.beta for st in states])
     for s, (st, (d, e, base)) in enumerate(zip(states, moments)):
         weights[s, :, -1] = base
         weights[s, :, :vk] = (d @ st.nu.T).transpose(0, 2, 1).reshape(k, vk)
@@ -651,11 +691,13 @@ def vbe_update_tau(a: np.ndarray, states: Sequence[VariationalState]) -> List[np
     return list(tau)
 
 
-def vbe_update_nu(stats: Stats, state: VariationalState) -> np.ndarray:
+def vbe_update_nu(stats: Stats, state: VariationalState, moments: Optional[tuple] = None) -> np.ndarray:
     """Update every layer's component responsibilities; returns the new nu.
 
     `stats` is sufficient_stats(a, tau) at the current node responsibilities;
-    `state` supplies theta, eta and xi. Layer v scores component s by the
+    `state` supplies theta, eta and xi, and `moments` their log-moments
+    (d, e, base), base those of theta, as _log_moments gives them; when
+    None they come from one digamma call here. Layer v scores component s by the
     expected log-likelihood of its dyads, sum over i < j of tau_ik tau_jl
     against the Beta log-moments. The ordered sums in stats visit every
     unordered (node pair, block pair) combination exactly twice, once per
@@ -663,7 +705,7 @@ def vbe_update_nu(stats: Stats, state: VariationalState) -> np.ndarray:
     given tau.
     """
     m, pair, _ = stats
-    d, e, base = _log_moments([state], [state.theta])[0]
+    d, e, base = _log_moments([state], [state.theta])[0] if moments is None else moments
 
     edge = np.einsum("klv,kls->vs", m, d)
     hole = np.einsum("kl,kls->s", pair, e)[None, :]
@@ -701,16 +743,17 @@ def m_step(
     return beta, theta, eta, xi
 
 
-def compute_elbo(state: VariationalState, priors: PriorHyperparams) -> float:
+def compute_elbo(state: VariationalState, priors: PriorHyperparams, log_gammas: Optional[list] = None) -> float:
     """Evidence lower bound in the simplified form that is exact after an
     M-step: prior-to-posterior normalizer ratios of the three conjugate
     families plus the responsibility entropies. The data enter only through
     the counts already absorbed into the posterior state, so the graph is
     not an argument. The prior's log-gamma values are fixed per fit and
-    come from priors.log_gammas; the posterior's come from one call on all
-    their arguments. The Beta cells are those with k <= l.
+    come from priors.log_gammas; the posterior's are `log_gammas`, the
+    state's entry of _posterior_log_gammas, or when None come from one call
+    here on all their arguments. The Beta cells are those with k <= l.
     """
-    lg = _normalizer_log_gammas(log_gamma, state.beta, state.theta, state.eta, state.xi)
+    lg = _posterior_log_gammas([state])[0] if log_gammas is None else log_gammas
     lg_sums, lg_beta, lg_theta, lg_tot, lg_eta, lg_xi = lg
     lg_sums0, lg_beta0, lg_theta0, lg_tot0, lg_eta0, lg_xi0 = priors.log_gammas
     # log B(post) - log B(prior) per family, B the (multivariate) Beta function
@@ -718,6 +761,13 @@ def compute_elbo(state: VariationalState, priors: PriorHyperparams) -> float:
     theta_term = float(lg_sums0[1] - lg_sums[1] + lg_theta.sum() - lg_theta0.sum())
     cell_term = float((lg_tot0 - lg_tot + lg_eta - lg_eta0 + lg_xi - lg_xi0).sum())
     return beta_term + theta_term + cell_term - _xlogx(state.tau) - _xlogx(state.nu)
+
+
+def _posterior_log_gammas(states: Sequence[VariationalState]) -> list:
+    """Each state's posterior side of the bound's normalizer ratios
+    (core._normalizer_log_gammas), from one log_gamma call on the arguments
+    of all the states."""
+    return _normalizer_log_gammas(log_gamma, [(st.beta, st.theta, st.eta, st.xi) for st in states])
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +797,16 @@ def fit(
     winning restart; when it ran into max_iter a ConvergenceWarning is
     emitted and the flag stays False.
 
-    The restarts run in lockstep. Each draws its init and takes its
-    absorbing M-step first; then each round sweeps the nodes of every
-    restart still iterating in one vbe_update_tau call, and takes the
-    statistics, layer update, M-step, bound and convergence test per
-    restart. A restart leaves the batch when it converges or reaches
-    max_iter. The sweep gives each state the result it would get alone, so
-    every restart ends where it would if the restarts ran one after another.
+    The restarts run in lockstep. Each draws its init, then every restart
+    takes its absorbing M-step on statistics from one pass over the layer
+    stack. Each round then serves every restart still iterating with one
+    digamma call (the log-moments its node sweep and layer update share),
+    one vbe_update_tau call, one statistics pass and one log_gamma call
+    (the posterior side of its bound), and takes the layer update, M-step,
+    bound and convergence test per restart. A restart leaves the batch when
+    it converges or reaches max_iter. Each shared call gives every restart
+    the result it would get alone, so every restart ends where it would if
+    the restarts ran one after another.
 
     Repeats run once: nothing after the init draws, so a restart whose init
     (tau, nu) is bit-equal to an earlier restart's neither joins the batch
@@ -806,17 +859,55 @@ def fit(
 _CELL_ERRORS = (DomainError, np.linalg.LinAlgError, FloatingPointError)
 
 
+def _per_job(work, jobs, failed) -> dict:
+    """{job: work(job)} for the jobs (cell, restart) in turn, skipping those
+    of the cells in `failed`. A _CELL_ERRORS failure becomes its cell's entry
+    of `failed`, and the cell's other jobs are left out of the result."""
+    out = {}
+    for job in jobs:
+        if job[0] not in failed:
+            try:
+                out[job] = work(job)
+            except _CELL_ERRORS as exc:
+                failed[job[0]] = exc
+    return {job: x for job, x in out.items() if job[0] not in failed}
+
+
+def _shared(step, args, failed) -> dict:
+    """{job: result} of a step the jobs share: `args` maps each job to its
+    argument, and step(arguments) returns one result per argument from one
+    call. When that call raises a _CELL_ERRORS failure, step runs once per
+    job, through _per_job: each job gets the result it would get alone and
+    the failure is pinned on its cell."""
+    if not args:
+        return {}
+    try:
+        return dict(zip(args, step(list(args.values()))))
+    except _CELL_ERRORS:
+        return _per_job(lambda job: step([args[job]])[0], args, failed)
+
+
+def _round_moments(states: Sequence[VariationalState]) -> list:
+    """Each state's (d, e, beta's base, theta's base) of _log_moments."""
+    return _log_moments(states, [st.beta for st in states], [st.theta for st in states])
+
+
 def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]]:
     """fit's lockstep loop for the cells (k, q), q in qs, under their priors,
     on one layer stack: the jobs are the (cell, restart) pairs. Inits are
-    drawn in (q, r) order and repeats are found per cell. Each round makes
-    one vbe_update_tau call for every live job; the rest of a round, the
-    winner and the report are per job or per cell. A _CELL_ERRORS failure
-    in a cell's init, statistics, updates, bound or state validation drops
-    that cell's jobs and becomes its entry; one in a spectral start, which
-    every cell shares, becomes every cell's entry. When the batched sweep
-    itself fails, the kernel is called once per live state, which gives
-    each its own result and pins the failure on its cells."""
+    drawn in (q, r) order and repeats are found per cell; the absorbing
+    M-steps then take the statistics of every distinct init tau from one
+    _stats_pass. Each round makes, for all the live jobs, one digamma call
+    (the log-moments that the node sweep and the layer update share), one
+    vbe_update_tau call, one _stats_pass and, once their states are built,
+    one log_gamma call (the posterior side of every bound); the layer
+    update, M-step, bound, convergence test, winner and report are per job
+    or per cell. A _CELL_ERRORS failure in a cell's init, statistics,
+    updates, bound or state validation drops that cell's jobs and becomes
+    its entry; one in a spectral start, which every cell shares, becomes
+    every cell's entry. When a shared call itself fails, its step runs once
+    per live job, which gives each job its own result and pins the failure
+    on its cells."""
     a = g.layer_stack()
     failed = {}  # cell -> the first failure of its own work
     # restart r's spectral start, shared by every q: drawn from a path that
@@ -828,57 +919,58 @@ def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]
             starts = [_spectral_start(basis, k, rng_stream(cfg.seed, k, r, -1)) for r in range(cfg.n_restarts)]
         except _CELL_ERRORS as exc:
             failed = dict.fromkeys(range(len(qs)), exc)
-    states, sources = [], []  # per cell, per restart
+    states, sources = {}, []  # states[cell, restart]; sources per cell, per restart
     for c, (q, pr) in enumerate(zip(qs, priors)):
         # source[r]: the first restart whose init is bit-equal to restart r's;
         # only those run, the loop draws nothing and so the others repeat them
-        cell, source, inits = [], [], {}
+        source, inits = [], {}
         try:
             for r in () if c in failed else range(cfg.n_restarts):
                 rng = rng_stream(cfg.seed, k, q, r)
-                state = init_variational(g, k, q, pr, cfg.init_strategy, rng, basis, starts[r])
+                state = states[c, r] = init_variational(g, k, q, pr, cfg.init_strategy, rng, basis, starts[r])
                 source.append(inits.setdefault((state.tau.tobytes(), state.nu.tobytes()), r))
-                if source[r] == r:
-                    stats = sufficient_stats(a, state.tau)
-                    state = VariationalState(state.tau, state.nu, *m_step(stats, state.nu, pr))
-                cell.append(state)
         except _CELL_ERRORS as exc:
             failed[c] = exc
-        states.append(cell)
         sources.append(source)
-
-    traces = [[[] for _ in cell] for cell in states]
-    done = [[False] * len(cell) for cell in states]
     live = [(c, r) for c, source in enumerate(sources) if c not in failed for r, s in enumerate(source) if s == r]
+
+    # a job's own work, on the values of the shared steps (stats, moments,
+    # taus, log_gammas) that the loop below binds before each call
+    def absorb(job):
+        st = states[job]
+        states[job] = VariationalState(st.tau, st.nu, *m_step(stats[job], st.nu, priors[job[0]]))
+
+    def update(job):
+        d, e, _, base = moments[job]
+        nu = vbe_update_nu(stats[job], states[job], (d, e, base))
+        states[job] = VariationalState(taus[job], nu, *m_step(stats[job], nu, priors[job[0]]))
+
+    def bound(job):
+        trace = traces[job]
+        trace.append(compute_elbo(states[job], priors[job[0]], log_gammas[job]))
+        if len(trace) >= 2:
+            delta = abs(trace[-1] - trace[-2])
+            done[job] = delta < cfg.eps or delta < _REL_EPS * abs(trace[-2])
+
+    statistics = functools.partial(_stats_pass, a)
+    stats = _shared(statistics, {job: states[job].tau for job in live}, failed)
+    _per_job(absorb, stats, failed)
+    traces = {job: [] for job in states}
+    done = dict.fromkeys(states, False)
     for _ in range(cfg.max_iter):
+        live = [job for job in live if job[0] not in failed and not done[job]]
         if not live:
             break
-        try:
-            taus = vbe_update_tau(a, [states[c][r] for c, r in live])
-        except _CELL_ERRORS:
-            taus = []
-            for c, r in live:
-                try:
-                    taus.append(None if c in failed else vbe_update_tau(a, [states[c][r]])[0])
-                except _CELL_ERRORS as exc:
-                    failed[c] = exc
-                    taus.append(None)
-        for (c, r), tau in zip(live, taus):
-            if c in failed:
-                continue
-            trace = traces[c][r]
-            try:
-                stats = sufficient_stats(a, tau)
-                nu = vbe_update_nu(stats, states[c][r])
-                states[c][r] = VariationalState(tau, nu, *m_step(stats, nu, priors[c]))
-                trace.append(compute_elbo(states[c][r], priors[c]))
-            except _CELL_ERRORS as exc:
-                failed[c] = exc
-                continue
-            if len(trace) >= 2:
-                delta = abs(trace[-1] - trace[-2])
-                done[c][r] = delta < cfg.eps or delta < _REL_EPS * abs(trace[-2])
-        live = [(c, r) for c, r in live if c not in failed and not done[c][r]]
+        moments = _shared(_round_moments, {job: states[job] for job in live}, failed)
+        taus = _shared(
+            lambda items: vbe_update_tau(a, [st for st, _ in items], [m[:3] for _, m in items]),
+            {job: (states[job], moments[job]) for job in moments},
+            failed,
+        )
+        stats = _shared(statistics, taus, failed)
+        built = _per_job(update, stats, failed)
+        log_gammas = _shared(_posterior_log_gammas, {job: states[job] for job in built}, failed)
+        _per_job(bound, log_gammas, failed)
 
     out = []
     for c, q in enumerate(qs):
@@ -886,11 +978,11 @@ def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]
             out.append(failed[c])
             continue
         source = sources[c]
-        restart_elbos = [traces[c][s][-1] for s in source]
+        restart_elbos = [traces[c, s][-1] for s in source]
         # max keeps the first of equal bounds, i.e. the lowest restart index
         best_restart = max(range(len(source)), key=restart_elbos.__getitem__)
-        run = source[best_restart]
-        state, trace, converged = states[c][run], tuple(traces[c][run]), done[c][run]
+        run = c, source[best_restart]
+        state, trace, converged = states[run], tuple(traces[run]), done[run]
         if not converged:
             warnings.warn(
                 f"fit(k={k}, q={q}) stopped at max_iter={cfg.max_iter} without meeting eps={cfg.eps}",

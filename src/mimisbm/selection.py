@@ -15,12 +15,13 @@ across cells, so a cell's result depends only on (data, K, Q, seed). What
 cells share is the spectral basis of the graph's layers, which depends on
 the data alone, and, within one K, the fit: the cells of one K are one task
 and one fit call, which builds one layer stack and runs every restart of
-every Q in lockstep, one node sweep call per round. With spectral init
+every Q in lockstep, one call of each shared step (log-moments, node sweep,
+statistics, bound log-gammas) per round. With spectral init
 that fit also draws, once per restart r, the part of the init that does
 not depend on Q (per-layer spectral labels, co-membership embedding, node
 grouping) from rng_stream(seed, K, r, -1); each cell groups the layers on
-its own stream rng_stream(seed, K, Q, r). The sweep gives each state the
-result it would get alone, and fit at one (K, Q) draws the same streams,
+its own stream rng_stream(seed, K, Q, r). Each shared step gives each state
+the result it would get alone, and fit at one (K, Q) draws the same streams,
 so each cell's result is bit for bit that of fitting it alone. A cell is
 scored from its fit's final bound; only icl_exact evaluates a bound of its
 own, at the hardened state.

@@ -676,15 +676,33 @@ def test_tau_sweep_gives_each_state_its_solo_result():
                 assert x.tobytes() == y.tobytes(), (case, size, j)
 
 
+def test_stats_pass_gives_each_job_its_solo_statistics():
+    # a job's statistics do not depend on which jobs share the pass: 1-5
+    # jobs of mixed q (one repeating another's tau) on every kernel graph
+    for case, (g, st) in enumerate(_kernel_cases()):
+        rng = np.random.default_rng(case)
+        a = g.layer_stack()
+        taus = [st.tau] + [random_soft_state(rng, g, st.k, int(rng.integers(1, g.v + 1))).tau for _ in range(3)]
+        taus.append(taus[case % 4].copy())
+        solo = [sufficient_stats(a, tau) for tau in taus]
+        for size in range(1, 6):
+            batch = taus[:size] if case % 2 else taus[5 - size :]
+            want = solo[:size] if case % 2 else solo[5 - size :]
+            got = inference._stats_pass(a, batch)
+            assert len(got) == size
+            for j, (x, y) in enumerate(zip(got, want)):
+                assert [part.tobytes() for part in x] == [part.tobytes() for part in y], (case, size, j)
+
+
 def _sweep_batches(monkeypatch) -> list:
     """Record the number of states of each inference.vbe_update_tau call
     for the rest of the test."""
     batches = []
     real = inference.vbe_update_tau
 
-    def sweep(a, states):
+    def sweep(a, states, moments=None):
         batches.append(len(states))
-        return real(a, states)
+        return real(a, states, moments)
 
     monkeypatch.setattr(inference, "vbe_update_tau", sweep)
     return batches
@@ -1193,7 +1211,7 @@ def test_fit_matches_dense_oracle():
 
 def test_fit_computes_statistics_and_state_once_per_iteration(monkeypatch):
     g = random_graph(np.random.default_rng(67), 10, 4, p=0.4)
-    stats = count_calls(monkeypatch, inference, "sufficient_stats")
+    stats = count_calls(monkeypatch, inference, "_stats_pass")
     states = count_calls(monkeypatch, VariationalState, "__init__")
     for strategy in ("random", "per_view_spectral"):
         stats.clear()
@@ -1261,9 +1279,11 @@ def test_prior_log_gammas_are_computed_once_per_prior(monkeypatch):
     sizes = []
     real = inference.log_gamma
     monkeypatch.setattr(inference, "log_gamma", lambda x: sizes.append(np.size(x)) or real(x))
+    sweeps = _sweep_batches(monkeypatch)
     g = random_graph(np.random.default_rng(85), 15, 4, p=0.4)
     fit(g, 5, 3, FitConfig(seed=1, n_restarts=2))
-    assert sizes and set(sizes) == {2 + 5 + 3 + 3 * 15 * 3}  # the posterior's arguments at K=5, Q=3
+    # a round's one call holds the posterior's arguments at K=5, Q=3 of each live restart
+    assert sizes and sizes == [(2 + 5 + 3 + 3 * 15 * 3) * live for live in sweeps]
 
 
 def _calls_per(monkeypatch, name, counted):
@@ -1283,26 +1303,33 @@ def _calls_per(monkeypatch, name, counted):
 
 
 def test_fit_makes_one_special_function_call_per_update_and_per_bound(monkeypatch):
+    # per round, however many jobs are live: one digamma call (the
+    # log-moments that the sweep and every layer update share), one sweep,
+    # one statistics pass and one log_gamma call (every bound's posterior
+    # side); the layer update and the bound stay one call per job and round
+    # and call neither function. The absorbing M-steps make one more pass.
     g = random_graph(np.random.default_rng(89), 12, 4, p=0.4)
     psi = count_calls(monkeypatch, inference, "digamma")
     lgam = count_calls(monkeypatch, inference, "log_gamma")
+    passes = count_calls(monkeypatch, inference, "_stats_pass")
     sweeps = _sweep_batches(monkeypatch)
     per_tau = _calls_per(monkeypatch, "vbe_update_tau", psi)
     per_nu = _calls_per(monkeypatch, "vbe_update_nu", psi)
     per_bound = _calls_per(monkeypatch, "compute_elbo", lgam)
     inits = _distinct_inits(monkeypatch)
     for strategy in ("random", "per_view_spectral"):
-        for restarts in (1, 3):
-            for counts in (psi, lgam, sweeps, per_tau, per_nu, per_bound, inits):
+        for restarts, q in ((1, 2), (3, 2), (2, [1, 2, 3])):
+            for counts in (psi, lgam, passes, sweeps, per_tau, per_nu, per_bound, inits):
                 counts.clear()
-            rep = fit(g, 3, 2, FitConfig(seed=4, n_restarts=restarts, init_strategy=strategy))
-            assert rep.iterations > 1
-            # one digamma call per sweep, whatever its live restarts; a
-            # restart whose init repeats an earlier one's never sweeps
-            assert per_tau == [1] * len(sweeps) and sweeps[0] == len(set(inits))
-            assert per_nu == [1] * len(per_nu) and len(per_nu) == sum(sweeps)
-            assert per_bound == [1] * len(per_bound) == per_nu
-            assert len(psi) == len(per_tau) + len(per_nu) and len(lgam) == len(per_bound)
+            got = fit(g, 3, q, FitConfig(seed=4, n_restarts=restarts, init_strategy=strategy))
+            iterations = [rep.iterations for rep in (got if isinstance(got, list) else [got])]
+            rounds = len(sweeps)
+            assert min(iterations) > 1 and max(iterations) <= rounds
+            # a restart whose init repeats an earlier one's never sweeps
+            assert sweeps[0] == len(set(inits)) > 0
+            assert len(psi) == len(lgam) == rounds and len(passes) == rounds + 1
+            assert per_tau == [0] * rounds
+            assert per_nu == per_bound == [0] * sum(sweeps)
 
 
 def test_tau_sweep_makes_one_digamma_call_for_states_of_any_q(monkeypatch):

@@ -353,12 +353,12 @@ def test_grid_cell_failing_mid_iteration_fails_alone(monkeypatch, fault):
     if fault == "linalg":
         real_nu = inference.vbe_update_nu
 
-        def faulty_nu(stats, state):
+        def faulty_nu(stats, state, moments=None):
             if (state.k, state.q) == (3, 2):
                 calls.append(None)
                 if len(calls) > cfg.n_restarts:  # past round 1
                     raise np.linalg.LinAlgError("cell (3, 2) failed on purpose")
-            return real_nu(stats, state)
+            return real_nu(stats, state, moments)
 
         monkeypatch.setattr(inference, "vbe_update_nu", faulty_nu)
         error, raised = "LinAlgError: cell (3, 2)", np.linalg.LinAlgError
@@ -396,11 +396,11 @@ def test_grid_pins_a_failing_batched_sweep_on_its_cell(monkeypatch):
     batches = []
     real = inference.vbe_update_tau
 
-    def sweep(a, states):
+    def sweep(a, states, moments=None):
         batches.append(len(states))
         if len(batches) > 1 and any((st.k, st.q) == (2, 2) for st in states):
             raise FloatingPointError("overflow encountered in exp")
-        return real(a, states)
+        return real(a, states, moments)
 
     monkeypatch.setattr(inference, "vbe_update_tau", sweep)
     res = grid_search(g, ks, qs, cfg)
@@ -409,6 +409,72 @@ def test_grid_pins_a_failing_batched_sweep_on_its_cell(monkeypatch):
     # live state up to the first of (2, 2) and after its cell's states; round
     # 3 leaves (2, 2) out of the batch
     assert batches[:8] == [6, 6] + [1] * 5 + [4], batches
+
+
+@pytest.mark.parametrize("call", ["digamma", "log_gamma", "statistics"])
+def test_grid_pins_a_failing_shared_call_on_its_cell(monkeypatch, call):
+    # a round's shared digamma, log_gamma or statistics call raises
+    # FloatingPointError whenever it holds a job of cell (2, 2); the step
+    # then runs once per live job, which finds that cell, and every other
+    # cell, the other q cells of k = 2 too, keeps its bits
+    g = random_graph(np.random.default_rng(20), 12, 3, p=0.4)
+    cfg = FitConfig(seed=8, n_restarts=2)
+    ks, qs = [2, 3], [1, 2, 3]
+    clean = grid_search(g, ks, qs, cfg)
+    held = []  # the cells of the jobs of the shared call under way
+    sizes = []  # per shared call of k = 2: its job count
+    made_by = {}  # tau bytes -> the cell whose sweep made it
+    real_sweep = inference.vbe_update_tau
+
+    def sweep(a, states, moments=None):
+        taus = real_sweep(a, states, moments)
+        made_by.update((tau.tobytes(), (st.k, st.q)) for st, tau in zip(states, taus))
+        return taus
+
+    def holding(name, cells_of):
+        real = getattr(inference, name)
+
+        def wrapper(*args):
+            held[:] = cells_of(*args)
+            if held and held[0][0] == 2:
+                sizes.append(len(held))
+            try:
+                return real(*args)
+            finally:
+                held.clear()
+
+        monkeypatch.setattr(inference, name, wrapper)
+
+    def fails(name):
+        real = getattr(inference, name)
+
+        def wrapper(*args):
+            if (2, 2) in held:
+                raise FloatingPointError(f"overflow in {name}")
+            return real(*args)
+
+        monkeypatch.setattr(inference, name, wrapper)
+
+    monkeypatch.setattr(inference, "vbe_update_tau", sweep)
+    by_state = lambda states: [(st.k, st.q) for st in states]  # noqa: E731
+    # the failing call first, so that the spy on the call that holds the jobs wraps it
+    if call == "digamma":
+        fails("digamma")
+        holding("_round_moments", by_state)
+    elif call == "log_gamma":
+        fails("log_gamma")
+        holding("_posterior_log_gammas", by_state)
+    else:
+        call = "_stats_pass"
+        fails(call)
+        # the init taus come from no sweep, so the absorbing pass holds no cell
+        holding(call, lambda a, taus: [made_by[t.tobytes()] for t in taus if t.tobytes() in made_by])
+    res = grid_search(g, ks, qs, cfg)
+    _assert_only_cells_failed(res, clean, {(2, 2)}, f"FloatingPointError: overflow in {call}")
+    # round 1 of k = 2: the call holding all 6 jobs fails, then one call per
+    # live job up to the first of (2, 2) and after its cell's jobs; the next
+    # such call leaves (2, 2) out
+    assert sizes[:7] == [6] + [1] * 5 + [4], sizes
 
 
 def test_grid_spectral_matches_per_restart_oracle(monkeypatch):
@@ -528,9 +594,9 @@ def test_grid_sweeps_each_k_once_per_round_of_its_longest_cell(monkeypatch):
     batches = []
     real = inference.vbe_update_tau
 
-    def sweep(a, states):
+    def sweep(a, states, moments=None):
         batches.append((states[0].k, len(states)))
-        return real(a, states)
+        return real(a, states, moments)
 
     monkeypatch.setattr(inference, "vbe_update_tau", sweep)
     uneven = 0
