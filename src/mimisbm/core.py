@@ -13,8 +13,8 @@ binary, symmetric per layer, with a zero diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -280,23 +280,6 @@ def _check_finite(fields) -> None:
             raise DomainError(f"{name} must be finite")
 
 
-def _normalizer_log_gammas(log_gamma, sides) -> list:
-    """The bound's normalizer log-gammas of each side (beta, theta, eta, xi)
-    in `sides`, prior or posterior, from one log_gamma call on the arguments
-    of all the sides: per side, log_gamma of (sum beta, sum theta), of beta,
-    of theta, and of eta + xi, eta and xi over the k <= l cells (flattened
-    in (k, l, s) order). log_gamma is elementwise, so a side's values do not
-    depend on the other sides of the call. The caller supplies log_gamma;
-    mathfn imports this module."""
-    args = []
-    for beta, theta, eta, xi in sides:
-        iu, ju = np.triu_indices(beta.size)
-        eta, xi = eta[iu, ju, :].ravel(), xi[iu, ju, :].ravel()
-        args += [[beta.sum(), theta.sum()], beta, theta, eta + xi, eta, xi]
-    parts = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(arg) for arg in args[:-1]]))
-    return [parts[at : at + 6] for at in range(0, len(parts), 6)]
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Generative parameters: block weights pi (K), component weights rho (Q),
@@ -339,17 +322,12 @@ class PriorHyperparams:
     rho, eta0 / xi0 (K, K, Q) for the Beta over each connectivity entry.
     All finite and strictly positive; eta0 and xi0 symmetric in (k, l), so
     only the k <= l triangle is meaningful.
-
-    log_gammas holds the prior's side of the bound's normalizer ratios
-    (_normalizer_log_gammas), fixed for every fit under these priors and so
-    computed once here.
     """
 
     beta0: np.ndarray
     theta0: np.ndarray
     eta0: np.ndarray
     xi0: np.ndarray
-    log_gammas: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.beta0, dtype=float)
@@ -370,11 +348,6 @@ class PriorHyperparams:
         object.__setattr__(self, "theta0", _locked(t))
         object.__setattr__(self, "eta0", _locked(e))
         object.__setattr__(self, "xi0", _locked(x))
-
-        from .mathfn import log_gamma  # mathfn imports this module
-
-        lg = _normalizer_log_gammas(log_gamma, [(self.beta0, self.theta0, self.eta0, self.xi0)])[0]
-        object.__setattr__(self, "log_gammas", tuple(_locked(part) for part in lg))
 
     @property
     def k(self) -> int:

@@ -36,11 +36,13 @@ vbe_update_tau call sweeps them all; one batched product over the layer
 stack gives every job's statistics (_stats_pass, which also serves the
 absorbing M-steps, once per distinct init tau); and one log_gamma call,
 once the round's states are built, gives the posterior side of every
-bound. The layer update, M-step, bound and convergence test stay per job,
-under its cell's priors; the public updates and the bound take the
-precomputed values as an optional argument. The special functions are
-elementwise and every batched product has a solo call's shape and layout,
-so each job gets bit for bit what it gets alone. Repeats are found per
+bound. The prior side of every cell's bound is fixed for the fit and comes
+from one log_gamma call before the first round. The layer update, M-step,
+bound and convergence test stay per job, under its cell's priors; the
+public updates and the bound take the precomputed values as an optional
+argument. The special functions are elementwise and every batched product
+has a solo call's shape and layout, so each job gets bit for bit what it
+gets alone. Repeats are found per
 cell; a DomainError, LinAlgError or FloatingPointError in a cell's own work
 drops that cell's jobs and is returned in its place, and one in a restart's
 spectral start (below), which every cell shares, is returned in place of
@@ -69,6 +71,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,7 +83,6 @@ from .core import (
     MultilayerGraph,
     PriorHyperparams,
     VariationalState,
-    _normalizer_log_gammas,
     rng_stream,
 )
 from .mathfn import digamma, log_gamma
@@ -154,32 +156,52 @@ def _xlogx(a: np.ndarray) -> float:
     return float(np.sum(a * np.log(safe)))
 
 
-def _log_moments(states: Sequence[VariationalState], *concs: Sequence[np.ndarray]) -> list:
-    """Per state, (d, e, *bases): the Beta log-moments per cell, E[log alpha] -
-    E[log(1 - alpha)] and E[log(1 - alpha)], and for each list in `concs`
-    the Dirichlet log-moments psi(conc) - psi(sum conc) of that state's
-    concentrations `conc` in it (its beta or theta), from one digamma call
-    on the arguments of all the states. digamma is elementwise, so a
-    state's values do not depend on the other states of the call."""
+def _log_moments(states: Sequence[VariationalState]) -> list:
+    """Per state, (d, e, beta_base, theta_base): the Beta log-moments per
+    cell, E[log alpha] - E[log(1 - alpha)] and E[log(1 - alpha)], and the
+    Dirichlet log-moments psi(conc) - psi(sum conc) of its beta and of its
+    theta, from one digamma call on the arguments of all the states. The
+    node sweep reads (d, e, beta_base), the layer update (d, e, theta_base).
+    digamma is elementwise, so a state's values do not depend on the other
+    states of the call."""
     args = []
-    for st, *cs in zip(states, *concs):
+    for st in states:
         eta, xi = st.eta.ravel(), st.xi.ravel()
-        args += [eta, xi, eta + xi]
-        for conc in cs:
-            args += [conc, [conc.sum()]]
+        args += [eta, xi, eta + xi, st.beta, [st.beta.sum()], st.theta, [st.theta.sum()]]
     psi = digamma(np.concatenate(args))
     out, at = [], 0
-    for st, *cs in zip(states, *concs):
+    for st in states:
         c = st.eta.size
         d = (psi[at : at + c] - psi[at + c : at + 2 * c]).reshape(st.eta.shape)
         e = (psi[at + c : at + 2 * c] - psi[at + 2 * c : at + 3 * c]).reshape(st.eta.shape)
         at += 3 * c
         bases = []
-        for conc in cs:
+        for conc in (st.beta, st.theta):
             bases.append(psi[at : at + conc.size] - psi[at + conc.size])
             at += conc.size + 1
         out.append((d, e, *bases))
     return out
+
+
+def _normalizer_log_gammas(sides) -> list:
+    """The bound's normalizer log-gammas of each side (beta, theta, eta, xi)
+    in `sides`, prior or posterior, from one log_gamma call on the arguments
+    of all the sides: per side, log_gamma of (sum beta, sum theta), of beta,
+    of theta, and of eta + xi, eta and xi over the k <= l cells (flattened
+    in (k, l, s) order). log_gamma is elementwise, so a side's values do not
+    depend on the other sides of the call."""
+    args = []
+    for beta, theta, eta, xi in sides:
+        iu, ju = np.triu_indices(beta.size)
+        eta, xi = eta[iu, ju, :].ravel(), xi[iu, ju, :].ravel()
+        args += [[beta.sum(), theta.sum()], beta, theta, eta + xi, eta, xi]
+    parts = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(arg) for arg in args[:-1]]))
+    return [parts[at : at + 6] for at in range(0, len(parts), 6)]
+
+
+# the two sides of _normalizer_log_gammas: a PriorHyperparams, a VariationalState
+_prior_side = attrgetter("beta0", "theta0", "eta0", "xi0")
+_posterior_side = attrgetter("beta", "theta", "eta", "xi")
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +653,9 @@ def vbe_update_tau(
     """One full sweep of the node fixed point over the layer stack `a`
     (MultilayerGraph.layer_stack, (V, N, N)) for each state in `states`,
     which share N, V and K; returns the new tau of each, in order.
-    `moments` holds each state's log-moments (d, e, base), base those of
-    its beta, as _log_moments gives them; when None they come from one
-    digamma call here.
+    `moments` holds each state's log-moments as _log_moments gives them,
+    of which the sweep reads (d, e, beta_base); when None they come from
+    one digamma call here.
 
     Rows are updated in index order and each row sees the rows already
     updated in this sweep, which keeps the sweep a chain of exact
@@ -658,8 +680,8 @@ def vbe_update_tau(
     vk = v * k
     weights = np.empty((r, k, vk + k + 1))
     if moments is None:
-        moments = _log_moments(states, [st.beta for st in states])
-    for s, (st, (d, e, base)) in enumerate(zip(states, moments)):
+        moments = _log_moments(states)
+    for s, (st, (d, e, base, _)) in enumerate(zip(states, moments)):
         weights[s, :, -1] = base
         weights[s, :, :vk] = (d @ st.nu.T).transpose(0, 2, 1).reshape(k, vk)
         weights[s, :, vk:-1] = e @ st.nu.sum(axis=0)
@@ -695,9 +717,10 @@ def vbe_update_nu(stats: Stats, state: VariationalState, moments: Optional[tuple
     """Update every layer's component responsibilities; returns the new nu.
 
     `stats` is sufficient_stats(a, tau) at the current node responsibilities;
-    `state` supplies theta, eta and xi, and `moments` their log-moments
-    (d, e, base), base those of theta, as _log_moments gives them; when
-    None they come from one digamma call here. Layer v scores component s by the
+    `state` supplies theta, eta and xi, and `moments` the state's
+    log-moments as _log_moments gives them, of which the update reads (d,
+    e, theta_base); when None they come from one digamma call here. Layer
+    v scores component s by the
     expected log-likelihood of its dyads, sum over i < j of tau_ik tau_jl
     against the Beta log-moments. The ordered sums in stats visit every
     unordered (node pair, block pair) combination exactly twice, once per
@@ -705,7 +728,7 @@ def vbe_update_nu(stats: Stats, state: VariationalState, moments: Optional[tuple
     given tau.
     """
     m, pair, _ = stats
-    d, e, base = _log_moments([state], [state.theta])[0] if moments is None else moments
+    d, e, _, base = _log_moments([state])[0] if moments is None else moments
 
     edge = np.einsum("klv,kls->vs", m, d)
     hole = np.einsum("kl,kls->s", pair, e)[None, :]
@@ -743,31 +766,25 @@ def m_step(
     return beta, theta, eta, xi
 
 
-def compute_elbo(state: VariationalState, priors: PriorHyperparams, log_gammas: Optional[list] = None) -> float:
+def compute_elbo(state: VariationalState, priors: PriorHyperparams, log_gammas: Optional[tuple] = None) -> float:
     """Evidence lower bound in the simplified form that is exact after an
     M-step: prior-to-posterior normalizer ratios of the three conjugate
     families plus the responsibility entropies. The data enter only through
     the counts already absorbed into the posterior state, so the graph is
-    not an argument. The prior's log-gamma values are fixed per fit and
-    come from priors.log_gammas; the posterior's are `log_gammas`, the
-    state's entry of _posterior_log_gammas, or when None come from one call
-    here on all their arguments. The Beta cells are those with k <= l.
+    not an argument. `log_gammas` is the pair (prior side, posterior side)
+    of _normalizer_log_gammas; a fit computes the prior side once and the
+    posterior side once per round, for all its jobs. When None, both sides
+    come from one log_gamma call here. The Beta cells are those with k <= l.
     """
-    lg = _posterior_log_gammas([state])[0] if log_gammas is None else log_gammas
+    if log_gammas is None:
+        log_gammas = _normalizer_log_gammas([_prior_side(priors), _posterior_side(state)])
+    (lg_sums0, lg_beta0, lg_theta0, lg_tot0, lg_eta0, lg_xi0), lg = log_gammas
     lg_sums, lg_beta, lg_theta, lg_tot, lg_eta, lg_xi = lg
-    lg_sums0, lg_beta0, lg_theta0, lg_tot0, lg_eta0, lg_xi0 = priors.log_gammas
     # log B(post) - log B(prior) per family, B the (multivariate) Beta function
     beta_term = float(lg_sums0[0] - lg_sums[0] + lg_beta.sum() - lg_beta0.sum())
     theta_term = float(lg_sums0[1] - lg_sums[1] + lg_theta.sum() - lg_theta0.sum())
     cell_term = float((lg_tot0 - lg_tot + lg_eta - lg_eta0 + lg_xi - lg_xi0).sum())
     return beta_term + theta_term + cell_term - _xlogx(state.tau) - _xlogx(state.nu)
-
-
-def _posterior_log_gammas(states: Sequence[VariationalState]) -> list:
-    """Each state's posterior side of the bound's normalizer ratios
-    (core._normalizer_log_gammas), from one log_gamma call on the arguments
-    of all the states."""
-    return _normalizer_log_gammas(log_gamma, [(st.beta, st.theta, st.eta, st.xi) for st in states])
 
 
 # ---------------------------------------------------------------------------
@@ -799,11 +816,12 @@ def fit(
 
     The restarts run in lockstep. Each draws its init, then every restart
     takes its absorbing M-step on statistics from one pass over the layer
-    stack. Each round then serves every restart still iterating with one
-    digamma call (the log-moments its node sweep and layer update share),
-    one vbe_update_tau call, one statistics pass and one log_gamma call
-    (the posterior side of its bound), and takes the layer update, M-step,
-    bound and convergence test per restart. A restart leaves the batch when
+    stack, and one log_gamma call gives the prior side of the bound, fixed
+    for the fit. Each round then serves every restart still iterating with
+    one digamma call (the log-moments its node sweep and layer update
+    share), one vbe_update_tau call, one statistics pass and one log_gamma
+    call (the posterior side of its bound), and takes the layer update,
+    M-step, bound and convergence test per restart. A restart leaves the batch when
     it converges or reaches max_iter. Each shared call gives every restart
     the result it would get alone, so every restart ends where it would if
     the restarts ran one after another.
@@ -843,7 +861,9 @@ def fit(
         priors = [PriorHyperparams.jeffreys(k, x) for x in qs]
     elif one:
         priors = [priors]
-    if len(priors) != len(qs) or any(pr.k != k or pr.q != x for pr, x in zip(priors, qs)):
+    if isinstance(priors, PriorHyperparams) or len(priors) != len(qs) or any(
+        not isinstance(pr, PriorHyperparams) or pr.k != k or pr.q != x for pr, x in zip(priors, qs)
+    ):
         raise DomainError("prior shapes must match (k, q)")
     if basis is None and cfg.init_strategy == "per_view_spectral":
         basis = spectral_basis(g, k)
@@ -887,22 +907,18 @@ def _shared(step, args, failed) -> dict:
         return _per_job(lambda job: step([args[job]])[0], args, failed)
 
 
-def _round_moments(states: Sequence[VariationalState]) -> list:
-    """Each state's (d, e, beta's base, theta's base) of _log_moments."""
-    return _log_moments(states, [st.beta for st in states], [st.theta for st in states])
-
-
 def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]]:
     """fit's lockstep loop for the cells (k, q), q in qs, under their priors,
     on one layer stack: the jobs are the (cell, restart) pairs. Inits are
     drawn in (q, r) order and repeats are found per cell; the absorbing
     M-steps then take the statistics of every distinct init tau from one
-    _stats_pass. Each round makes, for all the live jobs, one digamma call
-    (the log-moments that the node sweep and the layer update share), one
-    vbe_update_tau call, one _stats_pass and, once their states are built,
-    one log_gamma call (the posterior side of every bound); the layer
-    update, M-step, bound, convergence test, winner and report are per job
-    or per cell. A _CELL_ERRORS failure in a cell's init, statistics,
+    _stats_pass, and one log_gamma call gives every cell's prior side of
+    the bound (_normalizer_log_gammas). Each round makes, for all the live
+    jobs, one digamma call (the log-moments that the node sweep and the
+    layer update share), one vbe_update_tau call, one _stats_pass and, once
+    their states are built, one log_gamma call (the posterior side of every
+    bound); the layer update, M-step, bound, convergence test, winner and
+    report are per job or per cell. A _CELL_ERRORS failure in a cell's init, statistics,
     updates, bound or state validation drops that cell's jobs and becomes
     its entry; one in a spectral start, which every cell shares, becomes
     every cell's entry. When a shared call itself fails, its step runs once
@@ -935,19 +951,18 @@ def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]
     live = [(c, r) for c, source in enumerate(sources) if c not in failed for r, s in enumerate(source) if s == r]
 
     # a job's own work, on the values of the shared steps (stats, moments,
-    # taus, log_gammas) that the loop below binds before each call
+    # taus, prior_sides, log_gammas) that the loop below binds before each call
     def absorb(job):
         st = states[job]
         states[job] = VariationalState(st.tau, st.nu, *m_step(stats[job], st.nu, priors[job[0]]))
 
     def update(job):
-        d, e, _, base = moments[job]
-        nu = vbe_update_nu(stats[job], states[job], (d, e, base))
+        nu = vbe_update_nu(stats[job], states[job], moments[job])
         states[job] = VariationalState(taus[job], nu, *m_step(stats[job], nu, priors[job[0]]))
 
     def bound(job):
         trace = traces[job]
-        trace.append(compute_elbo(states[job], priors[job[0]], log_gammas[job]))
+        trace.append(compute_elbo(states[job], priors[job[0]], (prior_sides[job[0]], log_gammas[job])))
         if len(trace) >= 2:
             delta = abs(trace[-1] - trace[-2])
             done[job] = delta < cfg.eps or delta < _REL_EPS * abs(trace[-2])
@@ -955,21 +970,22 @@ def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]
     statistics = functools.partial(_stats_pass, a)
     stats = _shared(statistics, {job: states[job].tau for job in live}, failed)
     _per_job(absorb, stats, failed)
+    prior_sides = _normalizer_log_gammas([_prior_side(pr) for pr in priors])  # fixed for the fit
     traces = {job: [] for job in states}
     done = dict.fromkeys(states, False)
     for _ in range(cfg.max_iter):
         live = [job for job in live if job[0] not in failed and not done[job]]
         if not live:
             break
-        moments = _shared(_round_moments, {job: states[job] for job in live}, failed)
+        moments = _shared(_log_moments, {job: states[job] for job in live}, failed)
         taus = _shared(
-            lambda items: vbe_update_tau(a, [st for st, _ in items], [m[:3] for _, m in items]),
+            lambda items: vbe_update_tau(a, [st for st, _ in items], [m for _, m in items]),
             {job: (states[job], moments[job]) for job in moments},
             failed,
         )
         stats = _shared(statistics, taus, failed)
         built = _per_job(update, stats, failed)
-        log_gammas = _shared(_posterior_log_gammas, {job: states[job] for job in built}, failed)
+        log_gammas = _shared(_normalizer_log_gammas, {job: _posterior_side(states[job]) for job in built}, failed)
         _per_job(bound, log_gammas, failed)
 
     out = []

@@ -17,12 +17,14 @@ Arguments must be strictly positive; DomainError otherwise.
 
 Every element is computed on its own, with the same operations whatever
 the array around it, so a call on concatenated arguments gives, bit for
-bit, the values of one call per argument. The callers rely on that: one
-digamma call serves a whole variational update and one log_gamma call a
-whole bound. The cost of a call is mostly per-call numpy overhead, so the
-one shift loop, shared by both with the term 1/y or log y, updates the
-arguments still below the threshold in place (ufuncs with out= and where=)
-instead of gathering and scattering them.
+bit, the values of one call per argument. The callers rely on that: each
+round of a fit makes one digamma call, for the log-moments of every live
+restart and cell, and one log_gamma call, for the posterior side of every
+bound, and a fit makes one more log_gamma call, before its first round, for
+the prior sides of all its cells. The cost of a call is mostly per-call
+numpy overhead, so the one shift loop, shared by both with the term 1/y or
+log y, updates the arguments still below the threshold in place (ufuncs
+with out= and where=) instead of gathering and scattering them.
 """
 
 from __future__ import annotations

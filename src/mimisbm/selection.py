@@ -126,9 +126,10 @@ class GridCell:
     drops only its cell from its K's lockstep batch: the other cells of that
     K keep their bits. A failure of a restart's spectral start, which the
     cells of one K share, is the error of every cell of that K and of no
-    other cell. When the shared node sweep fails, it is rerun once per state
-    to find the failing cells. Any other exception propagates out of
-    grid_search."""
+    other cell. When a shared step of a round fails (the log-moments, the
+    node sweep, the statistics or the bound log-gammas), it is rerun once
+    per state to find the failing cells. Any other exception propagates out
+    of grid_search."""
 
     k: int
     q: int

@@ -1,5 +1,8 @@
 """Core data structures: graphs, partitions, hyperparameters, RNG streams."""
 
+import ast
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mimisbm.core as core
 from mimisbm import (
     DomainError,
     HardPartition,
@@ -235,8 +239,8 @@ def test_variational_state_rejects_non_finite_entries(name, value):
 @pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("name", ["beta0", "theta0", "eta0", "xi0"])
 def test_prior_hyperparams_reject_non_finite_entries(name, value):
-    # +inf was accepted with a RuntimeWarning and NaN log_gammas, and NaN was
-    # rejected only by log_gamma's message; both now fail before log_gamma
+    # +inf and NaN would give a NaN bound, or log_gamma's message, in every
+    # fit under these priors; both fail at construction instead
     pr = PriorHyperparams.jeffreys(2, 2)
     fields = dict(beta0=pr.beta0, theta0=pr.theta0, eta0=pr.eta0, xi0=pr.xi0)
     fields[name] = _with_entry(fields[name], value)
@@ -389,3 +393,21 @@ def test_graph_checks_keep_their_order_across_layers_and_row_blocks(faults, erro
             a[i, i, lay] = 1
     with pytest.raises(error, match=match):
         MultilayerGraph(a)
+
+
+def test_core_imports_no_package_module():
+    # core is the bottom layer: every other module imports it, so an import
+    # of the package from it, even inside a function, is a cycle
+    tree = ast.parse(inspect.getsource(core))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "mimisbm"):
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "mimisbm"]
+    assert found == []
+
+
+def test_prior_hyperparams_hold_only_their_hyperparameters():
+    # the bound's special-function values are computed by inference, not kept here
+    assert [f.name for f in dataclasses.fields(PriorHyperparams)] == ["beta0", "theta0", "eta0", "xi0"]

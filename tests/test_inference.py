@@ -1244,10 +1244,10 @@ def test_log_moments_and_bound_bytes_match_one_call_per_argument():
         states = [random_post_m_state(rng, g, k, q, pr, cycles=2), random_soft_state(rng, g, k, q)]
         states.append(replace(states[0], tau=np.eye(k)[rng.integers(0, k, g.n)], nu=np.eye(q)[rng.integers(0, q, g.v)]))
         for st in states:
-            for conc in (st.beta, st.theta):
-                d, e, base = inference._log_moments([st], [conc])[0]
-                want_d, want_e = beta_log_moments_oracle(st)
-                assert d.tobytes() == want_d.tobytes() and e.tobytes() == want_e.tobytes()
+            d, e, beta_base, theta_base = inference._log_moments([st])[0]
+            want_d, want_e = beta_log_moments_oracle(st)
+            assert d.tobytes() == want_d.tobytes() and e.tobytes() == want_e.tobytes()
+            for base, conc in ((beta_base, st.beta), (theta_base, st.theta)):
                 want_base = inference.digamma(conc) - inference.digamma(float(conc.sum()))
                 assert base.tobytes() == want_base.tobytes()
             got, want = compute_elbo(st, pr), compute_elbo_oracle(st, pr)
@@ -1255,35 +1255,55 @@ def test_log_moments_and_bound_bytes_match_one_call_per_argument():
 
 
 def test_prior_log_gammas_are_computed_once_per_prior(monkeypatch):
-    # the prior's log-gamma values are fixed at construction, one call per
-    # argument's bits; each bound then evaluates log_gamma only on the
-    # posterior's arguments
+    # a fit's first log_gamma call holds the prior arguments of all its
+    # cells and gives each cell's prior side the bits of one call per
+    # argument; each round's one call then holds the posterior arguments of
+    # every live job, and no prior's
+    real_lg, real_sides, real_sweep = inference.log_gamma, inference._normalizer_log_gammas, inference.vbe_update_tau
+
+    def want(pr):
+        iu, ju = np.triu_indices(pr.k)
+        eta0, xi0 = pr.eta0[iu, ju, :].ravel(), pr.xi0[iu, ju, :].ravel()
+        return (
+            np.array([real_lg(float(pr.beta0.sum())), real_lg(float(pr.theta0.sum()))]),
+            real_lg(pr.beta0),
+            real_lg(pr.theta0),
+            real_lg(eta0 + xi0),
+            real_lg(eta0),
+            real_lg(xi0),
+        )
+
+    def size(k, q):  # the log_gamma arguments of one side
+        return 2 + k + q + 3 * (k * (k + 1) // 2) * q
+
+    sizes, sides, swept = [], [], []  # per call: its size; its sides; its states' sizes
+    monkeypatch.setattr(inference, "log_gamma", lambda x: sizes.append(np.size(x)) or real_lg(x))
+    monkeypatch.setattr(inference, "_normalizer_log_gammas", lambda s: sides.append(real_sides(s)) or sides[-1])
+
+    def sweep(a, states, moments=None):
+        swept.append(sum(size(st.k, st.q) for st in states))
+        return real_sweep(a, states, moments)
+
+    monkeypatch.setattr(inference, "vbe_update_tau", sweep)
     rng = np.random.default_rng(84)
-    for k, q in ((1, 1), (3, 2), (5, 3)):
-        b, t = rng.uniform(0.2, 3.0, k), rng.uniform(0.2, 3.0, q)
-        e, x = rng.uniform(0.2, 3.0, (k, k, q)), rng.uniform(0.2, 3.0, (k, k, q))
-        for pr in (PriorHyperparams.jeffreys(k, q), PriorHyperparams(b, t, e + e.transpose(1, 0, 2), x + x.transpose(1, 0, 2))):
-            iu, ju = np.triu_indices(k)
-            eta0, xi0 = pr.eta0[iu, ju, :].ravel(), pr.xi0[iu, ju, :].ravel()
-            want = (
-                np.array([inference.log_gamma(float(pr.beta0.sum())), inference.log_gamma(float(pr.theta0.sum()))]),
-                inference.log_gamma(pr.beta0),
-                inference.log_gamma(pr.theta0),
-                inference.log_gamma(eta0 + xi0),
-                inference.log_gamma(eta0),
-                inference.log_gamma(xi0),
-            )
-            assert len(pr.log_gammas) == len(want)
-            for got, w in zip(pr.log_gammas, want):
-                assert got.tobytes() == w.tobytes() and not got.flags.writeable
-    sizes = []
-    real = inference.log_gamma
-    monkeypatch.setattr(inference, "log_gamma", lambda x: sizes.append(np.size(x)) or real(x))
-    sweeps = _sweep_batches(monkeypatch)
     g = random_graph(np.random.default_rng(85), 15, 4, p=0.4)
-    fit(g, 5, 3, FitConfig(seed=1, n_restarts=2))
-    # a round's one call holds the posterior's arguments at K=5, Q=3 of each live restart
-    assert sizes and sizes == [(2 + 5 + 3 + 3 * 15 * 3) * live for live in sweeps]
+    for k, qs in ((1, [1]), (3, [2]), (5, [3]), (3, [1, 2, 4])):
+        for jeffreys in (True, False):
+            priors = []
+            for q in qs:
+                b, t = rng.uniform(0.2, 3.0, k), rng.uniform(0.2, 3.0, q)
+                e, x = rng.uniform(0.2, 3.0, (k, k, q)), rng.uniform(0.2, 3.0, (k, k, q))
+                drawn = PriorHyperparams(b, t, e + e.transpose(1, 0, 2), x + x.transpose(1, 0, 2))
+                priors.append(PriorHyperparams.jeffreys(k, q) if jeffreys else drawn)
+            for calls in (sizes, sides, swept):
+                calls.clear()
+            fit(g, k, qs, FitConfig(seed=1, n_restarts=2), priors=priors)
+            assert sizes[0] == sum(size(k, q) for q in qs) and len(sides[0]) == len(qs)
+            for pr, got in zip(priors, sides[0]):
+                assert len(got) == 6
+                assert all(x.tobytes() == w.tobytes() for x, w in zip(got, want(pr)))
+            # then a round's one call holds the posterior arguments of each live job
+            assert swept and sizes[1:] == swept
 
 
 def _calls_per(monkeypatch, name, counted):
@@ -1307,7 +1327,8 @@ def test_fit_makes_one_special_function_call_per_update_and_per_bound(monkeypatc
     # log-moments that the sweep and every layer update share), one sweep,
     # one statistics pass and one log_gamma call (every bound's posterior
     # side); the layer update and the bound stay one call per job and round
-    # and call neither function. The absorbing M-steps make one more pass.
+    # and call neither function. The absorbing M-steps make one more pass,
+    # and the cells' prior sides of the bound one more log_gamma call.
     g = random_graph(np.random.default_rng(89), 12, 4, p=0.4)
     psi = count_calls(monkeypatch, inference, "digamma")
     lgam = count_calls(monkeypatch, inference, "log_gamma")
@@ -1327,7 +1348,7 @@ def test_fit_makes_one_special_function_call_per_update_and_per_bound(monkeypatc
             assert min(iterations) > 1 and max(iterations) <= rounds
             # a restart whose init repeats an earlier one's never sweeps
             assert sweeps[0] == len(set(inits)) > 0
-            assert len(psi) == len(lgam) == rounds and len(passes) == rounds + 1
+            assert len(psi) == rounds and len(lgam) == len(passes) == rounds + 1
             assert per_tau == [0] * rounds
             assert per_nu == per_bound == [0] * sum(sweeps)
 
@@ -1376,6 +1397,15 @@ def test_fit_of_several_q_equals_each_fit_alone(monkeypatch):
     _assert_same_report(got[2], fit(g, 3, 2, cfg))
     with pytest.raises(DomainError, match="on purpose"):
         fit(g, 3, 3, cfg)
-    for bad_q, bad_priors in (([], None), ([1, 5], None), ([0, 2], None), ([1, 2], priors[:1]), ([1, 2], priors[:2])):
-        with pytest.raises(DomainError):
+    shapes = r"^prior shapes must match \(k, q\)$"
+    for bad_q, bad_priors, message in (
+        ([], None, None),
+        ([1, 5], None, None),
+        ([0, 2], None, None),
+        ([1, 2], priors[:1], shapes),
+        ([1, 2], priors[:2], shapes),
+        ([1, 2], PriorHyperparams.jeffreys(3, 2), shapes),  # one prior for a sequence of q
+        (2, [PriorHyperparams.jeffreys(3, 2)], shapes),  # a sequence for one q
+    ):
+        with pytest.raises(DomainError, match=message):
             fit(g, 3, bad_q, cfg, priors=bad_priors)

@@ -455,15 +455,22 @@ def test_grid_pins_a_failing_shared_call_on_its_cell(monkeypatch, call):
 
         monkeypatch.setattr(inference, name, wrapper)
 
+    made = []  # every Jeffreys prior built, kept alive so that its arrays keep their ids
+    real_jeffreys = PriorHyperparams.jeffreys
+    monkeypatch.setattr(PriorHyperparams, "jeffreys", staticmethod(lambda k, q: made.append(real_jeffreys(k, q)) or made[-1]))
+
+    def by_side(sides):  # a prior side, which a fit takes before its rounds, holds no cell
+        priors = {id(pr.beta0) for pr in made}
+        return [(beta.size, theta.size) for beta, theta, _, _ in sides if id(beta) not in priors]
+
     monkeypatch.setattr(inference, "vbe_update_tau", sweep)
-    by_state = lambda states: [(st.k, st.q) for st in states]  # noqa: E731
     # the failing call first, so that the spy on the call that holds the jobs wraps it
     if call == "digamma":
         fails("digamma")
-        holding("_round_moments", by_state)
+        holding("_log_moments", lambda states: [(st.k, st.q) for st in states])
     elif call == "log_gamma":
         fails("log_gamma")
-        holding("_posterior_log_gammas", by_state)
+        holding("_normalizer_log_gammas", by_side)
     else:
         call = "_stats_pass"
         fails(call)
