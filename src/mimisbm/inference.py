@@ -49,7 +49,17 @@ spectral start (below), which every cell shares, is returned in place of
 every cell. When a shared call raises one, its step runs once per live job,
 which gives each job its own result and pins the failure on its cell.
 
-Spectral init clusters every layer's embedding with k-means in one batch,
+Spectral init starts from spectral_basis, each layer's top k_max + 1
+eigenpairs of D^-1/2 A D^-1/2, computed once per graph. Above a size rule
+(N >= 8 max(k_max + 3, 8)) one Chebyshev-filtered subspace iteration solves
+all the layers, and a layer stops once its Ritz pairs certify every
+eigengap count at k <= k_max. That is exact where the init reads: the
+counts equal dense eigh's, and the pairs they select have residual norm <=
+1e-10. The remaining bulk Ritz values may be off by up to ~1e-2 and only
+fix the counts. Below the rule, and for a layer not certified within the
+round budget, a dense eigh gives that layer its bits.
+
+The init then clusters every layer's embedding with k-means in one batch,
 then the nodes, then the layers. Only the layer grouping depends on q, so
 _fit_cells draws the rest, the start, once per restart from the stream
 rng_stream(seed, k, r, -1) and every cell (k, q) groups the layers of that
@@ -189,10 +199,13 @@ def _normalizer_log_gammas(sides) -> list:
     of all the sides: per side, log_gamma of (sum beta, sum theta), of beta,
     of theta, and of eta + xi, eta and xi over the k <= l cells (flattened
     in (k, l, s) order). log_gamma is elementwise, so a side's values do not
-    depend on the other sides of the call."""
-    args = []
+    depend on the other sides of the call. The k <= l indices are made once
+    per call for each block count among the sides."""
+    args, upper = [], {}
     for beta, theta, eta, xi in sides:
-        iu, ju = np.triu_indices(beta.size)
+        if beta.size not in upper:
+            upper[beta.size] = np.triu_indices(beta.size)
+        iu, ju = upper[beta.size]
         eta, xi = eta[iu, ju, :].ravel(), xi[iu, ju, :].ravel()
         args += [[beta.sum(), theta.sum()], beta, theta, eta + xi, eta, xi]
     parts = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(arg) for arg in args[:-1]]))
@@ -401,26 +414,128 @@ def _kmeans(
 def spectral_basis(g: MultilayerGraph, k_max: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per-layer spectral basis for the per-view spectral init at any k <= k_max.
 
-    Each layer's normalized adjacency D^-1/2 A D^-1/2 (isolated nodes get a
-    zero row) is eigendecomposed once; only its m = min(k_max + 1, n)
-    largest eigenpairs are kept, in the ascending order eigh returns them.
-    Returns (vals, vecs) of shapes (V, m) and (V, N, m). The basis depends
-    on the graph alone, so one basis serves every restart and every grid
-    cell with k <= k_max, and keeps O(V N k_max) memory instead of O(V N^2).
+    Keeps the m = min(k_max + 1, n) largest eigenpairs of each layer's
+    normalized adjacency S = D^-1/2 A D^-1/2 (isolated nodes get a zero
+    row), in the ascending order eigh returns them. Returns (vals, vecs) of
+    shapes (V, m) and (V, N, m). The basis depends on the graph alone, so
+    one basis serves every restart and every grid cell with k <= k_max, and
+    keeps O(V N k_max) memory.
+
+    Size rule: when N >= 8 max(m + 2, 8), the block of m + 2 columns is at
+    most an eighth of N and every layer is solved at once by
+    _filtered_basis, a Chebyshev-filtered subspace iteration that makes no
+    N x N eigh call. What it returns is exact where the spectral init reads
+    it: every eigengap count at k <= k_max equals the dense one, and the
+    pairs those counts select have residual norm <= 1e-10. The other Ritz
+    values of the m, bulk values, may be off by up to ~1e-2; they only fix
+    the counts. A layer the iteration does not certify within its round
+    budget, and every layer below the rule (m = N among them), gets dense
+    eigh's values and vectors bit for bit.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     m = min(k_max + 1, g.n)
+    s = _normalized_stack(g)
     vals = np.empty((g.v, m))
     vecs = np.empty((g.v, g.n, m))
-    for lay in range(g.v):
-        a = g.adj[:, :, lay].astype(float)
-        deg = a.sum(axis=1)
-        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-        w, u = np.linalg.eigh(inv_sqrt[:, None] * a * inv_sqrt[None, :])
+    rest = _filtered_basis(s, vals, vecs) if g.n >= 8 * max(m + 2, 8) else range(g.v)
+    for at, lay in enumerate(rest):
+        w, u = np.linalg.eigh(s[at])
         vals[lay] = w[-m:]
         vecs[lay] = u[:, -m:]
     return vals, vecs
+
+
+def _normalized_stack(g: MultilayerGraph) -> np.ndarray:
+    """Every layer's S = D^-1/2 A D^-1/2 as one C-contiguous (V, N, N)
+    float stack, entry (i, j) computed as (inv_i A_ij) inv_j. C order
+    matters: the batched products on a transposed layout are several times
+    slower."""
+    s = np.ascontiguousarray(g.adj.transpose(2, 0, 1), dtype=float)
+    deg = s.sum(axis=2)
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    s *= inv_sqrt[:, :, None]
+    s *= inv_sqrt[:, None, :]
+    return s
+
+
+# the filtered subspace iteration of spectral_basis: a Ritz pair whose
+# residual norm is at most _BASIS_TOL is exact enough to read
+_BASIS_TOL = 1e-10
+_FILTER_DEGREE = 8
+_BASIS_ROUNDS = 12  # Rayleigh-Ritz steps before a layer falls back to eigh
+
+
+def _filtered_basis(s: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The top m = vals.shape[1] eigenpairs of every layer of the stack s
+    (V, N, N), spectrum in [-1, 1], by one batched Chebyshev-filtered
+    subspace iteration (Zhou, Saad, Tiago and Chelikowsky, J. Comput. Phys.
+    219, 2006). Writes each certified layer's Ritz values and vectors
+    (ascending) into vals and vecs, and returns the layers it did not
+    certify within _BASIS_ROUNDS, whose matrices it has moved, in order, to
+    the front of s.
+
+    Every layer starts from one fixed-seed Gaussian block of b = m + 2
+    columns, so the result is a function of the graph. A round
+    orthonormalizes the block, takes the b x b Rayleigh-Ritz step (one
+    batched eigh) and the residual norms of the Ritz pairs, then applies
+    the degree-8 Chebyshev polynomial that is bounded by 1 on [-1, low] and
+    grows fast above it, low being the layer's lowest Ritz value. A layer is
+    done when _certified says its Ritz pairs fix every eigengap count; it
+    then leaves the batch, and the stack is compacted in place."""
+    v, n, _ = s.shape
+    m = vals.shape[1]
+    x = np.broadcast_to(rng_stream(0).standard_normal((n, m + 2)), (v, n, m + 2))
+    live = np.arange(v)
+    for rnd in range(_BASIS_ROUNDS):
+        q = np.linalg.qr(x)[0]
+        sq = np.matmul(s[: live.size], q)
+        theta, w = np.linalg.eigh(np.matmul(q.transpose(0, 2, 1), sq))
+        x, sx = np.matmul(q, w), np.matmul(sq, w)
+        res = np.linalg.norm(sx - x * theta[:, None, :], axis=1)
+        done = _certified(theta[:, -m:], res[:, -m:])
+        if done.any():
+            vals[live[done]] = theta[done, -m:]
+            vecs[live[done]] = x[done, :, -m:]
+            keep = np.flatnonzero(~done)
+            for at, old in enumerate(keep):  # at <= old: a forward copy loses nothing
+                if at != old:
+                    s[at] = s[old]
+            live, x, sx, theta = live[keep], x[keep], sx[keep], theta[keep]
+        if not live.size or rnd == _BASIS_ROUNDS - 1:
+            break
+        # T_d((S - c) / e) by its three-term recurrence, with [-1, low] mapped
+        # onto [-1, 1]
+        low = theta[:, :1, None]
+        e, c = (low + 1.0) / 2.0, (low - 1.0) / 2.0
+        prev, x = x, (sx - c * x) / e
+        for _ in range(_FILTER_DEGREE - 1):
+            prev, x = x, 2.0 * (np.matmul(s[: live.size], x) - c * x) / e - prev
+    return live
+
+
+def _certified(vals: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Per layer, whether its Ritz values vals (L, m), ascending, with
+    residual norms res fix the eigengap count of _spectral_labels at every
+    k < m. A Ritz value lies within its residual norm of an eigenvalue. At
+    each k the widest of the top k gaps must beat every other one by more
+    than the residual norms of the values that form the two gaps, and the
+    pairs the counts select (the top count of them) must have residual <=
+    _BASIS_TOL."""
+    top, bound = vals[:, ::-1], res[:, ::-1]
+    gaps = top[:, :-1] - top[:, 1:]
+    err = bound[:, :-1] + bound[:, 1:]
+    rows = np.arange(len(vals))
+    ok = np.ones(len(vals), dtype=bool)
+    read = np.ones(len(vals), dtype=np.int64)  # k = 1 reads one gap: its count is 1
+    for k in range(2, vals.shape[1]):
+        win = gaps[:, :k].argmax(axis=1)
+        margin = (gaps[rows, win] - err[rows, win])[:, None] - (gaps[:, :k] + err[:, :k])
+        margin[rows, win] = np.inf
+        ok &= (margin > 0).all(axis=1)
+        read = np.maximum(read, win + 1)
+    selected = np.arange(vals.shape[1]) < read[:, None]
+    return ok & ~(selected & (bound > _BASIS_TOL)).any(axis=1)
 
 
 def _check_basis(basis: Tuple[np.ndarray, np.ndarray], g: MultilayerGraph, k: int) -> None:

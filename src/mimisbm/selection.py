@@ -219,7 +219,7 @@ def grid_search(
         raise DomainError("jobs must be >= 1")
 
     # the spectral basis depends on the graph alone: computed once here, every
-    # cell (and worker process) slices it instead of eigendecomposing again
+    # cell (and worker process) slices it instead of solving for it again
     basis = spectral_basis(g, ks[-1]) if cfg.init_strategy == "per_view_spectral" else None
     # both paths below return the tasks in k order, each its cells in q order
     tasks = [(g, k, qs, cfg, basis) for k in ks]

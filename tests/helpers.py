@@ -455,6 +455,37 @@ def spectral_labels_oracle(a: np.ndarray, k: int, rng: np.random.Generator) -> n
     return kmeans_oracle(emb, c, rng)
 
 
+def normalized_adjacency(g: MultilayerGraph, lay: int) -> np.ndarray:
+    """Layer lay's D^-1/2 A D^-1/2, isolated nodes given a zero row."""
+    a = g.adj[:, :, lay].astype(float)
+    deg = a.sum(axis=1)
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+
+
+def spectral_basis_oracle(g: MultilayerGraph, k_max: int):
+    """spectral_basis by a full eigh of every layer's D^-1/2 A D^-1/2: the
+    top m = min(k_max + 1, n) eigenpairs, ascending."""
+    m = min(k_max + 1, g.n)
+    vals, vecs = np.empty((g.v, m)), np.empty((g.v, g.n, m))
+    for lay in range(g.v):
+        w, u = np.linalg.eigh(normalized_adjacency(g, lay))
+        vals[lay], vecs[lay] = w[-m:], u[:, -m:]
+    return vals, vecs
+
+
+def eigengap_counts(vals: np.ndarray, k_max: int) -> np.ndarray:
+    """The eigengap count _spectral_labels reads off a basis's values (V,
+    m) at each k = 1..k_max: (k_max, V)."""
+    n = vals.shape[1]
+    out = []
+    for k in range(1, k_max + 1):
+        top = vals[:, ::-1][:, : min(k + 1, n)]
+        gaps = top[:, :-1] - top[:, 1:]
+        out.append(gaps.argmax(axis=1) + 1 if gaps.shape[1] else np.ones(len(vals), dtype=np.int64))
+    return np.array(out)
+
+
 def comembership_features(labels: np.ndarray):
     """The dense co-membership features of the layer partitions `labels`
     (V, N): the V flattened N x N matrices C_v, and the N rows of their
@@ -529,10 +560,19 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
 def count_eigh(monkeypatch) -> list:
     """Count the numpy.linalg.eigh calls, as the inference module sees it,
-    for the rest of the test."""
+    for the rest of the test: the returned list grows by each call's
+    argument shape."""
     import mimisbm.inference as inference
 
-    return count_calls(monkeypatch, inference.np.linalg, "eigh")
+    shapes = []
+    real = inference.np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(inference.np.linalg, "eigh", recording)
+    return shapes
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,12 @@ from helpers import (
     connectivity_oracle,
     count_calls,
     count_eigh,
+    eigengap_counts,
     first_appearance_oracle,
     fit_oracle,
     init_variational_oracle,
     kmeans_oracle,
+    normalized_adjacency,
     pair_mass_oracle,
     random_graph,
     random_post_m_state,
@@ -48,6 +50,7 @@ from helpers import (
     scalar_m_step,
     scalar_nu_update,
     scalar_tau_sweep,
+    spectral_basis_oracle,
     spectral_labels_oracle,
     spectral_start_oracle,
     vbe_update_tau_oracle,
@@ -154,6 +157,126 @@ def test_spectral_basis_shapes_and_spectrum():
         assert np.allclose(s @ vecs[lay], vecs[lay] * vals[lay][None, :], atol=1e-12)
     with pytest.raises(DomainError):
         spectral_basis(g, 0)
+
+
+# ---------------------------------------------------------------- basis solver
+
+
+def _assert_basis_matches_dense(g, k_max, shapes):
+    """spectral_basis(g, k_max) against a full eigh per layer: equal eigengap
+    counts at every k <= k_max, and on the pairs they select (a layer's top
+    C, C its largest count) residual norms and values to 1e-10 and
+    projectors to 1e-8. Leaves in `shapes`, the list of count_eigh, only
+    spectral_basis's calls."""
+    want_vals, want_vecs = spectral_basis_oracle(g, k_max)
+    shapes.clear()
+    vals, vecs = spectral_basis(g, k_max)
+    counts = eigengap_counts(vals, k_max)
+    assert np.array_equal(counts, eigengap_counts(want_vals, k_max)), (g.n, k_max)
+    for lay, c in enumerate(counts.max(axis=0)):
+        np.testing.assert_allclose(vals[lay, -c:], want_vals[lay, -c:], rtol=0, atol=1e-10)
+        pairs = vecs[lay, :, -c:]
+        assert np.linalg.norm(normalized_adjacency(g, lay) @ pairs - pairs * vals[lay, -c:], axis=0).max() <= 1e-10
+        if c == 1 and want_vals[lay, -1] - want_vals[lay, -2] < 1e-8:
+            continue  # a double top eigenvalue leaves the vector open, and one cluster ignores it
+        got, want = vecs[lay, :, -c:], want_vecs[lay, :, -c:]
+        np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-8)
+    return vals, vecs
+
+
+def _acceptance_graph(*stream, p_switch=0.0):
+    """The acceptance 4 (p_switch 0) and 6 graphs, drawn from rng_stream(*stream)."""
+    cfg = SimulationConfig(n=200, v=15, k=5, q=3, p_in=0.99, p_out=0.01, p_switch=p_switch)
+    return generate_dataset(cfg, rng_stream(*stream))[0]
+
+
+def _layers(*layers):
+    return MultilayerGraph(np.stack(layers, axis=2).astype(np.uint8))
+
+
+def test_filtered_basis_matches_dense_eigh_without_an_n_by_n_eigh(monkeypatch):
+    # above the size rule: an acceptance-4 graph at the grid's k_max and
+    # beyond, and a p_in 0.3 graph, whose bulk reaches further up
+    sparse, _ = generate_dataset(
+        SimulationConfig(n=300, v=20, k=5, q=3, p_in=0.3, p_out=0.01, component_k=(5, 3, 2)), rng_stream(7919, 2, 0, 0)
+    )
+    shapes = count_eigh(monkeypatch)
+    for g, k_max in ((_acceptance_graph(0), 5), (_acceptance_graph(0), 8), (sparse, 5)):
+        _assert_basis_matches_dense(g, k_max, shapes)
+        assert shapes and all(shape[-1] == k_max + 3 for shape in shapes), shapes
+
+
+def test_filtered_basis_matches_dense_eigh_on_degenerate_layers(monkeypatch):
+    # an empty layer (every gap ties, so above k_max = 1 it falls back to
+    # eigh), a complete layer, a planted layer with an isolated node, and
+    # two equal disjoint cliques, whose top eigenvalue 1 is double
+    n = 200
+    planted = with_isolated_node(_acceptance_graph(0), node=7, layer=0).adj[:, :, 0]
+    complete = 1 - np.eye(n, dtype=np.uint8)
+    cliques = np.kron(np.eye(2, dtype=np.uint8), np.ones((n // 2, n // 2), dtype=np.uint8)) - np.eye(n, dtype=np.uint8)
+    g = _layers(np.zeros((n, n)), complete, planted, cliques)
+    shapes = count_eigh(monkeypatch)
+    for k_max in (1, 3, 5):
+        vals, _ = _assert_basis_matches_dense(g, k_max, shapes)
+        assert shapes.count((n, n)) == (k_max > 1), (k_max, shapes)  # k = 1 reads one gap, whatever it is
+    assert np.array_equal(eigengap_counts(vals, 5)[1:, 3], [2, 2, 2, 2])
+
+
+def test_filtered_basis_equals_dense_fits_on_acceptance_6_data():
+    # spectral labels are renamed by first appearance, so a basis that fixes
+    # the same counts and subspaces gives the fits of the dense one
+    cfg = FitConfig(seed=0, n_restarts=5, init_strategy="per_view_spectral")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        for p_switch in (0.0, 0.3, 0.7):
+            g = _acceptance_graph(1001, int(p_switch * 10), p_switch=p_switch)
+            _assert_same_report(fit(g, 5, 3, cfg), fit(g, 5, 3, cfg, basis=spectral_basis_oracle(g, 5)), p_switch)
+
+
+def test_spectral_basis_size_rule(monkeypatch):
+    # the iteration runs when N >= 8 max(m + 2, 8), m = k_max + 1; one step
+    # below, every layer gets its own N x N eigh and the dense bits
+    shapes = count_eigh(monkeypatch)
+    for n, k_max, iterative in ((64, 5, True), (63, 5, False), (96, 9, True), (96, 10, False), (64, 2, True)):
+        g, _ = generate_dataset(
+            SimulationConfig(n=n, v=4, k=4, q=2, p_in=0.9, p_out=0.05, component_k=(4, 2)), rng_stream(n, k_max)
+        )
+        vals, vecs = _assert_basis_matches_dense(g, k_max, shapes)
+        if iterative:
+            assert shapes and (n, n) not in shapes, (n, k_max, shapes)
+        else:
+            assert shapes == [(n, n)] * g.v, (n, k_max)
+            want = spectral_basis_oracle(g, k_max)
+            assert vals.tobytes() == want[0].tobytes() and vecs.tobytes() == want[1].tobytes()
+
+
+def test_spectral_basis_is_the_full_spectrum_at_k_max_n_minus_1():
+    g = _acceptance_graph(0)
+    for k_max in (g.n - 1, g.n):
+        vals, vecs = spectral_basis(g, k_max)
+        assert vals.shape == (g.v, g.n)
+        for lay in range(g.v):
+            s = normalized_adjacency(g, lay)
+            np.testing.assert_allclose(vals[lay], np.linalg.eigvalsh(s), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(s @ vecs[lay], vecs[lay] * vals[lay], rtol=0, atol=1e-12)
+
+
+def test_uncertified_layer_alone_gets_dense_eigh(monkeypatch):
+    # a sparse Erdos-Renyi layer falls apart into many components, so its
+    # top eigenvalues all equal 1 and its gaps are rounding: no round
+    # certifies its counts, and after the budget it alone is solved by eigh,
+    # bit for bit; the planted layers around it keep the iteration's basis
+    planted = _acceptance_graph(0)
+    sparse = random_graph(np.random.default_rng(5), planted.n, 1, p=0.01).adj[:, :, 0]
+    g = _layers(planted.adj[:, :, 0], sparse, planted.adj[:, :, 1])
+    want_vals, want_vecs = spectral_basis_oracle(g, 5)
+    assert np.all(want_vals[1] > 1.0 - 1e-12)
+    shapes = count_eigh(monkeypatch)
+    vals, vecs = _assert_basis_matches_dense(g, 5, shapes)
+    assert shapes.count((g.n, g.n)) == 1
+    assert len(shapes) == inference._BASIS_ROUNDS + 1
+    assert vals[1].tobytes() == want_vals[1].tobytes() and vecs[1].tobytes() == want_vecs[1].tobytes()
+    assert vecs[0].tobytes() != want_vecs[0].tobytes() and vecs[2].tobytes() != want_vecs[2].tobytes()
 
 
 def test_init_spectral_matches_per_restart_oracle():
