@@ -16,38 +16,41 @@ VariationalState. The bound uses the simplified form that is exact right
 after an M-step, which is the only place the loop evaluates it. One M-step
 runs before the first iteration so the initial responsibilities are
 absorbed into the conjugate posteriors; without it the first node sweep
-would start from flat priors and erase the initialization. A fit's restarts
-iterate in lockstep: one node sweep call per round serves every restart
-still iterating, and gives each the result it would get alone. The loop
-draws nothing after the init, so a restart whose init state is bit-equal to
-an earlier restart's is not run: it takes that restart's state, bound trace
-and convergence flag, and its entry in restart_elbos is that restart's
-bound. Spectral init renames its node and layer labels by first appearance,
-so its state is a function of the two k-means partitions and restarts that
-find the same partitions repeat.
+would start from flat priors and erase the initialization.
 
-The driver, _fit_cells, runs the jobs (cell, restart) of one K: fit is its
-one-cell case, and fit given several Q values (as grid_search calls it, once
-per K) runs every restart of every cell in the same lockstep batch, since a
-sweep's states need to share only N, V and K. A round does its shared work
-once for all the live jobs: one digamma call gives every job's Beta and
-Dirichlet log-moments, which its node sweep and its layer update share; one
-vbe_update_tau call sweeps them all; one batched product over the layer
-stack gives every job's statistics (_stats_pass, which also serves the
-absorbing M-steps, once per distinct init tau); and one log_gamma call,
-once the round's states are built, gives the posterior side of every
-bound. The prior side of every cell's bound is fixed for the fit and comes
-from one log_gamma call before the first round. The layer update, M-step,
-bound and convergence test stay per job, under its cell's priors; the
-public updates and the bound take the precomputed values as an optional
-argument. The special functions are elementwise and every batched product
-has a solo call's shape and layout, so each job gets bit for bit what it
-gets alone. Repeats are found per
-cell; a DomainError, LinAlgError or FloatingPointError in a cell's own work
-drops that cell's jobs and is returned in its place, and one in a restart's
-spectral start (below), which every cell shares, is returned in place of
-every cell. When a shared call raises one, its step runs once per live job,
-which gives each job its own result and pins the failure on its cell.
+The driver, _fit_cells, runs the jobs (cell, restart) of one K in
+lockstep: fit is its one-cell case, and fit given several Q values (as
+grid_search calls it, once per K) runs every restart of every cell in the
+same batch, since a sweep's states need to share only N, V and K. It draws
+the inits in (q, r) order. The loop draws nothing after the init, so a
+restart whose init (tau, nu) is bit-equal to an earlier restart's of its
+cell is not run: it takes that restart's state, bound trace and
+convergence flag, and its entry in restart_elbos is that restart's bound.
+Spectral init renames its node and layer labels by first appearance, so
+its state is a function of the two k-means partitions and restarts that
+find the same partitions repeat. The absorbing M-steps take their
+statistics from one pass over the layer stack (_stats_pass, once per
+distinct init tau), and one log_gamma call gives the prior side of every
+cell's bound, fixed for the fit. A round then does its shared work once
+for all the live jobs: one digamma call gives every job's Beta and
+Dirichlet log-moments, which its node sweep and its layer update share;
+one vbe_update_tau call sweeps them all; one _stats_pass gives every job's
+statistics; and one log_gamma call, once the round's states are built,
+gives the posterior side of every bound. The layer update, M-step, bound
+and convergence test stay per job, under its cell's priors; the public
+updates and the bound take the precomputed values as an optional
+argument. A job leaves the batch when it converges or reaches max_iter.
+The special functions are elementwise and every batched product has a
+solo call's shape and layout, so each job gets bit for bit what it gets
+alone, and each cell ends where its restarts would run one after another.
+
+A DomainError, LinAlgError or FloatingPointError in a cell's own work (an
+init, statistics, an update, the bound, state validation) drops that
+cell's jobs and is returned in its place; a cell's first init failure
+skips its later restarts. One in a restart's spectral start (below), which
+every cell shares, is returned in place of every cell. When a shared call
+raises one, its step runs once per live job, which gives each job its own
+result and pins the failure on its cell.
 
 Spectral init starts from spectral_basis, each layer's top k_max + 1
 eigenpairs of D^-1/2 A D^-1/2, computed once per graph. Above a size rule
@@ -61,10 +64,13 @@ round budget, a dense eigh gives that layer its bits.
 
 The init then clusters every layer's embedding with k-means in one batch,
 then the nodes, then the layers. Only the layer grouping depends on q, so
-_fit_cells draws the rest, the start, once per restart from the stream
-rng_stream(seed, k, r, -1) and every cell (k, q) groups the layers of that
-start on its own stream rng_stream(seed, k, q, r): the cells of one K and
-restart start from the same node partition. A k-means++ init draws one
+_fit_cells draws the rest, the start (_spectral_start: the layers'
+co-membership embedding rows and the node responsibilities), once per
+restart from the stream rng_stream(seed, k, r, -1), and every cell (k, q)
+groups the layers of that start on its own stream rng_stream(seed, k, q,
+r): the cells of one K and restart start from the same node partition. An
+init consumes the start, never the basis; fit checks a basis a caller
+hands it once, before the first init. A k-means++ init draws one
 index and k - 1 uniforms whatever the data; a step whose sampling total is
 0 (every point already on a center) takes row 0. So _kmeans draws all the
 seeds of its problems first, in the order solving them one after another
@@ -166,31 +172,31 @@ def _xlogx(a: np.ndarray) -> float:
     return float(np.sum(a * np.log(safe)))
 
 
+def _one_call(fn, args: list, width: int) -> list:
+    """fn, an elementwise special function, on every 1-D argument of `args`
+    from one call on their concatenation, cut back into one part per
+    argument; returns the parts in groups of `width`, one group per state or
+    side. An argument's part does not depend on the others of the call."""
+    values = fn(np.concatenate(args))
+    ends = np.cumsum([len(arg) for arg in args]).tolist()
+    parts = [values[end - len(arg) : end] for arg, end in zip(args, ends)]
+    return [parts[at : at + width] for at in range(0, len(parts), width)]
+
+
 def _log_moments(states: Sequence[VariationalState]) -> list:
     """Per state, (d, e, beta_base, theta_base): the Beta log-moments per
     cell, E[log alpha] - E[log(1 - alpha)] and E[log(1 - alpha)], and the
     Dirichlet log-moments psi(conc) - psi(sum conc) of its beta and of its
     theta, from one digamma call on the arguments of all the states. The
-    node sweep reads (d, e, beta_base), the layer update (d, e, theta_base).
-    digamma is elementwise, so a state's values do not depend on the other
-    states of the call."""
+    node sweep reads (d, e, beta_base), the layer update (d, e, theta_base)."""
     args = []
     for st in states:
         eta, xi = st.eta.ravel(), st.xi.ravel()
         args += [eta, xi, eta + xi, st.beta, [st.beta.sum()], st.theta, [st.theta.sum()]]
-    psi = digamma(np.concatenate(args))
-    out, at = [], 0
-    for st in states:
-        c = st.eta.size
-        d = (psi[at : at + c] - psi[at + c : at + 2 * c]).reshape(st.eta.shape)
-        e = (psi[at + c : at + 2 * c] - psi[at + 2 * c : at + 3 * c]).reshape(st.eta.shape)
-        at += 3 * c
-        bases = []
-        for conc in (st.beta, st.theta):
-            bases.append(psi[at : at + conc.size] - psi[at + conc.size])
-            at += conc.size + 1
-        out.append((d, e, *bases))
-    return out
+    return [
+        ((eta - xi).reshape(st.eta.shape), (xi - tot).reshape(st.eta.shape), beta - beta_sum, theta - theta_sum)
+        for st, (eta, xi, tot, beta, beta_sum, theta, theta_sum) in zip(states, _one_call(digamma, args, 7))
+    ]
 
 
 def _normalizer_log_gammas(sides) -> list:
@@ -198,9 +204,8 @@ def _normalizer_log_gammas(sides) -> list:
     in `sides`, prior or posterior, from one log_gamma call on the arguments
     of all the sides: per side, log_gamma of (sum beta, sum theta), of beta,
     of theta, and of eta + xi, eta and xi over the k <= l cells (flattened
-    in (k, l, s) order). log_gamma is elementwise, so a side's values do not
-    depend on the other sides of the call. The k <= l indices are made once
-    per call for each block count among the sides."""
+    in (k, l, s) order). The k <= l indices are made once per call for each
+    block count among the sides."""
     args, upper = [], {}
     for beta, theta, eta, xi in sides:
         if beta.size not in upper:
@@ -208,8 +213,7 @@ def _normalizer_log_gammas(sides) -> list:
         iu, ju = upper[beta.size]
         eta, xi = eta[iu, ju, :].ravel(), xi[iu, ju, :].ravel()
         args += [[beta.sum(), theta.sum()], beta, theta, eta + xi, eta, xi]
-    parts = np.split(log_gamma(np.concatenate(args)), np.cumsum([len(arg) for arg in args[:-1]]))
-    return [parts[at : at + 6] for at in range(0, len(parts), 6)]
+    return _one_call(log_gamma, args, 6)
 
 
 # the two sides of _normalizer_log_gammas: a PriorHyperparams, a VariationalState
@@ -661,7 +665,7 @@ def init_variational(
     priors: PriorHyperparams,
     strategy: str = "random",
     rng: Optional[np.random.Generator] = None,
-    basis: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    *,
     start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> VariationalState:
     """Build a starting state: responsibilities by the chosen strategy, the
@@ -676,11 +680,11 @@ def init_variational(
     of the two partitions alone, and softened to 0.9 on the assigned
     cluster plus 0.1 spread uniformly.
     Only the layer grouping depends on q. The rest is `start`, the
-    (layer_rows, tau) of _spectral_start, which fit draws once per restart
-    on its own stream and shares across the q values; when it is None it is
-    drawn here from `rng`, before the layer grouping. The spectral labels
-    come from `basis`, the output of spectral_basis(g, k_max) for some
-    k_max >= k; when it is None it is computed here.
+    (layer_rows, tau) of _spectral_start: one embedding row per layer and
+    the (N, k) node responsibilities, which fit draws once per restart on
+    its own stream and shares across the q values. A start of other shapes
+    raises DomainError. When it is None it is drawn here from `rng`, on
+    spectral_basis(g, k), before the layer grouping.
     """
     if k < 1 or q < 1:
         raise DomainError("k and q must be >= 1")
@@ -690,8 +694,6 @@ def init_variational(
         )
     if priors.k != k or priors.q != q:
         raise DomainError("prior shapes must match (k, q)")
-    if basis is not None:
-        _check_basis(basis, g, k)
     if rng is None:
         rng = rng_stream(0)
 
@@ -700,8 +702,13 @@ def init_variational(
         nu = rng.dirichlet(np.ones(q), size=g.v)
     elif strategy == "per_view_spectral":
         if start is None:
-            start = _spectral_start(spectral_basis(g, k) if basis is None else basis, k, rng)
+            start = _spectral_start(spectral_basis(g, k), k, rng)
         layer_rows, tau = start
+        if np.ndim(layer_rows) != 2 or len(layer_rows) != g.v or np.shape(tau) != (g.n, k):
+            raise DomainError(
+                f"spectral start of shapes {np.shape(layer_rows)}, {np.shape(tau)} does not fit"
+                f" k={k} on a graph with n={g.n}, v={g.v}"
+            )
         nu = _soften(_first_appearance(_kmeans([layer_rows], [q], rng)[0]), q)
     else:
         raise DomainError(f"unknown init strategy: {strategy!r}")
@@ -927,40 +934,24 @@ def fit(
     cell fitted alone gets its bits in the grid. Restarts are ranked by
     final bound, ties toward the lower index. converged reflects the
     winning restart; when it ran into max_iter a ConvergenceWarning is
-    emitted and the flag stays False.
-
-    The restarts run in lockstep. Each draws its init, then every restart
-    takes its absorbing M-step on statistics from one pass over the layer
-    stack, and one log_gamma call gives the prior side of the bound, fixed
-    for the fit. Each round then serves every restart still iterating with
-    one digamma call (the log-moments its node sweep and layer update
-    share), one vbe_update_tau call, one statistics pass and one log_gamma
-    call (the posterior side of its bound), and takes the layer update,
-    M-step, bound and convergence test per restart. A restart leaves the batch when
-    it converges or reaches max_iter. Each shared call gives every restart
-    the result it would get alone, so every restart ends where it would if
-    the restarts ran one after another.
-
-    Repeats run once: nothing after the init draws, so a restart whose init
-    (tau, nu) is bit-equal to an earlier restart's neither joins the batch
-    nor takes the absorbing M-step, and takes that restart's state, bound
-    trace and convergence flag; its restart_elbos entry is that restart's
-    bound. Spectral inits repeat whenever the k-means partitions do (their
-    labels are renamed by first appearance); random inits never do.
+    emitted and the flag stays False. The restarts run in lockstep and a
+    restart whose init repeats an earlier one's is not run (the module
+    docstring has the round); every restart ends where it would alone.
 
     With spectral init every restart slices one spectral basis: `basis` when
     given (spectral_basis(g, k_max), k_max >= k, as a grid driver shares it
-    across cells), else one computed here before the first restart.
+    across cells), else one computed here before the first restart. A given
+    basis is checked here, once, and one that does not cover k on g raises
+    DomainError.
 
     Several cells of one k, as grid_search fits them: `q` may be a sequence
     of component counts, with `priors` None (Jeffreys) or one
     PriorHyperparams per entry. Every restart of every cell (k, q) joins the
-    one lockstep batch, under one layer stack, and each cell ends bit for
-    bit where it would alone. The result is a list holding, per entry of q,
-    the cell's FitReport or the DomainError, LinAlgError or
-    FloatingPointError its own work raised; such a failure drops only that
-    cell. A failure of a restart's spectral start is every cell's. One q
-    returns its report, or raises its error.
+    one lockstep batch, and each cell ends bit for bit where it would alone.
+    The result is a list holding, per entry of q, the cell's FitReport or
+    the DomainError, LinAlgError or FloatingPointError its own work raised;
+    such a failure drops only that cell. A failure of a restart's spectral
+    start is every cell's. One q returns its report, or raises its error.
     """
     one = np.ndim(q) == 0
     qs = [q] if one else list(q)
@@ -980,7 +971,9 @@ def fit(
         not isinstance(pr, PriorHyperparams) or pr.k != k or pr.q != x for pr, x in zip(priors, qs)
     ):
         raise DomainError("prior shapes must match (k, q)")
-    if basis is None and cfg.init_strategy == "per_view_spectral":
+    if basis is not None:
+        _check_basis(basis, g, k)
+    elif cfg.init_strategy == "per_view_spectral":
         basis = spectral_basis(g, k)
     out = _fit_cells(g, k, qs, cfg, priors, basis)
     if not one:
@@ -1023,22 +1016,11 @@ def _shared(step, args, failed) -> dict:
 
 
 def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]]:
-    """fit's lockstep loop for the cells (k, q), q in qs, under their priors,
-    on one layer stack: the jobs are the (cell, restart) pairs. Inits are
-    drawn in (q, r) order and repeats are found per cell; the absorbing
-    M-steps then take the statistics of every distinct init tau from one
-    _stats_pass, and one log_gamma call gives every cell's prior side of
-    the bound (_normalizer_log_gammas). Each round makes, for all the live
-    jobs, one digamma call (the log-moments that the node sweep and the
-    layer update share), one vbe_update_tau call, one _stats_pass and, once
-    their states are built, one log_gamma call (the posterior side of every
-    bound); the layer update, M-step, bound, convergence test, winner and
-    report are per job or per cell. A _CELL_ERRORS failure in a cell's init, statistics,
-    updates, bound or state validation drops that cell's jobs and becomes
-    its entry; one in a spectral start, which every cell shares, becomes
-    every cell's entry. When a shared call itself fails, its step runs once
-    per live job, which gives each job its own result and pins the failure
-    on its cells."""
+    """fit's lockstep loop for the cells (k, q), q in qs, under their priors
+    and on the basis fit has checked; returns per cell its FitReport or the
+    _CELL_ERRORS failure that dropped it. The jobs are the (cell, restart)
+    pairs; the module docstring describes the round and which failures drop
+    which cells."""
     a = g.layer_stack()
     failed = {}  # cell -> the first failure of its own work
     # restart r's spectral start, shared by every q: drawn from a path that
@@ -1046,24 +1028,21 @@ def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]
     starts = [None] * cfg.n_restarts
     if cfg.init_strategy == "per_view_spectral":
         try:
-            _check_basis(basis, g, k)
             starts = [_spectral_start(basis, k, rng_stream(cfg.seed, k, r, -1)) for r in range(cfg.n_restarts)]
         except _CELL_ERRORS as exc:
             failed = dict.fromkeys(range(len(qs)), exc)
-    states, sources = {}, []  # states[cell, restart]; sources per cell, per restart
-    for c, (q, pr) in enumerate(zip(qs, priors)):
-        # source[r]: the first restart whose init is bit-equal to restart r's;
-        # only those run, the loop draws nothing and so the others repeat them
-        source, inits = [], {}
-        try:
-            for r in () if c in failed else range(cfg.n_restarts):
-                rng = rng_stream(cfg.seed, k, q, r)
-                state = states[c, r] = init_variational(g, k, q, pr, cfg.init_strategy, rng, basis, starts[r])
-                source.append(inits.setdefault((state.tau.tobytes(), state.nu.tobytes()), r))
-        except _CELL_ERRORS as exc:
-            failed[c] = exc
-        sources.append(source)
-    live = [(c, r) for c, source in enumerate(sources) if c not in failed for r, s in enumerate(source) if s == r]
+
+    def init(job):
+        c, r = job
+        rng = rng_stream(cfg.seed, k, qs[c], r)
+        return init_variational(g, k, qs[c], priors[c], cfg.init_strategy, rng, start=starts[r])
+
+    states = _per_job(init, [(c, r) for c in range(len(qs)) for r in range(cfg.n_restarts)], failed)
+    # source[job]: the first job of its cell whose init is bit-equal to job's;
+    # only those run, the loop draws nothing and so the others repeat them
+    inits = {}
+    source = {job: inits.setdefault((job[0], st.tau.tobytes(), st.nu.tobytes()), job) for job, st in states.items()}
+    live = [job for job in states if source[job] == job]
 
     # a job's own work, on the values of the shared steps (stats, moments,
     # taus, prior_sides, log_gammas) that the loop below binds before each call
@@ -1108,11 +1087,10 @@ def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]
         if c in failed:
             out.append(failed[c])
             continue
-        source = sources[c]
-        restart_elbos = [traces[c, s][-1] for s in source]
+        restart_elbos = [traces[source[c, r]][-1] for r in range(cfg.n_restarts)]
         # max keeps the first of equal bounds, i.e. the lowest restart index
-        best_restart = max(range(len(source)), key=restart_elbos.__getitem__)
-        run = c, source[best_restart]
+        best_restart = max(range(cfg.n_restarts), key=restart_elbos.__getitem__)
+        run = source[c, best_restart]
         state, trace, converged = states[run], tuple(traces[run]), done[run]
         if not converged:
             warnings.warn(

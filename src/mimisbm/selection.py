@@ -14,17 +14,12 @@ The grid driver refits every cell from scratch; nothing is warm-started
 across cells, so a cell's result depends only on (data, K, Q, seed). What
 cells share is the spectral basis of the graph's layers, which depends on
 the data alone, and, within one K, the fit: the cells of one K are one task
-and one fit call, which builds one layer stack and runs every restart of
-every Q in lockstep, one call of each shared step (log-moments, node sweep,
-statistics, bound log-gammas) per round. With spectral init
-that fit also draws, once per restart r, the part of the init that does
-not depend on Q (per-layer spectral labels, co-membership embedding, node
-grouping) from rng_stream(seed, K, r, -1); each cell groups the layers on
-its own stream rng_stream(seed, K, Q, r). Each shared step gives each state
-the result it would get alone, and fit at one (K, Q) draws the same streams,
-so each cell's result is bit for bit that of fitting it alone. A cell is
-scored from its fit's final bound; only icl_exact evaluates a bound of its
-own, at the hardened state.
+and one fit(g, K, qs) call, which runs them in lockstep (the inference
+module docstring describes the round) and draws with spectral init one
+start per restart for all of them. fit at one (K, Q) draws the same
+streams, so each cell's result is bit for bit that of fitting it alone. A
+cell is scored from its fit's final bound; only icl_exact evaluates a bound
+of its own, at the hardened state.
 """
 
 from __future__ import annotations
@@ -126,10 +121,8 @@ class GridCell:
     drops only its cell from its K's lockstep batch: the other cells of that
     K keep their bits. A failure of a restart's spectral start, which the
     cells of one K share, is the error of every cell of that K and of no
-    other cell. When a shared step of a round fails (the log-moments, the
-    node sweep, the statistics or the bound log-gammas), it is rerun once
-    per state to find the failing cells. Any other exception propagates out
-    of grid_search."""
+    other cell (the inference module docstring has the rules). Any other
+    exception propagates out of grid_search."""
 
     k: int
     q: int

@@ -514,12 +514,12 @@ def spectral_start_oracle(g, k, rng):
     return layer_features, _soften(z_labels, k)
 
 
-def init_variational_oracle(g, k, q, priors, strategy="random", rng=None, basis=None, start=None):
+def init_variational_oracle(g, k, q, priors, strategy="random", rng=None, *, start=None):
     """init_variational with every call eigendecomposing each layer again.
-    Takes init_variational's arguments so it can stand in for it; `basis` is
-    ignored and random init is delegated. Without a `start`, the start is
-    spectral_start_oracle's on `rng`; the layers are then grouped by k-means
-    on the start's layer rows, on `rng`."""
+    Takes init_variational's arguments so it can stand in for it; random
+    init is delegated. Without a `start`, the start is spectral_start_oracle's
+    on `rng`; the layers are then grouped by k-means on the start's layer
+    rows, on `rng`."""
     if strategy != "per_view_spectral":
         return init_variational(g, k, q, priors, strategy, rng)
     if rng is None:
@@ -724,7 +724,7 @@ def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
         if cfg.init_strategy == "per_view_spectral":
             start = _spectral_start(basis, k, rng_stream(cfg.seed, k, r, -1))
         rng = rng_stream(cfg.seed, k, q, r)
-        state = init_variational(g, k, q, priors, cfg.init_strategy, rng, basis, start)
+        state = init_variational(g, k, q, priors, cfg.init_strategy, rng, start=start)
         beta, theta, eta, xi = m_step_oracle(g, state, priors)
         state = replace(state, beta=beta, theta=theta, eta=eta, xi=xi)
 

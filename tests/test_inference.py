@@ -281,15 +281,20 @@ def test_uncertified_layer_alone_gets_dense_eigh(monkeypatch):
 
 def test_init_spectral_matches_per_restart_oracle():
     # slicing one shared basis gives the same bytes as eigendecomposing each
-    # layer again per call, whether the basis is computed at k or wider
+    # layer again per call, whether the init draws its own start or takes
+    # one drawn on a basis computed at k or wider
     for g, k, q in _spectral_graphs():
         pr = PriorHyperparams.jeffreys(k, q)
         for seed in range(3):
             want = init_variational_oracle(g, k, q, pr, "per_view_spectral", rng_stream(seed))
-            for basis in (None, spectral_basis(g, k), spectral_basis(g, g.n)):
-                got = init_variational(g, k, q, pr, "per_view_spectral", rng_stream(seed), basis)
-                assert got.tau.tobytes() == want.tau.tobytes()
-                assert got.nu.tobytes() == want.nu.tobytes()
+            got = [init_variational(g, k, q, pr, "per_view_spectral", rng_stream(seed))]
+            for basis in (spectral_basis(g, k), spectral_basis(g, g.n)):
+                rng = rng_stream(seed)
+                start = inference._spectral_start(basis, k, rng)
+                got.append(init_variational(g, k, q, pr, "per_view_spectral", rng, start=start))
+            for state in got:
+                assert state.tau.tobytes() == want.tau.tobytes()
+                assert state.nu.tobytes() == want.nu.tobytes()
 
 
 def _label_sets():
@@ -375,9 +380,11 @@ def test_init_spectral_memory_is_below_one_byte_per_comembership_entry():
     )
     pr = PriorHyperparams.jeffreys(5, 3)
     basis = spectral_basis(g, 5)
+    rng = rng_stream(0)
     tracemalloc.start()
     try:
-        init_variational(g, 5, 3, pr, "per_view_spectral", rng_stream(0), basis)
+        start = inference._spectral_start(basis, 5, rng)
+        init_variational(g, 5, 3, pr, "per_view_spectral", rng, start=start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,9 +406,10 @@ def test_spectral_labels_match_oracle_for_any_wider_basis():
                     assert np.array_equal(got, want), (g.n, k, k_max, lay)
 
 
-def test_init_rejects_mismatched_basis():
+def test_init_rejects_mismatched_basis(monkeypatch):
+    # fit checks a caller's basis once, before any init, under either init
+    # strategy and for one q or a sequence of them
     g = random_graph(np.random.default_rng(64), 8, 3, p=0.4)
-    pr = PriorHyperparams.jeffreys(3, 2)
     vals, vecs = spectral_basis(g, 3)
     other = random_graph(np.random.default_rng(65), 9, 3, p=0.4)
     bad = [
@@ -411,12 +419,40 @@ def test_init_rejects_mismatched_basis():
         (vals, vecs[:, :, :-1]),  # vals and vecs disagree
         (vals[0], vecs[0]),  # one layer without its axis
     ]
+    inits = count_calls(monkeypatch, inference, "init_variational")
     for basis in bad:
         for strategy in ("random", "per_view_spectral"):
-            with pytest.raises(DomainError):
-                init_variational(g, 3, 2, pr, strategy, rng_stream(0), basis)
-    with pytest.raises(DomainError):
-        fit(g, 3, 2, FitConfig(seed=0, n_restarts=1, init_strategy="per_view_spectral"), basis=bad[0])
+            cfg = FitConfig(seed=0, n_restarts=1, init_strategy=strategy)
+            for q in (2, [1, 2]):
+                with pytest.raises(DomainError, match="spectral basis of shapes"):
+                    fit(g, 3, q, cfg, basis=basis)
+    assert inits == []
+    checks = count_calls(monkeypatch, inference, "_check_basis")
+    fit(g, 3, [1, 2], FitConfig(seed=0, n_restarts=3, init_strategy="per_view_spectral"), basis=(vals, vecs))
+    assert len(checks) == 1
+
+
+def test_init_rejects_a_start_of_another_graph_or_k():
+    # a start of another graph's layers, node count or block count, or one
+    # that is not a start at all, raises before the layer grouping
+    g = random_graph(np.random.default_rng(64), 8, 6, p=0.4)
+    pr = PriorHyperparams.jeffreys(3, 2)
+
+    def start(h, k):
+        return inference._spectral_start(spectral_basis(h, k), k, rng_stream(0))
+
+    for bad in (
+        start(random_graph(np.random.default_rng(65), 8, 4, p=0.4), 3),  # 4 layer rows on 6 layers
+        start(random_graph(np.random.default_rng(66), 9, 6, p=0.4), 3),  # 9 nodes
+        start(g, 2),  # tau for k = 2
+        spectral_basis(g, 3),  # a basis is not a start
+    ):
+        with pytest.raises(DomainError, match="spectral start of shapes"):
+            init_variational(g, 3, 2, pr, "per_view_spectral", rng_stream(0), start=bad)
+    ok = init_variational(g, 3, 2, pr, "per_view_spectral", rng_stream(0), start=start(g, 3))
+    assert ok.nu.shape == (6, 2)
+    with pytest.raises(TypeError):
+        init_variational(g, 3, 2, pr, "per_view_spectral", rng_stream(0), spectral_basis(g, 3))
 
 
 def test_kmeans_matches_oracle_on_tied_and_duplicate_points():
@@ -548,7 +584,7 @@ def test_layer_grouping_seeds_once_when_q_exceeds_the_distinct_partitions(monkey
         return out
 
     monkeypatch.setattr(inference, "_kmeans", recording)
-    init_variational(g, 5, q, PriorHyperparams.jeffreys(5, q), "per_view_spectral", rng_stream(1), (vals, vecs))
+    init_variational(g, 5, q, PriorHyperparams.jeffreys(5, q), "per_view_spectral", rng_stream(1))
     assert grouping == [1]
 
 
@@ -837,8 +873,8 @@ def _distinct_inits(monkeypatch) -> list:
     inits = []
     real = inference.init_variational
 
-    def init(*args):
-        state = real(*args)
+    def init(*args, **kwargs):
+        state = real(*args, **kwargs)
         inits.append((state.tau.tobytes(), state.nu.tobytes()))
         return state
 
@@ -1307,7 +1343,7 @@ def test_fit_repeats_only_restarts_whose_tau_and_nu_both_repeat(monkeypatch):
     table = [(a.tau, a.nu), (a.tau, b.nu), (b.tau, a.nu), (a.tau, a.nu), (b.tau, b.nu)]
     calls = []
 
-    def init(g, k, q, priors, strategy, rng, basis, start):
+    def init(g, k, q, priors, strategy, rng, *, start):
         tau, nu = table[len(calls) % len(table)]
         calls.append(None)
         return replace(a, tau=tau.copy(), nu=nu.copy())
@@ -1508,10 +1544,10 @@ def test_fit_of_several_q_equals_each_fit_alone(monkeypatch):
         _assert_same_report(jeffreys[1], fit(g, 3, 3, cfg), (strategy, 3))
     real = inference.init_variational
 
-    def init(g, k, q, *args):
+    def init(g, k, q, *args, **kwargs):
         if q == 3:
             raise DomainError("cell (3, 3) failed on purpose")
-        return real(g, k, q, *args)
+        return real(g, k, q, *args, **kwargs)
 
     monkeypatch.setattr(inference, "init_variational", init)
     cfg = FitConfig(seed=3, n_restarts=2)

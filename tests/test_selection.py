@@ -273,10 +273,10 @@ def _failing_init(exc_type, cells):
     `cells`: a failure in a cell's own work."""
     real = inference.init_variational
 
-    def init(g, k, q, *args):
+    def init(g, k, q, *args, **kwargs):
         if (k, q) in cells:
             raise exc_type(f"cell ({k}, {q}) failed on purpose")
-        return real(g, k, q, *args)
+        return real(g, k, q, *args, **kwargs)
 
     return init
 
@@ -548,8 +548,8 @@ def test_grid_clusters_the_layers_once_per_k_and_restart(monkeypatch, restarts, 
     taus = {}
     real = inference.init_variational
 
-    def init(g, k, q, *args):
-        state = real(g, k, q, *args)
+    def init(g, k, q, *args, **kwargs):
+        state = real(g, k, q, *args, **kwargs)
         taus.setdefault(k, []).append(state.tau.tobytes())
         return state
 
@@ -577,8 +577,8 @@ def test_random_init_grid_and_fit_keep_their_streams(monkeypatch):
     digest = hashlib.sha256()
     real = inference.init_variational
 
-    def init(g, k, q, *args):
-        state = real(g, k, q, *args)
+    def init(g, k, q, *args, **kwargs):
+        state = real(g, k, q, *args, **kwargs)
         digest.update(bytes([k, q]) + state.tau.tobytes() + state.nu.tobytes())
         return state
 
