@@ -14,7 +14,7 @@ binary, symmetric per layer, with a zero diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +74,13 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 # graphs
 
 
+def _block_rows(n: int, v: int) -> int:
+    """Rows per block of a whole-tensor pass: about max(N^2, 2^16) entries,
+    so its temporaries stay O(N^2) rather than N^2 V (and small graphs take
+    few blocks)."""
+    return max(1, n // v, 2**16 // (n * v))
+
+
 def _checked_adjacency(adj) -> np.ndarray:
     """`adj` as an array, once it has passed the graph checks: shape
     (N, N, V) with N, V >= 1, entries 0 or 1, zero diagonal, symmetric
@@ -83,11 +90,8 @@ def _checked_adjacency(adj) -> np.ndarray:
         raise DomainError(f"adjacency tensor must be (N, N, V), got {a.shape}")
     if a.shape[0] < 1 or a.shape[2] < 1:
         raise DomainError("need at least one node and one layer")
-    # the checks run on blocks of rows holding about max(N^2, 2^16)
-    # entries, so their temporaries stay O(N^2) rather than N^2 V (and
-    # small graphs take few blocks)
     n, _, v = a.shape
-    step = max(1, n // v, 2**16 // (n * v))
+    step = _block_rows(n, v)
     rows = [slice(r, r + step) for r in range(0, n, step)]
     if not all(((a[b] == 0) | (a[b] == 1)).all() for b in rows):
         raise DomainError("adjacency entries must be 0 or 1")
@@ -136,18 +140,26 @@ class MultilayerGraph:
         restarts."""
         return np.ascontiguousarray(self.adj.transpose(2, 0, 1), dtype=float)
 
+    def _edge_blocks(self, step: int) -> Iterator[np.ndarray]:
+        """The rows of edge_list() in blocks, one per `step` nodes i: the
+        C-order nonzeros of each block's upper triangle in (i, j, v) layout,
+        split into rows, so a block's temporaries hold step * N * V entries."""
+        n, v = self.n, self.v
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            upper = np.arange(lo, n) > np.arange(lo, hi)[:, None]
+            flat = np.flatnonzero(np.logical_and(self.adj[lo:hi, lo:], upper[:, :, None]))
+            e = np.empty((flat.size, 3), dtype=np.int64)
+            np.divmod(flat, (n - lo) * v, out=(e[:, 0], flat))
+            np.divmod(flat, v, out=(e[:, 1], e[:, 2]))
+            e[:, :2] += lo
+            yield e
+
     def edge_list(self) -> np.ndarray:
         """Canonical edges as an (E, 3) int64 array of rows (i, j, v) with
-        i < j, sorted lexicographically: the C-order nonzeros of the upper
-        triangle in (i, j, v) layout come out in that order. Their flat
-        indices are split into the rows in place, so the result is the one
-        E-sized allocation besides the indices."""
-        upper = np.triu(np.ones((self.n, self.n), dtype=np.uint8), k=1)
-        flat = np.flatnonzero(self.adj * upper[:, :, None])
-        e = np.empty((flat.size, 3), dtype=np.int64)
-        np.divmod(flat, self.n * self.v, out=(e[:, 0], flat))
-        np.divmod(flat, self.v, out=(e[:, 1], e[:, 2]))
-        return e
+        i < j, sorted lexicographically: the blocks of _edge_blocks, which
+        write_mlg writes one at a time, in order."""
+        return np.concatenate(list(self._edge_blocks(_block_rows(self.n, self.v))))
 
 
 def _first_bad_edge(e: np.ndarray, n: int, v: int, ordered: bool) -> Optional[Tuple[int, str]]:
@@ -171,18 +183,26 @@ def _first_bad_edge(e: np.ndarray, n: int, v: int, ordered: bool) -> Optional[Tu
     return row, next(kind for kind, mask in faults if mask[row])
 
 
+_SCATTER = 1 << 12  # edges set per block by _graph_from_edges
+
+
 def _graph_from_edges(n: int, v: int, e: np.ndarray) -> MultilayerGraph:
-    """The graph with edge rows `e`, which _first_bad_edge has accepted;
-    each row sets both (i, j) and (j, i), so duplicates are idempotent.
+    """The graph with edge rows `e`, of any integer type, which
+    _first_bad_edge has accepted; each row sets both (i, j) and (j, i), so
+    duplicates are idempotent.
     A size whose N * N * V bytes do not fit in memory, or overflow the
     address space, raises MemoryError."""
     try:
         a = np.zeros((n, n, v), dtype=np.uint8)
     except ValueError as exc:  # numpy's "array is too big" / "Maximum allowed dimension exceeded"
         raise MemoryError(f"a graph of {n} nodes and {v} layers is too large to allocate: {exc}") from None
-    i, j, lay = e.T
-    a[i, j, lay] = 1
-    a[j, i, lay] = 1
+    # scattered through flat indices a block of edges at a time, so the
+    # index temporaries stay O(block) whatever the type and count of e
+    flat = a.reshape(-1)
+    for lo in range(0, len(e), _SCATTER):
+        i, j, lay = e[lo : lo + _SCATTER].T.astype(np.intp)
+        flat[(i * n + j) * v + lay] = 1
+        flat[(j * n + i) * v + lay] = 1
     return MultilayerGraph._adopt(a)
 
 

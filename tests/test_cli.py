@@ -150,6 +150,25 @@ def test_file_that_is_not_utf8_exits_1_at_its_line(tmp_path, capsys, command, na
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, name, body, error",
+    [
+        ("fit", "g.mlg", "3 1\n0 1 {}\n", "{}:2: layer index out of range [0, 1)\n"),
+        ("fit", "g.mlg", "3 {}\n", "out of memory: a graph of 3 nodes and 9223372036854775807 layers"),
+        ("eval", "p.part", "k 3\n0\n{}\n", "{}:3: label 7777"),
+    ],
+    ids=["body", "header", "label"],
+)
+def test_token_past_int_digit_limit_exits_1(tmp_path, capsys, command, name, body, error):
+    # int() refuses text of more than 4300 digits; the readers never ask it
+    bad = tmp_path / name
+    bad.write_text(body.format("7" * 5000), encoding="utf-8")
+    args = {"fit": ["--graph", str(bad), "--k", "2", "--q", "1"], "eval": ["--pred", str(bad), "--truth", str(bad)]}
+    assert main([command, *args[command], "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: " + error.format(bad))
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_twenty_block_link_map_finishes(tmp_path):
     # a surjection onto 20 of 20 blocks by rejection expects ~4.3e7 draws
     src = os.path.dirname(os.path.dirname(mimisbm.__file__))

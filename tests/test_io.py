@@ -1,12 +1,15 @@
 """File formats: canonical graphs, partitions, and report serialization."""
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mimisbm.io
 from mimisbm import (
     FitConfig,
     HardPartition,
@@ -406,6 +409,150 @@ def test_partition_label_past_int64_is_out_of_range(tmp_path):
     p.write_text("k 100000000000000000000\n5\n99999999999999999999\n")
     with pytest.raises(ParseError, match=r"big\.part:3: label 99999999999999999999 outside \[0, 9223372036854775807\)"):
         read_partition(str(p))
+
+
+HUGE = "7" * 5000  # past the 4300 digits int() reads from text
+
+
+@pytest.mark.parametrize(
+    "reader, name, body, error",
+    [
+        (read_mlg, "g.mlg", f"3 1\n0 1 {HUGE}\n", r"g\.mlg:2: layer index out of range \[0, 1\)$"),
+        (read_mlg, "g.mlg", f"3 1\n-{HUGE} 1 0\n", r"g\.mlg:2: node index out of range \[0, 3\)$"),
+        (read_partition, "g.part", f"k 3\n0\n{HUGE}\n", rf"g\.part:3: label {HUGE} outside \[0, 3\)$"),
+        (read_partition, "g.part", f"k 3\n-000{HUGE}\n", rf"g\.part:2: label -{HUGE} outside \[0, 3\)$"),
+    ],
+)
+def test_token_past_int_digit_limit_is_a_parse_error(tmp_path, reader, name, body, error):
+    # a token of more than 19 significant digits is outside int64, whatever
+    # its length, and a label is quoted as int() would print it
+    p = tmp_path / name
+    p.write_text(body)
+    with pytest.raises(ParseError, match=error):
+        reader(str(p))
+
+
+def test_huge_header_is_too_large_to_allocate(tmp_path):
+    p = tmp_path / "g.mlg"
+    p.write_text(f"3 {HUGE}\n0 1 0\n")
+    with pytest.raises(MemoryError, match="too large to allocate"):
+        read_mlg(str(p))
+
+
+def test_leading_zeros_are_not_significant_digits(tmp_path):
+    p = tmp_path / "g.mlg"
+    p.write_text(f"3 1\n0 {'0' * 5000}1 +{'0' * 5000}\n")
+    assert read_mlg(str(p)).adj[0, 1, 0] == 1
+    p = tmp_path / "g.part"
+    p.write_text(f"k {'0' * 5000}3\n{'0' * 5000}2\n")
+    part = read_partition(str(p))
+    assert part.k == 3 and part.labels.tolist() == [2]
+
+
+@pytest.fixture(params=[1, 7, 64, None], ids=["block1", "block7", "block64", "default"])
+def block(request, monkeypatch):
+    """The text block size of mimisbm.io, patched to the parameter."""
+    if request.param is not None:
+        monkeypatch.setattr(mimisbm.io, "_BLOCK", request.param)
+    return mimisbm.io._BLOCK
+
+
+def _block_bodies(block: int) -> list:
+    """Bodies whose lines meet block boundaries in every way: line ends of
+    each kind, no final newline, comments only, and lines longer than a block."""
+    long = b" " * (2 * block + 3)
+    return [
+        b"3 1\r\n0 1 0\r\n1 2 0\r\n",
+        b"3 1\r0 1 0\r1 2 0\r",
+        b"3 1\r\n0 1 0\r1 2 0\n\r\n0 2 0",
+        b"# a\n# b\n\n# c",
+        b"# a\n# b\n3 1",
+        b"#" + long + b"\n3 1\n0" + long + b"1 0\n1 2" + long + b"0",
+        b"3 1\n0 1 " + b"0" * min(2 * block + 3, 4000) + b"2\n",  # int() in the oracle stops at 4300
+        b"3 1\n" + b"0 1 0\n" * 40 + b"0 1\n",
+        b"3 1\n" + b"0 1 0\n" * 40 + b"2 2 0\n",
+    ]
+
+
+def test_readers_do_not_depend_on_the_block_size(tmp_path, block):
+    for body, symmetrize, _ in MLG_CASES:
+        _assert_reads_like_oracle(tmp_path / "g.mlg", body, symmetrize)
+    for body in _block_bodies(block):
+        _assert_reads_like_oracle(tmp_path / "g.mlg", body, False)
+    for body, _ in PART_CASES:
+        _assert_reads_partition_like_oracle(tmp_path / "z.part", body)
+    for body in _block_bodies(block):
+        _assert_reads_partition_like_oracle(tmp_path / "z.part", body.replace(b"3 1", b"k 3"))
+
+
+@given(mlg_files(), part_files(), st.booleans(), st.sampled_from([1, 7, 64]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_readers_do_not_depend_on_the_block_size_on_generated_files(tmp_path_factory, mlg, part, symmetrize, size):
+    d = tmp_path_factory.mktemp("blocks")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mimisbm.io, "_BLOCK", size)
+        _assert_reads_like_oracle(d / "g.mlg", mlg, symmetrize)
+        _assert_reads_partition_like_oracle(d / "z.part", part)
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (b"3 1\n0 1 0\n\xff\n", "g.mlg:3: not UTF-8 text: invalid start byte"),
+        (b"3 1\n" + b"0 1 0\n" * 30 + b"# \xc3\n", "g.mlg:32: not UTF-8 text: invalid continuation byte"),
+        (b"3 1\r\n0 0 0\r\n\xff\n", "g.mlg:2: self loop at node 0"),
+        (b"3 1\n0 1 0\n0 1\n" + b"0 1 0\n" * 30 + b"\xff", "g.mlg:3: expected 3 fields, got 2"),
+    ],
+)
+def test_first_fault_in_file_order_wins_over_a_later_undecodable_byte(tmp_path, block, body, error):
+    p = tmp_path / "g.mlg"
+    p.write_bytes(body)
+    with pytest.raises(ParseError) as err:
+        read_mlg(str(p))
+    assert str(err.value) == f"{tmp_path}/{error}"
+
+
+def test_writers_do_not_depend_on_the_block_size(tmp_path, block):
+    for g in _mlg_graphs():
+        write_mlg(str(tmp_path / "a.mlg"), g)
+        write_mlg_oracle(str(tmp_path / "b.mlg"), g)
+        assert (tmp_path / "a.mlg").read_bytes() == (tmp_path / "b.mlg").read_bytes()
+    rng = np.random.default_rng(5)
+    labels = [
+        np.array([0]),
+        np.array([0, 9, 10, 9999, 10000, 99999999, 100000000, 2**40]),
+        np.array([2**63 - 1, 0, 10**18]),
+        rng.integers(0, 123457, size=500),
+    ]
+    for lab in labels:
+        for k in (int(lab.max()) + 1, 10**25):
+            write_partition(str(tmp_path / "z.part"), HardPartition(labels=lab, k=k))
+            want = f"k {k}\n" + "".join(f"{x}\n" for x in lab.tolist())
+            assert (tmp_path / "z.part").read_bytes() == want.encode()
+
+
+def test_text_io_peaks_within_a_block_allowance(tmp_path):
+    # text is lexed and formatted a block at a time: past the file bytes,
+    # the adjacency and the kept edges, every temporary is O(block). At
+    # N=300, V=20 the whole-file reader peaked at 9.5 MiB and the
+    # whole-graph writer at 8.3 MiB
+    cfg = SimulationConfig(n=300, v=20, k=5, q=3, p_in=0.3, p_out=0.01, component_k=(5, 3, 2))
+    g, _ = generate_dataset(cfg, rng_stream(7919, 2, 0, 0))
+    allowance = 2 * 2**20  # 64 blocks of 32 KiB
+    path = str(tmp_path / "g.mlg")
+    tracemalloc.start()
+    try:
+        write_mlg(path, g)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_mlg(path)
+        read = tracemalloc.get_traced_memory()[1] - back.adj.nbytes
+    finally:
+        tracemalloc.stop()
+    edges = int(g.adj.sum()) // 2 * 3 * np.min_scalar_type(max(g.n, g.v)).itemsize
+    assert written < allowance
+    assert read < os.path.getsize(path) + edges + allowance
+    assert np.array_equal(back.adj, g.adj)
 
 
 def test_partition_bad_header(tmp_path):
