@@ -13,6 +13,7 @@ binary, symmetric per layer, with a zero diagonal.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
@@ -291,6 +292,16 @@ def _check_symmetric_kkq(name: str, a: np.ndarray):
         raise DomainError(f"{name} must be symmetric in its first two axes")
 
 
+def _as_index(value, name: str) -> int:
+    """operator.index(value): a Python or numpy integer as an int. Anything
+    else, an integral float too, raises DomainError instead of being
+    truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_finite(fields) -> None:
     """DomainError naming the first of the (name, array) fields that holds a
     NaN or an infinity. Runs before the sign, sum and symmetry checks, which
@@ -479,6 +490,7 @@ class FitConfig:
         shares, and the layer grouping from rng_stream(seed, k, q, r). So
         results never depend on scheduling.
     init_strategy: "random" or "per_view_spectral".
+    max_iter, n_restarts and seed must be integers (operator.index).
     """
 
     eps: float = 1e-6
@@ -488,6 +500,8 @@ class FitConfig:
     init_strategy: str = "random"
 
     def __post_init__(self):
+        for name in ("max_iter", "n_restarts", "seed"):
+            _as_index(getattr(self, name), name)
         if not self.eps > 0:
             raise DomainError("eps must be positive")
         if self.max_iter < 1:

@@ -39,18 +39,19 @@ statistics; and one log_gamma call, once the round's states are built,
 gives the posterior side of every bound. The layer update, M-step, bound
 and convergence test stay per job, under its cell's priors; the public
 updates and the bound take the precomputed values as an optional
-argument. A job leaves the batch when it converges or reaches max_iter.
-The special functions are elementwise and every batched product has a
-solo call's shape and layout, so each job gets bit for bit what it gets
-alone, and each cell ends where its restarts would run one after another.
+argument. A job stops when it converges or reaches max_iter. The special
+functions are elementwise and every batched product has a solo call's
+shape and layout, so each job gets bit for bit what it gets alone, and
+each cell ends where its restarts would run one after another.
 
-A DomainError, LinAlgError or FloatingPointError in a cell's own work (an
-init, statistics, an update, the bound, state validation) drops that
-cell's jobs and is returned in its place; a cell's first init failure
-skips its later restarts. One in a restart's spectral start (below), which
-every cell shares, is returned in place of every cell. When a shared call
-raises one, its step runs once per live job, which gives each job its own
-result and pins the failure on its cell.
+Failure rule. The loop keeps no failure state: a DomainError, LinAlgError
+or FloatingPointError anywhere in a batch (a spectral start, an init, an
+update, state validation, a bound that is not finite) ends it, and fit then
+fits each cell of a batch of several alone, through the same loop, for its
+own FitReport or failure; a cell gets the same bits alone as in a batch.
+Each cell fitted alone draws the spectral starts again from the same
+streams, so a failure in one becomes every cell's. Any other exception
+propagates.
 
 Spectral init starts from spectral_basis, each layer's top k_max + 1
 eigenpairs of D^-1/2 A D^-1/2, computed once per graph. Above a size rule
@@ -84,7 +85,6 @@ renormalized, so no log ever sees a zero during a fit.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
@@ -99,6 +99,7 @@ from .core import (
     MultilayerGraph,
     PriorHyperparams,
     VariationalState,
+    _as_index,
     rng_stream,
 )
 from .mathfn import digamma, log_gamma
@@ -897,6 +898,7 @@ def compute_elbo(state: VariationalState, priors: PriorHyperparams, log_gammas: 
     of _normalizer_log_gammas; a fit computes the prior side once and the
     posterior side once per round, for all its jobs. When None, both sides
     come from one log_gamma call here. The Beta cells are those with k <= l.
+    A bound that is not finite (log_gamma overflowed) raises FloatingPointError.
     """
     if log_gammas is None:
         log_gammas = _normalizer_log_gammas([_prior_side(priors), _posterior_side(state)])
@@ -906,7 +908,10 @@ def compute_elbo(state: VariationalState, priors: PriorHyperparams, log_gammas: 
     beta_term = float(lg_sums0[0] - lg_sums[0] + lg_beta.sum() - lg_beta0.sum())
     theta_term = float(lg_sums0[1] - lg_sums[1] + lg_theta.sum() - lg_theta0.sum())
     cell_term = float((lg_tot0 - lg_tot + lg_eta - lg_eta0 + lg_xi - lg_xi0).sum())
-    return beta_term + theta_term + cell_term - _xlogx(state.tau) - _xlogx(state.nu)
+    elbo = beta_term + theta_term + cell_term - _xlogx(state.tau) - _xlogx(state.nu)
+    if not np.isfinite(elbo):
+        raise FloatingPointError(f"the bound is not finite: {elbo}")
+    return elbo
 
 
 # ---------------------------------------------------------------------------
@@ -942,19 +947,20 @@ def fit(
     given (spectral_basis(g, k_max), k_max >= k, as a grid driver shares it
     across cells), else one computed here before the first restart. A given
     basis is checked here, once, and one that does not cover k on g raises
-    DomainError.
+    DomainError. k and q must be integers (operator.index), else DomainError.
 
     Several cells of one k, as grid_search fits them: `q` may be a sequence
     of component counts, with `priors` None (Jeffreys) or one
     PriorHyperparams per entry. Every restart of every cell (k, q) joins the
     one lockstep batch, and each cell ends bit for bit where it would alone.
     The result is a list holding, per entry of q, the cell's FitReport or
-    the DomainError, LinAlgError or FloatingPointError its own work raised;
-    such a failure drops only that cell. A failure of a restart's spectral
-    start is every cell's. One q returns its report, or raises its error.
+    the DomainError, LinAlgError or FloatingPointError of its fit alone: a
+    batch that raises one is refit cell by cell (the module docstring has
+    the failure rule). One q returns its report, or raises its error.
     """
     one = np.ndim(q) == 0
-    qs = [q] if one else list(q)
+    k = _as_index(k, "k")
+    qs = [_as_index(x, "q") for x in ([q] if one else q)]
     if not qs:
         raise DomainError("q must name at least one component count")
     if k < 1 or min(qs) < 1:
@@ -975,7 +981,15 @@ def fit(
         _check_basis(basis, g, k)
     elif cfg.init_strategy == "per_view_spectral":
         basis = spectral_basis(g, k)
-    out = _fit_cells(g, k, qs, cfg, priors, basis)
+    out, batches = [], [(qs, priors)]
+    for cells, cell_priors in batches:  # every cell in one batch; if that fails, each cell alone
+        try:
+            out += _fit_cells(g, k, cells, cfg, cell_priors, basis)
+        except _CELL_ERRORS as exc:
+            if len(cells) == 1:
+                out.append(exc)
+            else:
+                batches += [([x], [pr]) for x, pr in zip(cells, cell_priors)]
     if not one:
         return out
     if isinstance(out[0], Exception):
@@ -987,106 +1001,53 @@ def fit(
 _CELL_ERRORS = (DomainError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _per_job(work, jobs, failed) -> dict:
-    """{job: work(job)} for the jobs (cell, restart) in turn, skipping those
-    of the cells in `failed`. A _CELL_ERRORS failure becomes its cell's entry
-    of `failed`, and the cell's other jobs are left out of the result."""
-    out = {}
-    for job in jobs:
-        if job[0] not in failed:
-            try:
-                out[job] = work(job)
-            except _CELL_ERRORS as exc:
-                failed[job[0]] = exc
-    return {job: x for job, x in out.items() if job[0] not in failed}
-
-
-def _shared(step, args, failed) -> dict:
-    """{job: result} of a step the jobs share: `args` maps each job to its
-    argument, and step(arguments) returns one result per argument from one
-    call. When that call raises a _CELL_ERRORS failure, step runs once per
-    job, through _per_job: each job gets the result it would get alone and
-    the failure is pinned on its cell."""
-    if not args:
-        return {}
-    try:
-        return dict(zip(args, step(list(args.values()))))
-    except _CELL_ERRORS:
-        return _per_job(lambda job: step([args[job]])[0], args, failed)
-
-
-def _fit_cells(g, k, qs, cfg, priors, basis) -> List[Union[FitReport, Exception]]:
+def _fit_cells(g, k, qs, cfg, priors, basis) -> List[FitReport]:
     """fit's lockstep loop for the cells (k, q), q in qs, under their priors
-    and on the basis fit has checked; returns per cell its FitReport or the
-    _CELL_ERRORS failure that dropped it. The jobs are the (cell, restart)
-    pairs; the module docstring describes the round and which failures drop
-    which cells."""
+    and on the basis fit has checked; returns each cell's FitReport. The
+    jobs are the (cell, restart) pairs, and the module docstring describes
+    the round. The loop keeps no failure state: any exception ends it."""
     a = g.layer_stack()
-    failed = {}  # cell -> the first failure of its own work
     # restart r's spectral start, shared by every q: drawn from a path that
-    # no cell stream (k, q, r), r >= 0, takes; its failure is every cell's
+    # no cell stream (k, q, r), r >= 0, takes
     starts = [None] * cfg.n_restarts
     if cfg.init_strategy == "per_view_spectral":
-        try:
-            starts = [_spectral_start(basis, k, rng_stream(cfg.seed, k, r, -1)) for r in range(cfg.n_restarts)]
-        except _CELL_ERRORS as exc:
-            failed = dict.fromkeys(range(len(qs)), exc)
-
-    def init(job):
-        c, r = job
-        rng = rng_stream(cfg.seed, k, qs[c], r)
-        return init_variational(g, k, qs[c], priors[c], cfg.init_strategy, rng, start=starts[r])
-
-    states = _per_job(init, [(c, r) for c in range(len(qs)) for r in range(cfg.n_restarts)], failed)
+        starts = [_spectral_start(basis, k, rng_stream(cfg.seed, k, r, -1)) for r in range(cfg.n_restarts)]
+    states = {}
+    for c, (q, pr) in enumerate(zip(qs, priors)):
+        for r in range(cfg.n_restarts):
+            rng = rng_stream(cfg.seed, k, q, r)
+            states[c, r] = init_variational(g, k, q, pr, cfg.init_strategy, rng, start=starts[r])
     # source[job]: the first job of its cell whose init is bit-equal to job's;
     # only those run, the loop draws nothing and so the others repeat them
     inits = {}
     source = {job: inits.setdefault((job[0], st.tau.tobytes(), st.nu.tobytes()), job) for job, st in states.items()}
     live = [job for job in states if source[job] == job]
-
-    # a job's own work, on the values of the shared steps (stats, moments,
-    # taus, prior_sides, log_gammas) that the loop below binds before each call
-    def absorb(job):
+    # the absorbing M-steps, on one statistics pass over the live init taus
+    for job, stats in zip(live, _stats_pass(a, [states[job].tau for job in live])):
         st = states[job]
-        states[job] = VariationalState(st.tau, st.nu, *m_step(stats[job], st.nu, priors[job[0]]))
-
-    def update(job):
-        nu = vbe_update_nu(stats[job], states[job], moments[job])
-        states[job] = VariationalState(taus[job], nu, *m_step(stats[job], nu, priors[job[0]]))
-
-    def bound(job):
-        trace = traces[job]
-        trace.append(compute_elbo(states[job], priors[job[0]], (prior_sides[job[0]], log_gammas[job])))
-        if len(trace) >= 2:
-            delta = abs(trace[-1] - trace[-2])
-            done[job] = delta < cfg.eps or delta < _REL_EPS * abs(trace[-2])
-
-    statistics = functools.partial(_stats_pass, a)
-    stats = _shared(statistics, {job: states[job].tau for job in live}, failed)
-    _per_job(absorb, stats, failed)
+        states[job] = VariationalState(st.tau, st.nu, *m_step(stats, st.nu, priors[job[0]]))
     prior_sides = _normalizer_log_gammas([_prior_side(pr) for pr in priors])  # fixed for the fit
-    traces = {job: [] for job in states}
-    done = dict.fromkeys(states, False)
+    traces = {job: [] for job in live}
+    done = dict.fromkeys(live, False)
     for _ in range(cfg.max_iter):
-        live = [job for job in live if job[0] not in failed and not done[job]]
+        live = [job for job in live if not done[job]]
         if not live:
             break
-        moments = _shared(_log_moments, {job: states[job] for job in live}, failed)
-        taus = _shared(
-            lambda items: vbe_update_tau(a, [st for st, _ in items], [m for _, m in items]),
-            {job: (states[job], moments[job]) for job in moments},
-            failed,
-        )
-        stats = _shared(statistics, taus, failed)
-        built = _per_job(update, stats, failed)
-        log_gammas = _shared(_normalizer_log_gammas, {job: _posterior_side(states[job]) for job in built}, failed)
-        _per_job(bound, log_gammas, failed)
+        moments = _log_moments([states[job] for job in live])
+        taus = vbe_update_tau(a, [states[job] for job in live], moments)
+        for job, tau, stats, mom in zip(live, taus, _stats_pass(a, taus), moments):
+            nu = vbe_update_nu(stats, states[job], mom)
+            states[job] = VariationalState(tau, nu, *m_step(stats, nu, priors[job[0]]))
+        log_gammas = _normalizer_log_gammas([_posterior_side(states[job]) for job in live])
+        for job, lg in zip(live, log_gammas):
+            trace = traces[job]
+            trace.append(compute_elbo(states[job], priors[job[0]], (prior_sides[job[0]], lg)))
+            if len(trace) >= 2:
+                delta = abs(trace[-1] - trace[-2])
+                done[job] = delta < cfg.eps or delta < _REL_EPS * abs(trace[-2])
 
     out = []
     for c, q in enumerate(qs):
-        if c in failed:
-            out.append(failed[c])
-            continue
         restart_elbos = [traces[source[c, r]][-1] for r in range(cfg.n_restarts)]
         # max keeps the first of equal bounds, i.e. the lowest restart index
         best_restart = max(range(cfg.n_restarts), key=restart_elbos.__getitem__)

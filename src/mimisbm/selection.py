@@ -17,9 +17,10 @@ the data alone, and, within one K, the fit: the cells of one K are one task
 and one fit(g, K, qs) call, which runs them in lockstep (the inference
 module docstring describes the round) and draws with spectral init one
 start per restart for all of them. fit at one (K, Q) draws the same
-streams, so each cell's result is bit for bit that of fitting it alone. A
-cell is scored from its fit's final bound; only icl_exact evaluates a bound
-of its own, at the hardened state.
+streams, so each cell's result is bit for bit that of fitting it alone,
+and a cell fails only when it fails alone (GridCell). A cell is scored from
+its fit's final bound; only icl_exact evaluates a bound of its own, at the
+hardened state.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .core import (
     MultilayerGraph,
     PriorHyperparams,
     VariationalState,
+    _as_index,
 )
 from .inference import _CELL_ERRORS, _pair_mass, _xlogx, compute_elbo, fit, m_step, spectral_basis
 
@@ -115,14 +117,11 @@ def icl_approx(elbo: float, k: int, q: int, n: int, v: int) -> float:
 @dataclass(frozen=True)
 class GridCell:
     """One (k, q) cell's outcome. A cell fails on a DomainError, LinAlgError
-    or FloatingPointError in its own work (init, statistics, updates, bound,
-    state validation, scoring); then `error` carries the message and every
-    criterion is None, and failed cells never win the argmax. A failure
-    drops only its cell from its K's lockstep batch: the other cells of that
-    K keep their bits. A failure of a restart's spectral start, which the
-    cells of one K share, is the error of every cell of that K and of no
-    other cell (the inference module docstring has the rules). Any other
-    exception propagates out of grid_search."""
+    or FloatingPointError of its fit alone or of its scoring; then `error`
+    carries the message and every criterion is None, and failed cells never
+    win the argmax. The other cells keep their bits, and a failing spectral
+    start fails every cell of its K (the inference module docstring has the
+    failure rule). Any other exception propagates out of grid_search."""
 
     k: int
     q: int
@@ -198,8 +197,8 @@ def grid_search(
     is chosen per criterion by maximization, ties broken toward smaller k,
     then smaller q; `criterion` names the one reported as `best`.
     """
-    ks = sorted(set(int(k) for k in k_values))
-    qs = sorted(set(int(q) for q in q_values))
+    ks = sorted(set(_as_index(k, "k") for k in k_values))
+    qs = sorted(set(_as_index(q, "q") for q in q_values))
     if not ks or not qs:
         raise DomainError("k_values and q_values must be nonempty")
     if ks[0] < 1 or ks[-1] > g.n or qs[0] < 1 or qs[-1] > g.v:
@@ -208,7 +207,7 @@ def grid_search(
         )
     if criterion not in CRITERIA:
         raise DomainError(f"criterion must be one of {CRITERIA}")
-    if jobs < 1:
+    if _as_index(jobs, "jobs") < 1:
         raise DomainError("jobs must be >= 1")
 
     # the spectral basis depends on the graph alone: computed once here, every

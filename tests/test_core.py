@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import mimisbm.core as core
 from mimisbm import (
     DomainError,
+    FitConfig,
     HardPartition,
     ModelParams,
     MultilayerGraph,
@@ -411,3 +412,13 @@ def test_core_imports_no_package_module():
 def test_prior_hyperparams_hold_only_their_hyperparameters():
     # the bound's special-function values are computed by inference, not kept here
     assert [f.name for f in dataclasses.fields(PriorHyperparams)] == ["beta0", "theta0", "eta0", "xi0"]
+
+
+@pytest.mark.parametrize("field", ["max_iter", "n_restarts", "seed"])
+def test_fit_config_takes_only_integer_counts_and_seeds(field):
+    # a float is refused, not truncated (seed 1.5 ran as seed 1, and
+    # max_iter 2.5 or n_restarts 1.5 raised TypeError inside the fit)
+    for bad in (1.5, 2.0, "3", None):
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            FitConfig(**{field: bad})
+    assert getattr(FitConfig(**{field: np.int64(3)}), field) == 3

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mimisbm.inference as inference
 from mimisbm import (
@@ -29,6 +31,7 @@ from mimisbm import (
     vbe_update_tau,
 )
 from mimisbm.inference import spectral_basis, sufficient_stats
+from mimisbm.selection import grid_search, icl_exact
 from helpers import (
     beta_log_moments_oracle,
     comembership_features,
@@ -39,6 +42,7 @@ from helpers import (
     eigengap_counts,
     first_appearance_oracle,
     fit_oracle,
+    grid_search_oracle,
     init_variational_oracle,
     kmeans_oracle,
     normalized_adjacency,
@@ -1568,3 +1572,112 @@ def test_fit_of_several_q_equals_each_fit_alone(monkeypatch):
     ):
         with pytest.raises(DomainError, match=message):
             fit(g, 3, bad_q, cfg, priors=bad_priors)
+
+
+def test_fit_takes_only_integer_k_and_q():
+    # a float k or q is refused where it enters, not truncated or passed to numpy
+    g = random_graph(np.random.default_rng(94), 8, 3, p=0.4)
+    cfg = FitConfig(seed=1, n_restarts=1)
+    for k, q, name in ((2.5, 1, "k"), (2.0, 1, "k"), (2, 1.5, "q"), (2, [1, 2.0], "q"), ("2", 1, "k")):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            fit(g, k, q, cfg)
+    _assert_same_report(fit(g, np.int64(2), np.int32(1), cfg), fit(g, 2, 1, cfg))
+    _assert_same_report(fit(g, 2, np.array([1, 2]), cfg)[1], fit(g, 2, 2, cfg))
+
+
+def test_a_bound_that_is_not_finite_fails_its_cell():
+    # eta0 = 1e308 is a valid prior, but log_gamma overflows to inf on its
+    # prior side and on its posterior side, and the cell term is inf - inf.
+    # That cell fails with FloatingPointError instead of running 200
+    # iterations on a NaN bound; its batch is refit cell by cell, and each
+    # other cell gets its solo report and warns once at max_iter
+    g = random_graph(np.random.default_rng(95), 12, 3, p=0.4)
+    huge = replace(PriorHyperparams.jeffreys(2, 2), eta0=np.full((2, 2, 2), 1e308))
+    priors = [PriorHyperparams.jeffreys(2, 1), huge, PriorHyperparams.jeffreys(2, 3)]
+    cfg = FitConfig(n_restarts=2, seed=1)
+    overflow = "overflow encountered in multiply"
+
+    def expected():  # log_gamma's overflow, then the cell term's inf - inf
+        return pytest.warns(RuntimeWarning, match=f"{overflow}|invalid value encountered in subtract")
+
+    with expected():
+        got = fit(g, 2, [1, 2, 3], cfg, priors=priors)
+    assert [type(x) for x in got] == [inference.FitReport, FloatingPointError, inference.FitReport]
+    assert str(got[1]) == "the bound is not finite: nan"
+    for q in (1, 3):
+        _assert_same_report(got[q - 1], fit(g, 2, q, cfg, priors=priors[q - 1]), q)
+    with expected(), pytest.raises(FloatingPointError, match="not finite"):
+        fit(g, 2, 2, cfg, priors=huge)
+    z, w = got[0].z_map, inference.map_assign(np.eye(2)[np.arange(g.v) % 2])
+    with expected(), pytest.raises(FloatingPointError, match="not finite"):
+        icl_exact(g, z, w, huge)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = fit(g, 2, [1, 2, 3], replace(cfg, max_iter=2), priors=priors)
+    assert isinstance(got[1], FloatingPointError) and not got[0].converged and not got[2].converged
+    assert any(issubclass(w.category, RuntimeWarning) and overflow in str(w.message) for w in caught)
+    assert [str(w.message) for w in caught if issubclass(w.category, ConvergenceWarning)] == [
+        f"fit(k=2, q={q}) stopped at max_iter=2 without meeting eps={cfg.eps}" for q in (1, 3)
+    ]
+
+
+# layer kinds of the generated graphs: "copy" repeats the layer before it (a
+# first layer has none, and is drawn like "random")
+_LAYER_KINDS = ("random", "empty", "complete", "copy")
+
+
+@st.composite
+def _small_problems(draw):
+    """(layer kinds, N, graph seed, the isolated node or None, K, qs, config)
+    of _layered_graph and a fit: N <= 12, V <= 4, K <= 3, a nonempty set of
+    q in any order, 1-2 restarts and either init."""
+    n = draw(st.integers(2, 12))
+    kinds = draw(st.lists(st.sampled_from(_LAYER_KINDS), min_size=1, max_size=4))
+    isolated = draw(st.none() | st.integers(0, n - 1))
+    k = draw(st.integers(1, min(3, n)))
+    qs = draw(st.lists(st.integers(1, len(kinds)), min_size=1, unique=True))
+    init = draw(st.sampled_from(["random", "per_view_spectral"]))
+    cfg = FitConfig(seed=draw(st.integers(0, 99)), n_restarts=draw(st.integers(1, 2)), init_strategy=init)
+    return kinds, n, draw(st.integers(0, 2**32 - 1)), isolated, k, qs, cfg
+
+
+def _layered_graph(kinds, n, seed, isolated):
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    adj = np.zeros((n, n, len(kinds)), dtype=np.uint8)
+    for lay, kind in enumerate(kinds):
+        if kind == "copy" and lay:
+            adj[:, :, lay] = adj[:, :, lay - 1]
+            continue
+        hit = np.full(iu.size, kind == "complete") if kind in ("empty", "complete") else rng.random(iu.size) < 0.4
+        adj[iu[hit], ju[hit], lay] = adj[ju[hit], iu[hit], lay] = 1
+    if isolated is not None:
+        adj[isolated], adj[:, isolated] = 0, 0
+    return MultilayerGraph(adj)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_problems())
+@example((["empty", "complete", "copy"], 7, 1, 3, 2, [2, 1, 3], FitConfig(seed=1, n_restarts=2, init_strategy="per_view_spectral")))
+@example((["random", "copy", "empty", "complete"], 12, 2, 0, 3, [1, 4], FitConfig(seed=2, n_restarts=2)))
+def test_exactness_contracts_on_generated_graphs(problem):
+    # (i) fit(g, k, qs) is, cell for cell, fit(g, k, q) alone, byte for
+    # byte, a failure included; (iii) the grid equals its per-cell dense
+    # oracle. The explicit examples hold an empty, a complete and a repeated
+    # layer, and a node isolated in every layer
+    kinds, n, seed, isolated, k, qs, cfg = problem
+    g = _layered_graph(kinds, n, seed, isolated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        for q, got in zip(qs, fit(g, k, qs, cfg)):
+            try:
+                want = fit(g, k, q, cfg)
+            except inference._CELL_ERRORS as exc:
+                want = exc
+            if isinstance(want, Exception):
+                assert repr(got) == repr(want), q
+            else:
+                _assert_same_report(got, want, q)
+        ks = range(1, k + 1)
+        assert repr(grid_search(g, ks, qs, cfg, jobs=1)) == repr(grid_search_oracle(g, ks, qs, cfg))

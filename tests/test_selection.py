@@ -246,6 +246,19 @@ def test_grid_validates_ranges():
         grid_search(g, [2], [1], FitConfig(), jobs=0)
 
 
+def test_grid_takes_only_integer_sizes():
+    # a float k or q is refused, not truncated (k 2.7 fitted K = 2 and was
+    # reported as k = 2); numpy integers stay accepted
+    g = random_graph(np.random.default_rng(25), 8, 3, p=0.4)
+    cfg = FitConfig(seed=1, n_restarts=1)
+    for ks, qs, jobs, name in (([2.7], [1], 1, "k"), ([2], [1, 2.0], 1, "q"), ([2], [1], 1.5, "jobs")):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            grid_search(g, ks, qs, cfg, jobs=jobs)
+    assert repr(grid_search(g, np.array([2, 3]), [np.int32(1)], cfg, jobs=np.int64(1))) == repr(
+        grid_search(g, [2, 3], [1], cfg)
+    )
+
+
 def test_grid_deterministic_across_jobs():
     rng = np.random.default_rng(9)
     g = random_graph(rng, 8, 2, p=0.4)
@@ -317,7 +330,9 @@ def test_grid_propagates_unexpected_errors(monkeypatch):
 @pytest.mark.parametrize("exc_type", [DomainError, np.linalg.LinAlgError, FloatingPointError])
 def test_grid_failed_spectral_start_fails_every_cell_of_its_k(monkeypatch, exc_type):
     # restart 1's start at k = 3, which the q cells of k = 3 share, fails:
-    # every cell of k = 3 carries its error, every other cell keeps its bits
+    # the batch of k = 3 ends, and each of its cells, refit alone, draws its
+    # starts again and fails at restart 1; every cell of k = 3 carries the
+    # error, every other cell keeps its bits
     g = random_graph(np.random.default_rng(23), 10, 3, p=0.4)
     cfg = FitConfig(seed=3, n_restarts=2, init_strategy="per_view_spectral")
     ks, qs = [2, 3, 4], [1, 2, 3]
@@ -334,7 +349,7 @@ def test_grid_failed_spectral_start_fails_every_cell_of_its_k(monkeypatch, exc_t
     monkeypatch.setattr(inference, "_spectral_start", start)
     res = grid_search(g, ks, qs, cfg)
     _assert_only_cells_failed(res, clean, {(3, q) for q in qs}, f"{exc_type.__name__}: start (3, 1)")
-    assert calls == [2, 2, 3, 3, 4, 4]
+    assert calls == [2, 2, 3, 3] + [3, 3] * 3 + [4, 4]
     with pytest.raises(exc_type):
         inference.fit(g, 3, 2, cfg)
 
@@ -342,8 +357,9 @@ def test_grid_failed_spectral_start_fails_every_cell_of_its_k(monkeypatch, exc_t
 @pytest.mark.parametrize("fault", ["linalg", "nan"])
 def test_grid_cell_failing_mid_iteration_fails_alone(monkeypatch, fault):
     # after round 1, cell (3, 2)'s layer update raises LinAlgError, or its
-    # M-step yields a NaN posterior that the state rejects; the cell fails
-    # and every other cell, (3, 1) and (3, 3) of its batch too, keeps its bits
+    # M-step yields a NaN posterior that the state rejects; the batch of k = 3
+    # ends, each of its cells is refit alone, and only (3, 2) fails: every
+    # other cell, (3, 1) and (3, 3) of its batch too, keeps its bits
     g = random_graph(np.random.default_rng(19), 12, 3, p=0.4)
     cfg = FitConfig(seed=7, n_restarts=2)
     ks, qs = [2, 3], [1, 2, 3]
@@ -377,17 +393,32 @@ def test_grid_cell_failing_mid_iteration_fails_alone(monkeypatch, fault):
         error, raised = "DomainError: eta must be finite", DomainError
     res = grid_search(g, ks, qs, cfg)
     _assert_only_cells_failed(res, clean, {(3, 2)}, error)
-    # the failure came in round 2, after which the cell made no more calls
-    assert len(calls) == (3 if fault == "linalg" else 5)
+    # the failure came in round 2 of the batch; refit alone, the cell failed
+    # at its first call, as the counter was already past round 1
+    assert len(calls) == (4 if fault == "linalg" else 6)
     calls.clear()
     with pytest.raises(raised):
         inference.fit(g, 3, 2, cfg)
 
 
+def _fit_cells_per_k(monkeypatch):
+    """{k: its calls of inference._fit_cells}, counted from here on: 1 for a
+    k whose batch runs clean, 1 + its cell count for one refit cell by cell."""
+    per_k = {}
+    real = inference._fit_cells
+
+    def spy(g, k, *args):
+        per_k[k] = per_k.get(k, 0) + 1
+        return real(g, k, *args)
+
+    monkeypatch.setattr(inference, "_fit_cells", spy)
+    return per_k
+
+
 def test_grid_pins_a_failing_batched_sweep_on_its_cell(monkeypatch):
     # a sweep batch holding a state of cell (2, 2) raises FloatingPointError
-    # from round 2 on; one kernel call per live state then finds that cell,
-    # and the other states of the round take their solo results
+    # from round 2 on; the batch of k = 2 ends and each of its cells is refit
+    # alone, so that cell fails and the others take their solo results
     g = random_graph(np.random.default_rng(20), 12, 3, p=0.4)
     cfg = FitConfig(seed=8, n_restarts=2)
     ks, qs = [2, 3], [1, 2, 3]
@@ -403,26 +434,24 @@ def test_grid_pins_a_failing_batched_sweep_on_its_cell(monkeypatch):
         return real(a, states, moments)
 
     monkeypatch.setattr(inference, "vbe_update_tau", sweep)
+    fit_cells = _fit_cells_per_k(monkeypatch)
     res = grid_search(g, ks, qs, cfg)
     _assert_only_cells_failed(res, clean, {(2, 2)}, "FloatingPointError: overflow")
-    # round 2 of k = 2: the batch of all 6 states fails, then one call per
-    # live state up to the first of (2, 2) and after its cell's states; round
-    # 3 leaves (2, 2) out of the batch
-    assert batches[:8] == [6, 6] + [1] * 5 + [4], batches
+    # k = 2: its batch, then each of its 3 cells alone; k = 3: its batch
+    assert fit_cells == {2: 4, 3: 1}, fit_cells
 
 
 @pytest.mark.parametrize("call", ["digamma", "log_gamma", "statistics"])
 def test_grid_pins_a_failing_shared_call_on_its_cell(monkeypatch, call):
     # a round's shared digamma, log_gamma or statistics call raises
-    # FloatingPointError whenever it holds a job of cell (2, 2); the step
-    # then runs once per live job, which finds that cell, and every other
-    # cell, the other q cells of k = 2 too, keeps its bits
+    # FloatingPointError whenever it holds a job of cell (2, 2); the batch
+    # of k = 2 ends and each of its cells is refit alone, so that cell fails
+    # and every other cell, the other q cells of k = 2 too, keeps its bits
     g = random_graph(np.random.default_rng(20), 12, 3, p=0.4)
     cfg = FitConfig(seed=8, n_restarts=2)
     ks, qs = [2, 3], [1, 2, 3]
     clean = grid_search(g, ks, qs, cfg)
     held = []  # the cells of the jobs of the shared call under way
-    sizes = []  # per shared call of k = 2: its job count
     made_by = {}  # tau bytes -> the cell whose sweep made it
     real_sweep = inference.vbe_update_tau
 
@@ -436,8 +465,6 @@ def test_grid_pins_a_failing_shared_call_on_its_cell(monkeypatch, call):
 
         def wrapper(*args):
             held[:] = cells_of(*args)
-            if held and held[0][0] == 2:
-                sizes.append(len(held))
             try:
                 return real(*args)
             finally:
@@ -476,12 +503,11 @@ def test_grid_pins_a_failing_shared_call_on_its_cell(monkeypatch, call):
         fails(call)
         # the init taus come from no sweep, so the absorbing pass holds no cell
         holding(call, lambda a, taus: [made_by[t.tobytes()] for t in taus if t.tobytes() in made_by])
+    fit_cells = _fit_cells_per_k(monkeypatch)
     res = grid_search(g, ks, qs, cfg)
     _assert_only_cells_failed(res, clean, {(2, 2)}, f"FloatingPointError: overflow in {call}")
-    # round 1 of k = 2: the call holding all 6 jobs fails, then one call per
-    # live job up to the first of (2, 2) and after its cell's jobs; the next
-    # such call leaves (2, 2) out
-    assert sizes[:7] == [6] + [1] * 5 + [4], sizes
+    # k = 2: its batch, then each of its 3 cells alone; k = 3: its batch
+    assert fit_cells == {2: 4, 3: 1}, fit_cells
 
 
 def test_grid_spectral_matches_per_restart_oracle(monkeypatch):
