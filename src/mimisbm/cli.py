@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="which criterion's winner to report; 'all' prints every one")
     _add_fit_options(p_sel)
     p_sel.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, min(jobs, K values): each runs one K's cells in lockstep")
+                       help="worker processes, min(jobs, K values, usable CPUs): each runs one K's cells"
+                            " in lockstep")
     p_sel.add_argument("--seed", type=int, default=None)
     p_sel.add_argument("--out", required=True)
 

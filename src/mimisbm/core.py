@@ -483,9 +483,8 @@ class FitConfig:
     n_restarts: independent initializations; the best final bound wins,
         ties broken toward the lower restart index.
     seed: root seed. Restart r of cell (k, q) draws its init from
-        rng_stream(seed, k, q, r); with per_view_spectral init the part
-        that does not depend on q (the per-layer spectral labels, their
-        co-membership embedding and the node grouping) comes from
+        rng_stream(seed, k, q, r); with per_view_spectral init the per-layer
+        spectral labels draw nothing, the node grouping draws from
         rng_stream(seed, k, r, -1), which every q of that k and restart
         shares, and the layer grouping from rng_stream(seed, k, q, r). So
         results never depend on scheduling.

@@ -27,9 +27,9 @@ restart whose init (tau, nu) is bit-equal to an earlier restart's of its
 cell is not run: it takes that restart's state, bound trace and
 convergence flag, and its entry in restart_elbos is that restart's bound.
 Spectral init renames its node and layer labels by first appearance, so
-its state is a function of the two k-means partitions and restarts that
-find the same partitions repeat. The absorbing M-steps take their
-statistics from one pass over the layer stack (_stats_pass, once per
+its state is a function of the node and layer k-means partitions, and
+restarts that find the same partitions repeat. The absorbing M-steps take
+their statistics from one pass over the layer stack (_stats_pass, once per
 distinct init tau), and one log_gamma call gives the prior side of every
 cell's bound, fixed for the fit. A round then does its shared work once
 for all the live jobs: one digamma call gives every job's Beta and
@@ -49,9 +49,9 @@ or FloatingPointError anywhere in a batch (a spectral start, an init, an
 update, state validation, a bound that is not finite) ends it, and fit then
 fits each cell of a batch of several alone, through the same loop, for its
 own FitReport or failure; a cell gets the same bits alone as in a batch.
-Each cell fitted alone draws the spectral starts again from the same
-streams, so a failure in one becomes every cell's. Any other exception
-propagates.
+Each cell fitted alone computes the spectral starts again from the same
+basis and streams, so a failure in them becomes every cell's. Any other
+exception propagates.
 
 Spectral init starts from spectral_basis, each layer's top k_max + 1
 eigenpairs of D^-1/2 A D^-1/2, computed once per graph. Above a size rule
@@ -63,20 +63,19 @@ counts equal dense eigh's, and the pairs they select have residual norm <=
 fix the counts. Below the rule, and for a layer not certified within the
 round budget, a dense eigh gives that layer its bits.
 
-The init then clusters every layer's embedding with k-means in one batch,
-then the nodes, then the layers. Only the layer grouping depends on q, so
-_fit_cells draws the rest, the start (_spectral_start: the layers'
-co-membership embedding rows and the node responsibilities), once per
-restart from the stream rng_stream(seed, k, r, -1), and every cell (k, q)
-groups the layers of that start on its own stream rng_stream(seed, k, q,
-r): the cells of one K and restart start from the same node partition. An
-init consumes the start, never the basis; fit checks a basis a caller
-hands it once, before the first init. A k-means++ init draws one
-index and k - 1 uniforms whatever the data; a step whose sampling total is
-0 (every point already on a center) takes row 0. So _kmeans draws all the
-seeds of its problems first, in the order solving them one after another
-would, and runs the seedings and the Lloyd passes on stacked arrays, so the
-labels and the stream's end are those of the one-at-a-time loop.
+The init then labels each layer by column-pivoted QR rounding of its
+embedding (_spectral_labels), which draws nothing, and groups the nodes,
+then the layers, by k-means on the co-membership embeddings of those
+labels. _fit_cells computes the labels and embeddings once per K
+(_spectral_starts); restart r's node grouping draws from the stream
+rng_stream(seed, k, r, -1), and every cell (k, q) groups the layers on its
+own stream rng_stream(seed, k, q, r): the cells of one K and restart start
+from the same node partition. An init consumes the start, never the basis;
+fit checks a basis a caller hands it once, before the first init. A
+k-means++ init draws one index and k - 1 uniforms whatever the data; a
+step whose sampling total is 0 (every point already on a center) takes row
+0. So _kmeans makes the draws of all its inits first and runs the inits
+stacked, with the labels and stream end of running them one by one.
 
 Numerics: updates work on logits and are normalized by max-subtracted
 softmax; responsibility rows are floored at 1e-12 (1e-10 at init) and
@@ -233,42 +232,29 @@ _BATCH_ENTRIES = 1 << 14
 
 def _sq_dists(x: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distances point-to-center of each run via the expanded product
-    form, for runs stacked on the first axis: x (R, N, d) the points, x2
-    (R, N) their squared norms, centers (R, c, d); returns (R, N, c)."""
+    form: x (N, d) the points, x2 (N,) their squared norms, centers (R, c, d)
+    one set per run; returns (R, N, c)."""
     prod = np.matmul(x, centers.transpose(0, 2, 1))
     prod *= 2.0
-    d = x2[:, :, None] + (centers * centers).sum(axis=2)[:, None, :]
+    d = x2[None, :, None] + (centers * centers).sum(axis=2)[:, None, :]
     d -= prod
     return np.maximum(d, 0.0, out=d)
 
 
-def _seed_draws(n: int, k: int, runs: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """The draws of `runs` k-means++ seedings on n points, in run order: the
-    first center's index, then one uniform per further center. Returns
-    (first (R,), u (R, k - 1))."""
-    first = np.empty(runs, dtype=np.int64)
-    u = np.empty((runs, k - 1))
-    for run in range(runs):
-        first[run] = rng.integers(n)
-        u[run] = rng.random(k - 1)
-    return first, u
-
-
-def _seed(x, owner, first, u):
-    """k-means++ centers (R, k, d) of runs on the points x[owner] (R, N, d),
-    from the draws of _seed_draws. Step c takes the first point whose
-    cumulative squared distance to its nearest center is at least u[:, c - 1]
-    times their total; a zero total (every point already on a center, so
+def _seed(x, first, u):
+    """k-means++ centers (R, k, d) of runs on the points x (N, d), from each
+    run's draws: its first center's index first (R,) and one uniform per
+    further center, u (R, k - 1). Step c takes the first point whose
+    cumulative squared distance to its nearest center is at least u[:, c -
+    1] times their total; a zero total (every point already on a center, so
     any row will do) takes row 0."""
-    xa = x[owner]
-    rows = np.arange(owner.size)
-    k = u.shape[1] + 1
-    centers = np.empty((owner.size, k, x.shape[2]))
-    centers[:, 0] = xa[rows, first]
-    diff = np.empty_like(xa)  # the squares of x - center, in place
+    runs, k = u.shape[0], u.shape[1] + 1
+    centers = np.empty((runs, k, x.shape[1]))
+    centers[:, 0] = x[first]
+    diff = np.empty((runs,) + x.shape)  # the squares of x - center, in place
 
     def sq_to(center):
-        np.square(np.subtract(xa, center, out=diff), out=diff)
+        np.square(np.subtract(x, center, out=diff), out=diff)
         return diff.sum(axis=2)
 
     d2 = sq_to(centers[:, :1])
@@ -276,15 +262,15 @@ def _seed(x, owner, first, u):
         total = d2.sum(axis=1)
         # the count of cumulative sums below the target is searchsorted's index
         sampled = (np.cumsum(d2, axis=1) < (u[:, c - 1] * total)[:, None]).sum(axis=1)
-        centers[:, c] = xa[rows, sampled]
+        centers[:, c] = x[sampled]
         d2 = np.minimum(d2, sq_to(centers[:, c : c + 1]))
     return centers
 
 
-def _lloyd(x, x2, owner, centers, max_iter):
-    """Lloyd passes of runs on the points x[owner] with squared norms
-    x2[owner], from the seeds `centers` (R, k, d), which are updated in
-    place. Returns each run's labels (R, N) and inertia (R,).
+def _lloyd(x, x2, centers, max_iter):
+    """Lloyd passes of runs on the points x (N, d) with squared norms x2,
+    from the seeds `centers` (R, k, d), which are updated in place. Returns
+    each run's labels (R, N) and inertia (R,).
 
     Every pass makes one distance evaluation for all runs still passing and
     for the runs whose last pass is done, which need only their inertia.
@@ -300,7 +286,7 @@ def _lloyd(x, x2, owner, centers, max_iter):
     passes an unrecorded cycle takes, not where it ends.
     """
     r, k, dim = centers.shape
-    n = x.shape[1]
+    n = x.shape[0]
     cols, points = np.arange(dim), np.arange(n)
     labels = np.zeros((r, n), dtype=np.int64)
     inertia = np.empty(r)
@@ -309,9 +295,7 @@ def _lloyd(x, x2, owner, centers, max_iter):
     run = np.arange(r)
     passes = 0
     while run.size:
-        own = owner[run]
-        xa = x[own]
-        dist = _sq_dists(xa, x2[own], centers[run])
+        dist = _sq_dists(x, x2, centers[run])
         new = dist.argmin(axis=2)
         old = labels[run]
         same = (new == old).all(axis=1)
@@ -341,11 +325,12 @@ def _lloyd(x, x2, owner, centers, max_iter):
             far[holed] = dist[holed].min(axis=2).argmax(axis=1)
         del dist
         bins *= dim
-        sums = np.bincount((bins[:, :, None] + cols).ravel(), weights=xa.ravel(), minlength=run.size * k * dim)
+        weights = np.broadcast_to(x, (run.size, n, dim)).ravel()
+        sums = np.bincount((bins[:, :, None] + cols).ravel(), weights=weights, minlength=run.size * k * dim)
         moved = sums.reshape(run.size, k, dim) / np.maximum(counts, 1)[:, :, None]
         if far is not None:
             at, cl = np.nonzero(empty)
-            moved[at, cl] = xa[at, far[at]]
+            moved[at, cl] = x[far[at]]
         if some:
             keep = ~end
             run, new, moved, same = run[keep], new[keep], moved[keep], same[keep]
@@ -367,52 +352,37 @@ def _lloyd(x, x2, owner, centers, max_iter):
     return labels, inertia
 
 
-def _kmeans(
-    xs: Sequence[np.ndarray],
-    ks: Sequence[int],
-    rng: np.random.Generator,
-    n_init: int = 4,
-    max_iter: int = 100,
-) -> List[np.ndarray]:
-    """Plain Lloyd k-means with k-means++ seeding of every problem p, the rows
-    of xs[p] into ks[p] clusters, as one batch; returns each problem's
-    labels. Written out so results are bit-reproducible under any thread or
-    worker count, and each problem gets the labels, and the stream ends
-    where, solving the problems one after another would give and leave it.
+def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 4, max_iter: int = 100) -> np.ndarray:
+    """Plain Lloyd k-means with k-means++ seeding of the rows of x into k
+    clusters; returns the labels. Written out so results are
+    bit-reproducible under any thread or worker count.
 
-    Draw order: problem, then init; an init draws its first center's index,
-    then k - 1 uniforms, whatever the data (a step whose sampling total is 0
-    takes row 0). The Lloyd passes draw nothing, so every seeding's draws
-    are made first and the seedings and passes of all problems run stacked:
-    problems of one cluster count and shape form a group, cut into batches
-    of at most _BATCH_ENTRIES entries, and each batch is seeded once and
-    makes one distance evaluation per pass. A problem takes the labels of
-    its init of lowest inertia, ties to the earlier init. k >= n gives every
-    point its own cluster and draws nothing; k = 1 makes only the seed
-    draws.
+    Draw order: init by init, each its first center's index, then k - 1
+    uniforms, whatever the data (a step whose sampling total is 0 takes row
+    0). The Lloyd passes draw nothing, so every seeding's draws are made
+    first and the inits run stacked, in batches of at most _BATCH_ENTRIES
+    entries; each batch is seeded once and makes one distance evaluation per
+    pass. The labels are those of the init of lowest inertia, ties to the
+    earlier init. k >= n gives every point its own cluster and draws
+    nothing; k = 1 makes only the seed draws.
     """
-    # k >= n: a cluster per point; k = 1: one cluster; else the best run's
-    out = [np.arange(len(x)) % k if k >= len(x) else np.zeros(len(x), dtype=np.int64) for x, k in zip(xs, ks)]
-    draws = {p: _seed_draws(len(x), k, n_init, rng) for p, (x, k) in enumerate(zip(xs, ks)) if k < len(x)}
-    groups = {}  # (k, shape) -> its problems, in order
-    for p in draws:
-        if ks[p] > 1:
-            groups.setdefault((ks[p], xs[p].shape), []).append(p)
-    best = dict.fromkeys(draws, np.inf)  # lowest inertia so far
-    for (k, (n, dim)), members in groups.items():
-        x = np.stack([xs[p] for p in members])
-        x2 = (x * x).sum(axis=2)
-        owner = np.repeat(np.arange(len(members)), n_init)
-        first = np.concatenate([draws[p][0] for p in members])
-        u = np.concatenate([draws[p][1] for p in members])
-        size = max(1, _BATCH_ENTRIES // (n * max(k, dim)))
-        for lo in range(0, owner.size, size):
-            part = slice(lo, lo + size)
-            centers = _seed(x, owner[part], first[part], u[part])
-            labels, inertia = _lloyd(x, x2, owner[part], centers, max_iter)
-            for p, lab, val in zip((members[o] for o in owner[part]), labels, inertia):
-                if val < best[p]:
-                    best[p], out[p] = val, lab
+    n, dim = x.shape
+    if k >= n:
+        return np.arange(n) % k
+    draws = [(rng.integers(n), rng.random(k - 1)) for _ in range(n_init)]
+    first, u = np.array([index for index, _ in draws]), np.stack([rest for _, rest in draws])
+    out = np.zeros(n, dtype=np.int64)
+    if k == 1:
+        return out
+    x2 = (x * x).sum(axis=1)
+    best = np.inf  # lowest inertia so far
+    size = max(1, _BATCH_ENTRIES // (n * max(k, dim)))
+    for lo in range(0, n_init, size):
+        part = slice(lo, lo + size)
+        labels, inertia = _lloyd(x, x2, _seed(x, first[part], u[part]), max_iter)
+        for lab, val in zip(labels, inertia):
+            if val < best:
+                best, out = val, lab
     return out
 
 
@@ -553,31 +523,41 @@ def _check_basis(basis: Tuple[np.ndarray, np.ndarray], g: MultilayerGraph, k: in
         )
 
 
-def _spectral_labels(vals: np.ndarray, vecs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _spectral_labels(vals: np.ndarray, vecs: np.ndarray, k: int) -> np.ndarray:
     """Normalized spectral clustering of layers from their basis: vals (...,
     m) and vecs (..., N, m), one layer of spectral_basis or a stack of them;
-    returns labels (..., N). All layers' k-means run as one _kmeans batch,
-    in layer order.
+    returns labels (..., N), a function of the basis and k (no draw).
 
-    The group count is the layer's own effective one, chosen by the largest
-    eigengap among the top k eigenvalues of the normalized adjacency (capped
-    at k). Layers whose block structure is coarser than k then yield their
-    true coarse co-membership instead of an arbitrary refinement, which is
-    what makes co-membership features comparable across layers.
+    The group count c is the layer's own effective one, chosen by the
+    largest eigengap among the top k eigenvalues of the normalized adjacency
+    (capped at k). Layers whose block structure is coarser than k then yield
+    their true coarse co-membership instead of an arbitrary refinement,
+    which is what makes co-membership features comparable across layers.
+    The top c eigenvectors, rows normalized, are rounded by column-pivoted
+    QR (Damle, Minden and Ying, Information and Inference 8, 2019): c pivot
+    rows by greedy pivoted Gram-Schmidt, each of largest residual norm (the
+    first of equal ones; orthonormal eigenvectors keep it nonzero), the
+    polar factor P of those rows, and node i takes the argmax of |row_i P^T|.
     """
     n, m = vecs.shape[-2:]
     top = vals.reshape(-1, m)[:, ::-1][:, : min(k + 1, n)]
     gaps = top[:, :-1] - top[:, 1:]
     counts = gaps.argmax(axis=1) + 1 if gaps.shape[1] else np.ones(top.shape[0], dtype=np.int64)
-    vecs = vecs.reshape(-1, n, m)
-    embs = [None] * counts.size
-    for c in sorted(set(counts.tolist())):
-        lays = np.flatnonzero(counts == c)
-        emb = vecs[lays, :, -c:]
-        norms = np.linalg.norm(emb, axis=2, keepdims=True)
-        for lay, rows in zip(lays, emb / np.where(norms > 0, norms, 1.0)):
-            embs[lay] = rows
-    return np.stack(_kmeans(embs, counts.tolist(), rng)).reshape(vals.shape[:-1] + (n,))
+    labels = np.empty((counts.size, n), dtype=np.int64)
+    for lay, (c, u) in enumerate(zip(counts.tolist(), vecs.reshape(-1, n, m))):
+        emb = u[:, -c:]
+        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        emb = emb / np.where(norms > 0, norms, 1.0)
+        res = emb.copy()  # each row less its projection on the pivots so far
+        pivots = []
+        for _ in range(c):
+            sq = (res * res).sum(axis=1)
+            p = int(sq.argmax())
+            pivots.append(p)
+            res -= np.outer(res @ res[p] / sq[p], res[p])
+        w, _, vt = np.linalg.svd(emb[pivots])
+        labels[lay] = np.abs(emb @ (w @ vt).T).argmax(axis=1)
+    return labels.reshape(vals.shape[:-1] + (n,))
 
 
 def _first_appearance(labels: np.ndarray) -> np.ndarray:
@@ -645,18 +625,20 @@ def _soften(labels: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _spectral_start(
-    basis: Tuple[np.ndarray, np.ndarray], k: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The part of a per-view spectral init that does not depend on q:
-    spectral labels per layer from `basis`, their co-membership embeddings,
-    and the nodes grouped by k-means on the node rows. Returns (layer_rows,
-    tau): the layers' embedding rows, which init_variational groups into q
-    components, and the node responsibilities, renamed by first appearance
-    and softened. Draws the per-layer k-means, then the node k-means."""
+def _spectral_starts(
+    basis: Tuple[np.ndarray, np.ndarray], k: int, rngs: Sequence[np.random.Generator]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The part of a per-view spectral init that does not depend on q, one
+    start per generator in `rngs`: the spectral labels per layer from
+    `basis` and their co-membership embeddings, computed once, then per
+    generator the nodes grouped by k-means on the node rows. Returns each
+    start (layer_rows, tau): the layers' embedding rows, which
+    init_variational groups into q components, and the node
+    responsibilities, renamed by first appearance and softened. Only the
+    node k-means draws."""
     vals, vecs = basis
-    layer_rows, node_rows = _comembership_embeddings(_spectral_labels(vals, vecs, k, rng))
-    return layer_rows, _soften(_first_appearance(_kmeans([node_rows], [k], rng)[0]), k)
+    layer_rows, node_rows = _comembership_embeddings(_spectral_labels(vals, vecs, k))
+    return [(layer_rows, _soften(_first_appearance(_kmeans(node_rows, k, rng)), k)) for rng in rngs]
 
 
 def init_variational(
@@ -674,18 +656,19 @@ def init_variational(
     responsibilities right after).
 
     random: rows drawn flat-Dirichlet from `rng`. per_view_spectral: spectral
-    labels per layer, nodes grouped by k-means on the mean co-membership
-    matrix, layers by k-means on their co-membership patterns (both on the
-    exact embeddings of _comembership_embeddings, no N x N matrix is
-    formed); both renamed by first appearance, so the state is a function
-    of the two partitions alone, and softened to 0.9 on the assigned
-    cluster plus 0.1 spread uniformly.
-    Only the layer grouping depends on q. The rest is `start`, the
-    (layer_rows, tau) of _spectral_start: one embedding row per layer and
-    the (N, k) node responsibilities, which fit draws once per restart on
-    its own stream and shares across the q values. A start of other shapes
-    raises DomainError. When it is None it is drawn here from `rng`, on
-    spectral_basis(g, k), before the layer grouping.
+    labels per layer (no draw), nodes grouped by k-means on the mean
+    co-membership matrix, layers by k-means on their co-membership patterns
+    (both on the exact embeddings of _comembership_embeddings, no N x N
+    matrix is formed); both renamed by first appearance, so the state is a
+    function of the two partitions alone, and softened to 0.9 on the
+    assigned cluster plus 0.1 spread uniformly.
+    Only the layer grouping depends on q. The rest is `start`, one
+    (layer_rows, tau) of _spectral_starts: one embedding row per layer and
+    the (N, k) node responsibilities; fit computes the layer rows once and
+    draws tau once per restart on its own stream, and shares both across
+    the q values. A start of other shapes raises DomainError. When it is
+    None it is computed here on spectral_basis(g, k), its node grouping
+    drawn from `rng` before the layer grouping.
     """
     if k < 1 or q < 1:
         raise DomainError("k and q must be >= 1")
@@ -703,14 +686,14 @@ def init_variational(
         nu = rng.dirichlet(np.ones(q), size=g.v)
     elif strategy == "per_view_spectral":
         if start is None:
-            start = _spectral_start(spectral_basis(g, k), k, rng)
+            start = _spectral_starts(spectral_basis(g, k), k, [rng])[0]
         layer_rows, tau = start
         if np.ndim(layer_rows) != 2 or len(layer_rows) != g.v or np.shape(tau) != (g.n, k):
             raise DomainError(
                 f"spectral start of shapes {np.shape(layer_rows)}, {np.shape(tau)} does not fit"
                 f" k={k} on a graph with n={g.n}, v={g.v}"
             )
-        nu = _soften(_first_appearance(_kmeans([layer_rows], [q], rng)[0]), q)
+        nu = _soften(_first_appearance(_kmeans(layer_rows, q, rng)), q)
     else:
         raise DomainError(f"unknown init strategy: {strategy!r}")
 
@@ -929,14 +912,15 @@ def fit(
     """Fit the model at fixed (k, q) with restarts; return the best restart.
 
     Restart r of cell (k, q) draws from two streams. With spectral init,
-    the part of its init that does not depend on q (the per-layer spectral
-    labels, their co-membership embedding and the node grouping) comes from
-    rng_stream(cfg.seed, k, r, -1), once per restart, and every q value
-    starts from it; the layer grouping comes from rng_stream(cfg.seed, k, q,
-    r). A random init draws all of (tau, nu) from rng_stream(cfg.seed, k, q,
-    r). Both depend on (seed, k, q, r) alone, so a grid driver may schedule
-    cells in any order or process count without changing any result, and a
-    cell fitted alone gets its bits in the grid. Restarts are ranked by
+    the per-layer spectral labels and their co-membership embedding draw
+    nothing and are computed once for every restart and q; the node
+    grouping comes from rng_stream(cfg.seed, k, r, -1), once per restart,
+    and every q value starts from it; the layer grouping comes from
+    rng_stream(cfg.seed, k, q, r). A random init draws all of (tau, nu)
+    from rng_stream(cfg.seed, k, q, r). Both depend on (seed, k, q, r)
+    alone, so a grid driver may schedule cells in any order or process
+    count without changing any result, and a cell fitted alone gets its
+    bits in the grid. Restarts are ranked by
     final bound, ties toward the lower index. converged reflects the
     winning restart; when it ran into max_iter a ConvergenceWarning is
     emitted and the flag stays False. The restarts run in lockstep and a
@@ -1007,11 +991,11 @@ def _fit_cells(g, k, qs, cfg, priors, basis) -> List[FitReport]:
     jobs are the (cell, restart) pairs, and the module docstring describes
     the round. The loop keeps no failure state: any exception ends it."""
     a = g.layer_stack()
-    # restart r's spectral start, shared by every q: drawn from a path that
-    # no cell stream (k, q, r), r >= 0, takes
+    # restart r's spectral start, shared by every q: its node grouping draws
+    # from a path that no cell stream (k, q, r), r >= 0, takes
     starts = [None] * cfg.n_restarts
     if cfg.init_strategy == "per_view_spectral":
-        starts = [_spectral_start(basis, k, rng_stream(cfg.seed, k, r, -1)) for r in range(cfg.n_restarts)]
+        starts = _spectral_starts(basis, k, [rng_stream(cfg.seed, k, r, -1) for r in range(cfg.n_restarts)])
     states = {}
     for c, (q, pr) in enumerate(zip(qs, priors)):
         for r in range(cfg.n_restarts):

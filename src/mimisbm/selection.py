@@ -25,6 +25,7 @@ hardened state.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import log
@@ -187,24 +188,27 @@ def grid_search(
     """Fit every (k, q) in the product grid and rank the cells.
 
     The cells of one k are one task, a fit of all its q values in lockstep
-    (see the module docstring); tasks run on min(jobs, k values) worker
-    processes when that exceeds 1, else one after another. Each cell derives
-    its randomness from (cfg.seed, k, q) and, for the spectral start it
-    shares with the cells of its k, from (cfg.seed, k); it gets the bits it
-    would get fitted alone, so the result is identical for any `jobs`. A
-    cell that fails records its error without touching the other cells
-    (GridCell). All four criteria are recorded for every cell and a winner
-    is chosen per criterion by maximization, ties broken toward smaller k,
-    then smaller q; `criterion` names the one reported as `best`.
+    (see the module docstring); tasks run on min(jobs, k values, usable
+    CPUs) worker processes when that exceeds 1, else one after another.
+    Each cell derives its randomness from (cfg.seed, k, q) and, for the
+    spectral start it shares with the cells of its k, from (cfg.seed, k); it
+    gets the bits it would get fitted alone, so the result is identical for
+    any `jobs`. A cell that fails records its error without touching the
+    other cells (GridCell). All four criteria are recorded for every cell
+    and a winner is chosen per criterion by maximization, ties broken toward
+    smaller k, then smaller q; `criterion` names the one reported as `best`.
+    A grid value is checked as it is read: one out of range ends the search.
     """
-    ks = sorted(set(_as_index(k, "k") for k in k_values))
-    qs = sorted(set(_as_index(q, "q") for q in q_values))
+    ks, qs = set(), set()
+    for values, name, top, seen in ((k_values, "k", g.n, ks), (q_values, "q", g.v, qs)):
+        for value in values:
+            value = _as_index(value, name)
+            if not 1 <= value <= top:
+                raise DomainError(f"grid values must lie in [1, {g.n}] x [1, {g.v}]")
+            seen.add(value)
+    ks, qs = sorted(ks), sorted(qs)
     if not ks or not qs:
         raise DomainError("k_values and q_values must be nonempty")
-    if ks[0] < 1 or ks[-1] > g.n or qs[0] < 1 or qs[-1] > g.v:
-        raise DomainError(
-            f"grid values must lie in [1, {g.n}] x [1, {g.v}]"
-        )
     if criterion not in CRITERIA:
         raise DomainError(f"criterion must be one of {CRITERIA}")
     if _as_index(jobs, "jobs") < 1:
@@ -215,8 +219,9 @@ def grid_search(
     basis = spectral_basis(g, ks[-1]) if cfg.init_strategy == "per_view_spectral" else None
     # both paths below return the tasks in k order, each its cells in q order
     tasks = [(g, k, qs, cfg, basis) for k in ks]
-    # a pool forks all its workers up front, so start no more than there are tasks
-    workers = min(jobs, len(tasks))
+    # a pool forks all its workers up front: no more than tasks or usable CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(tasks), cpus)
     if workers == 1:
         groups = [_run_k(t) for t in tasks]
     else:

@@ -19,6 +19,7 @@ from math import comb, log
 from typing import Tuple
 
 import numpy as np
+from scipy.linalg import qr as scipy_qr
 from scipy.special import betaln, digamma as sp_digamma, gammaln, logsumexp
 
 from mimisbm import (
@@ -55,7 +56,7 @@ from mimisbm.inference import (
     _floor_rows,
     _soften,
     _softmax_rows,
-    _spectral_start,
+    _spectral_starts,
     _xlogx,
     spectral_basis,
     sufficient_stats,
@@ -436,11 +437,15 @@ def kmeans_oracle(x: np.ndarray, k: int, rng: np.random.Generator, n_init: int =
     return best_labels
 
 
-def spectral_labels_oracle(a: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def spectral_labels_oracle(a: np.ndarray, k: int) -> np.ndarray:
     """Spectral labels of one layer's adjacency with its own full eigh: the
-    group count is the largest eigengap among the top min(k + 1, n)
-    eigenvalues of the normalized adjacency, then k-means on the row-normed
-    top eigenvectors."""
+    group count c is the largest eigengap among the top min(k + 1, n)
+    eigenvalues of the normalized adjacency; the row-normed top c
+    eigenvectors E are rounded by LAPACK's column-pivoted QR of E^T
+    (scipy.linalg.qr with pivoting), the polar factor Q of the pivot columns
+    of E^T from their SVD, and each node's argmax of |E Q|. Renamed by first
+    appearance: pivots that differ only by rounding change the names, not
+    the partition."""
     n = a.shape[0]
     deg = a.sum(axis=1).astype(float)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
@@ -452,7 +457,9 @@ def spectral_labels_oracle(a: np.ndarray, k: int, rng: np.random.Generator) -> n
     emb = vecs[:, -c:]
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     emb = emb / np.where(norms > 0, norms, 1.0)
-    return kmeans_oracle(emb, c, rng)
+    _, _, piv = scipy_qr(emb.T, mode="economic", pivoting=True)
+    u, _, vt = np.linalg.svd(emb[piv[:c]].T)
+    return first_appearance_oracle(np.abs(emb @ (u @ vt)).argmax(axis=1))
 
 
 def normalized_adjacency(g: MultilayerGraph, lay: int) -> np.ndarray:
@@ -506,9 +513,9 @@ def first_appearance_oracle(labels) -> np.ndarray:
 def spectral_start_oracle(g, k, rng):
     """The q-free part of a spectral init with each layer eigendecomposed
     again: per-layer spectral labels, then the nodes grouped by k-means on
-    the dense mean co-membership rows. Returns (the dense layer features,
-    the softened node responsibilities)."""
-    labels = np.stack([spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, rng) for lay in range(g.v)])
+    the dense mean co-membership rows, on `rng`. Returns (the dense layer
+    features, the softened node responsibilities)."""
+    labels = np.stack([spectral_labels_oracle(g.adj[:, :, lay].astype(float), k) for lay in range(g.v)])
     layer_features, node_features = comembership_features(labels)
     z_labels = first_appearance_oracle(kmeans_oracle(node_features, k, rng))
     return layer_features, _soften(z_labels, k)
@@ -707,9 +714,10 @@ def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
     """fit's restart loop on the dense reference updates, with the state
     rebuilt after the node sweep, the layer update and the M-step, and the
     restarts run one after another, each sweep on one state. A spectral
-    restart r takes its start from rng_stream(cfg.seed, k, r, -1) and the
-    rest of its init from rng_stream(cfg.seed, k, q, r). Takes fit's
-    arguments so it can stand in for it; emits no ConvergenceWarning."""
+    restart r computes its start alone, its node grouping drawn from
+    rng_stream(cfg.seed, k, r, -1), and the rest of its init from
+    rng_stream(cfg.seed, k, q, r). Takes fit's arguments so it can stand in
+    for it; emits no ConvergenceWarning."""
     if priors is None:
         priors = PriorHyperparams.jeffreys(k, q)
     if basis is None and cfg.init_strategy == "per_view_spectral":
@@ -722,7 +730,7 @@ def fit_oracle(g, k, q, cfg: FitConfig, priors=None, basis=None) -> FitReport:
     for r in range(cfg.n_restarts):
         start = None
         if cfg.init_strategy == "per_view_spectral":
-            start = _spectral_start(basis, k, rng_stream(cfg.seed, k, r, -1))
+            start = _spectral_starts(basis, k, [rng_stream(cfg.seed, k, r, -1)])[0]
         rng = rng_stream(cfg.seed, k, q, r)
         state = init_variational(g, k, q, priors, cfg.init_strategy, rng, start=start)
         beta, theta, eta, xi = m_step_oracle(g, state, priors)

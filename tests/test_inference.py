@@ -286,16 +286,16 @@ def test_uncertified_layer_alone_gets_dense_eigh(monkeypatch):
 def test_init_spectral_matches_per_restart_oracle():
     # slicing one shared basis gives the same bytes as eigendecomposing each
     # layer again per call, whether the init draws its own start or takes
-    # one drawn on a basis computed at k or wider
+    # one of the starts drawn together on a basis computed at k or wider
     for g, k, q in _spectral_graphs():
         pr = PriorHyperparams.jeffreys(k, q)
         for seed in range(3):
             want = init_variational_oracle(g, k, q, pr, "per_view_spectral", rng_stream(seed))
             got = [init_variational(g, k, q, pr, "per_view_spectral", rng_stream(seed))]
             for basis in (spectral_basis(g, k), spectral_basis(g, g.n)):
-                rng = rng_stream(seed)
-                start = inference._spectral_start(basis, k, rng)
-                got.append(init_variational(g, k, q, pr, "per_view_spectral", rng, start=start))
+                rngs = [rng_stream(seed + 1), rng_stream(seed)]
+                start = inference._spectral_starts(basis, k, rngs)[1]
+                got.append(init_variational(g, k, q, pr, "per_view_spectral", rngs[1], start=start))
             for state in got:
                 assert state.tau.tobytes() == want.tau.tobytes()
                 assert state.nu.tobytes() == want.nu.tobytes()
@@ -387,7 +387,7 @@ def test_init_spectral_memory_is_below_one_byte_per_comembership_entry():
     rng = rng_stream(0)
     tracemalloc.start()
     try:
-        start = inference._spectral_start(basis, 5, rng)
+        start = inference._spectral_starts(basis, 5, [rng])[0]
         init_variational(g, 5, 3, pr, "per_view_spectral", rng, start=start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -405,9 +405,9 @@ def test_spectral_labels_match_oracle_for_any_wider_basis():
             for k_max in (k, g.n):
                 vals, vecs = spectral_basis(g, k_max)
                 for lay in range(g.v):
-                    got = inference._spectral_labels(vals[lay], vecs[lay], k, rng_stream(k, lay))
-                    want = spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, rng_stream(k, lay))
-                    assert np.array_equal(got, want), (g.n, k, k_max, lay)
+                    got = inference._spectral_labels(vals[lay], vecs[lay], k)
+                    want = spectral_labels_oracle(g.adj[:, :, lay].astype(float), k)
+                    assert np.array_equal(first_appearance_oracle(got), want), (g.n, k, k_max, lay)
 
 
 def test_init_rejects_mismatched_basis(monkeypatch):
@@ -443,7 +443,7 @@ def test_init_rejects_a_start_of_another_graph_or_k():
     pr = PriorHyperparams.jeffreys(3, 2)
 
     def start(h, k):
-        return inference._spectral_start(spectral_basis(h, k), k, rng_stream(0))
+        return inference._spectral_starts(spectral_basis(h, k), k, [rng_stream(0)])[0]
 
     for bad in (
         start(random_graph(np.random.default_rng(65), 8, 4, p=0.4), 3),  # 4 layer rows on 6 layers
@@ -460,8 +460,9 @@ def test_init_rejects_a_start_of_another_graph_or_k():
 
 
 def test_kmeans_matches_oracle_on_tied_and_duplicate_points():
-    # duplicate rows, integer ties, k = 1, k above the number of distinct rows
-    # and short max_iter: same labels and same stream position as plain Lloyd
+    # duplicate rows, integer ties, k = 1, k above the number of distinct rows,
+    # k >= n and short max_iter: same labels and same stream position as
+    # plain Lloyd
     rng = np.random.default_rng(73)
     for trial in range(300):
         distinct = int(rng.integers(1, 8))
@@ -473,10 +474,15 @@ def test_kmeans_matches_oracle_on_tied_and_duplicate_points():
         x = base[rng.integers(0, distinct, size=n)]
         max_iter = (100, 1, 2, 7, 13)[trial % 5]
         got_rng, want_rng = rng_stream(trial), rng_stream(trial)
-        got = inference._kmeans([x], [k], got_rng, max_iter=max_iter)[0]
+        got = inference._kmeans(x, k, got_rng, max_iter=max_iter)
         want = kmeans_oracle(x, k, want_rng, max_iter=max_iter)
         assert np.array_equal(got, want), trial
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
+    for n in (2, 5, 29):  # k above n: a cluster per point, and no draw
+        got_rng, want_rng = rng_stream(n), rng_stream(n)
+        x = rng.normal(size=(n, 2))
+        assert np.array_equal(inference._kmeans(x, n + 1, got_rng), kmeans_oracle(x, n + 1, want_rng)), n
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), n
 
 
 def _same_partition(a, b):
@@ -504,7 +510,7 @@ def test_kmeans_matches_oracle_on_one_column():
             x = x[rng.integers(0, max(1, k - 2), size=n)]
         max_iter = (100, 1, 2, 7, 13)[trial % 5]
         got_rng, want_rng = rng_stream(trial), rng_stream(trial)
-        got = inference._kmeans([x], [k], got_rng, max_iter=max_iter)[0]
+        got = inference._kmeans(x, k, got_rng, max_iter=max_iter)
         want = kmeans_oracle(x, k, want_rng, max_iter=max_iter)
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
         if kind < 3:
@@ -536,7 +542,7 @@ def test_kmeans_matches_oracle_when_a_cluster_empties_mid_run(monkeypatch, seed)
 
     monkeypatch.setattr(inference, "_sq_dists", watching)
     got_rng, want_rng = rng_stream(seed), rng_stream(seed)
-    got = inference._kmeans([x], [k], got_rng)[0]
+    got = inference._kmeans(x, k, got_rng)
     assert any(empty)
     want = kmeans_oracle(x, k, want_rng)
     assert np.array_equal(got, want)
@@ -551,7 +557,7 @@ def test_kmeans_stops_early_when_k_exceeds_distinct_points(monkeypatch):
     x = rng.normal(size=(5, 3))[rng.permutation(np.arange(100) % 5)]
     calls = count_calls(monkeypatch, inference, "_sq_dists")
     got_rng, want_rng = rng_stream(0), rng_stream(0)
-    got = inference._kmeans([x], [7], got_rng)[0]
+    got = inference._kmeans(x, 7, got_rng)
     want = kmeans_oracle(x, 7, want_rng)
     assert np.array_equal(got, want)
     assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
@@ -566,24 +572,24 @@ def test_layer_grouping_seeds_once_when_q_exceeds_the_distinct_partitions(monkey
         SimulationConfig(n=100, v=12, k=5, q=3, p_in=0.99, p_out=0.01, component_k=(5, 3, 2)), rng_stream(2000)
     )
     vals, vecs = spectral_basis(g, 5)
-    layer_rows, _ = inference._comembership_embeddings(inference._spectral_labels(vals, vecs, 5, rng_stream(1)))
+    layer_rows, _ = inference._comembership_embeddings(inference._spectral_labels(vals, vecs, 5))
     q = 5
     assert len({row.tobytes() for row in layer_rows}) < q
     seeds = count_calls(monkeypatch, inference, "_seed")
     batches = count_calls(monkeypatch, inference, "_lloyd")
     got_rng, want_rng = rng_stream(7), rng_stream(7)
-    got = inference._kmeans([layer_rows], [q], got_rng)[0]
+    got = inference._kmeans(layer_rows, q, got_rng)
     assert len(seeds) == len(batches) == 1
     assert np.array_equal(got, kmeans_oracle(layer_rows, q, want_rng))
     assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
-    # in the init, the layer grouping is the one-problem call on V rows
+    # in the init, the layer grouping is the call on V rows
     grouping = []
     real = inference._kmeans
 
-    def recording(xs, ks, rng, **kwargs):
+    def recording(x, k, rng, **kwargs):
         before = len(seeds)
-        out = real(xs, ks, rng, **kwargs)
-        if len(xs) == 1 and len(xs[0]) == g.v:
+        out = real(x, k, rng, **kwargs)
+        if len(x) == g.v:
             grouping.append(len(seeds) - before)
         return out
 
@@ -600,129 +606,37 @@ def test_kmeans_draws_do_not_depend_on_the_data():
     n_init = 4
     for k in (4, 6):
         got_rng, want_rng = rng_stream(k), rng_stream(k)
-        inference._kmeans([x], [k], got_rng, n_init=n_init)
+        inference._kmeans(x, k, got_rng, n_init=n_init)
         for _ in range(n_init):
             want_rng.integers(len(x))
             want_rng.random(k - 1)
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), k
 
 
-def _basis_labels_oracle(vals, vecs, k, rng):
-    """The per-layer loop on a given basis: each layer's eigengap count,
-    row-normed embedding and its own kmeans_oracle call, on one stream."""
-    out = []
-    for w, u in zip(vals, vecs):
-        top = w[::-1][: min(k + 1, u.shape[0])]
-        gaps = top[:-1] - top[1:]
-        c = int(np.argmax(gaps)) + 1 if gaps.size else 1
-        emb = u[:, -c:]
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        out.append(kmeans_oracle(emb / np.where(norms > 0, norms, 1.0), c, rng))
-    return np.stack(out)
-
-
-def _degenerate_basis(rng, n, v):
-    """A basis whose layers have eigengap counts 1 to 4 at k = 5, some with
-    fewer distinct embedding rows than their count (so a k-means++ total
-    reaches 0 and the seeding takes row 0), and one with ties."""
-    m = 6
-    vals = np.empty((v, m))
-    vecs = rng.normal(size=(v, n, m))
-    for lay in range(v):
-        c = 1 + lay % 4
-        vals[lay] = np.sort(np.r_[rng.uniform(-0.5, 0.1, m - c), 1.0 - 0.01 * np.arange(c)])
-        if lay % 3 == 1:  # c - 1 distinct rows
-            vecs[lay] = vecs[lay, rng.integers(0, max(1, c - 1), size=n)]
-        elif lay % 3 == 2:  # rows on a few integer points
-            vecs[lay] = np.round(vecs[lay])[rng.integers(0, c + 1, size=n)]
-    return vals, vecs
-
-
 def test_spectral_labels_batch_matches_per_layer_oracle():
-    # one batch per init against the per-layer loop on one shared stream:
-    # same labels, same stream position. Planted layers with several
-    # eigengap counts (one-block components give c = 1), a k = n graph, the
-    # two-disjoint-triangles tie, and made-up bases whose embeddings have
-    # fewer distinct rows than their count (zero seeding totals)
+    # a stack of layers against each layer alone and against the CPQR
+    # oracle, which eigendecomposes the layer again. Planted layers with
+    # several eigengap counts (one-block components give c = 1), a k = n
+    # graph, the two-disjoint-triangles tie, and planted layers above
+    # spectral_basis's size rule, clean and with switched labels
     triangles = build_graph(6, 1, [(0, 1, 0), (0, 2, 0), (1, 2, 0), (3, 4, 0), (3, 5, 0), (4, 5, 0)])
     mixed, _ = generate_dataset(  # eigengap counts 1, 1, 2, 2, 2, 4, 4, 4
         SimulationConfig(n=40, v=8, k=4, q=3, p_in=0.9, p_out=0.05, component_k=(4, 2, 1)), rng_stream(86)
     )
-    graphs = [triangles, mixed] + [g for g, _, _ in _spectral_graphs()]
-    for g in graphs:
-        for k in sorted({1, 2, 3, 4, g.n}):
-            vals, vecs = spectral_basis(g, g.n)
-            got_rng, want_rng = rng_stream(k, g.n), rng_stream(k, g.n)
-            got = inference._spectral_labels(vals, vecs, k, got_rng)
-            want = np.stack([spectral_labels_oracle(g.adj[:, :, lay].astype(float), k, want_rng) for lay in range(g.v)])
-            assert np.array_equal(got, want), (g.n, k)
-            assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), (g.n, k)
-    rng = np.random.default_rng(82)
-    for trial in range(40):
-        vals, vecs = _degenerate_basis(rng, int(rng.integers(6, 40)), int(rng.integers(1, 9)))
-        got_rng, want_rng = rng_stream(trial), rng_stream(trial)
-        got = inference._spectral_labels(vals, vecs, 5, got_rng)
-        want = _basis_labels_oracle(vals, vecs, 5, want_rng)
-        assert np.array_equal(got, want), trial
-        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
-
-
-def test_kmeans_batch_matches_one_problem_at_a_time():
-    # several problems in one call against kmeans_oracle per problem on one
-    # stream: k = 1, k >= n, k above the number of distinct rows (zero
-    # seeding totals and the recurrence stop), ties, equal shapes sharing a
-    # group, and short max_iter
-    rng = np.random.default_rng(83)
-    for trial in range(150):
-        xs, ks = [], []
-        for _ in range(int(rng.integers(1, 7))):
-            n = int(rng.integers(2, 30))
-            distinct = int(rng.integers(1, 8))
-            base = rng.normal(size=(distinct, 2 + trial % 3))
-            if trial % 2:
-                base = np.round(base)
-            xs.append(base[rng.integers(0, distinct, size=n)])
-            ks.append(int(rng.integers(1, min(n, distinct + 3) + 1)) if trial % 5 else n + int(rng.integers(0, 2)))
-        if trial % 4 == 0:  # a second problem of the first one's shape and k
-            xs.append(rng.normal(size=xs[0].shape))
-            ks.append(ks[0])
-        max_iter = (100, 1, 2, 7)[trial % 4]
-        got_rng, want_rng = rng_stream(trial), rng_stream(trial)
-        got = inference._kmeans(xs, ks, got_rng, max_iter=max_iter)
-        want = [kmeans_oracle(x, k, want_rng, max_iter=max_iter) for x, k in zip(xs, ks)]
-        for p, (a, b) in enumerate(zip(got, want)):
-            assert np.array_equal(a, b), (trial, p)
-        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state), trial
-
-
-def test_spectral_labels_evaluate_distances_once_per_pass_per_group(monkeypatch):
-    # the per-layer loop made one distance evaluation per pass per layer (its
-    # inits batched); the batch makes one per pass per eigengap count: as
-    # many as the slowest layer of each count needs alone
-    g, _ = generate_dataset(
-        SimulationConfig(n=40, v=8, k=4, q=3, p_in=0.9, p_out=0.05, component_k=(4, 2, 1)), rng_stream(86)
-    )
-    vals, vecs = spectral_basis(g, 4)
-    problems = []
-    real_kmeans = inference._kmeans
-
-    def recording(xs, ks, rng, **kwargs):
-        problems.extend(zip(xs, ks))
-        return real_kmeans(xs, ks, rng, **kwargs)
-
-    monkeypatch.setattr(inference, "_kmeans", recording)
-    calls = count_calls(monkeypatch, inference, "_sq_dists")
-    inference._spectral_labels(vals, vecs, 4, rng_stream(0))
-    batched = len(calls)
-    alone = {}  # eigengap count -> evaluations of each layer alone
-    rng = rng_stream(0)
-    for x, c in problems:
-        del calls[:]
-        real_kmeans([x], [c], rng)
-        alone.setdefault(c, []).append(len(calls))
-    assert len([c for c in alone if c > 1]) >= 2, alone  # several groups
-    assert batched == sum(max(counts) for counts in alone.values()), (batched, alone)
-    assert batched < sum(sum(counts) for counts in alone.values()), (batched, alone)
+    large = [
+        generate_dataset(SimulationConfig(n=120, v=6, k=5, q=3, p_in=0.5, p_out=0.05, p_switch=switch), rng_stream(87))[0]
+        for switch in (0.0, 0.3)
+    ]
+    small = [triangles, mixed] + [g for g, _, _ in _spectral_graphs()]
+    for g, k_max in [(g, 5) for g in large] + [(g, g.n) for g in small]:
+        vals, vecs = spectral_basis(g, k_max)
+        for k in sorted({1, 2, 3, 4, 5, k_max}):
+            got = inference._spectral_labels(vals, vecs, k)
+            for lay in range(g.v):
+                alone = inference._spectral_labels(vals[lay], vecs[lay], k)
+                assert got[lay].tobytes() == alone.tobytes(), (g.n, k, lay)
+                want = spectral_labels_oracle(g.adj[:, :, lay].astype(float), k)
+                assert np.array_equal(first_appearance_oracle(got[lay]), want), (g.n, k, lay)
 
 
 # ---------------------------------------------------------------- VBE updates
@@ -1252,7 +1166,9 @@ def test_fit_spectral_matches_per_restart_oracle(monkeypatch):
     monkeypatch.setattr(inference, "init_variational", init_variational_oracle)
     want = []
     for g, k, q in graphs:
-        monkeypatch.setattr(inference, "_spectral_start", lambda basis, k, rng, g=g: spectral_start_oracle(g, k, rng))
+        monkeypatch.setattr(
+            inference, "_spectral_starts", lambda basis, k, rngs, g=g: [spectral_start_oracle(g, k, rng) for rng in rngs]
+        )
         want.append(fit(g, k, q, FitConfig(**cfg)))
     for a, b in zip(got, want):
         assert a.state.tau.tobytes() == b.state.tau.tobytes()
@@ -1631,12 +1547,17 @@ _LAYER_KINDS = ("random", "empty", "complete", "copy")
 def _small_problems(draw):
     """(layer kinds, N, graph seed, the isolated node or None, K, qs, config)
     of _layered_graph and a fit: N <= 12, V <= 4, K <= 3, a nonempty set of
-    q in any order, 1-2 restarts and either init."""
-    n = draw(st.integers(2, 12))
-    kinds = draw(st.lists(st.sampled_from(_LAYER_KINDS), min_size=1, max_size=4))
+    q in any order, 1-2 restarts and either init. Hypothesis tries the
+    simplest draw first (the first entry of each sampled list, the least
+    integer), and here that is V = 4 random layers, N = 12, K = 3 and q = 1:
+    layout dependences of the Q = 1 products show at V = 4, and seldom on
+    smaller problems."""
+    n = draw(st.sampled_from([12] + list(range(2, 12))))
+    v = draw(st.sampled_from([4, 1, 2, 3]))
+    kinds = draw(st.lists(st.sampled_from(_LAYER_KINDS), min_size=v, max_size=v))
     isolated = draw(st.none() | st.integers(0, n - 1))
-    k = draw(st.integers(1, min(3, n)))
-    qs = draw(st.lists(st.integers(1, len(kinds)), min_size=1, unique=True))
+    k = min(draw(st.sampled_from([3, 1, 2])), n)
+    qs = draw(st.lists(st.integers(1, v), min_size=1, unique=True))
     init = draw(st.sampled_from(["random", "per_view_spectral"]))
     cfg = FitConfig(seed=draw(st.integers(0, 99)), n_restarts=draw(st.integers(1, 2)), init_strategy=init)
     return kinds, n, draw(st.integers(0, 2**32 - 1)), isolated, k, qs, cfg

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -246,6 +247,31 @@ def test_grid_validates_ranges():
         grid_search(g, [2], [1], FitConfig(), jobs=0)
 
 
+def test_grid_checks_each_value_as_it_is_read():
+    # the values after the first out-of-range one are never read, so a huge
+    # range costs nothing before its error (sorting the set of 4 * 10^6 k
+    # values first took 3.5 s and 281 MiB); k values are read before q values
+    g = random_graph(np.random.default_rng(26), 20, 2, p=0.4)
+    cfg = FitConfig(seed=1, n_restarts=1)
+    read = []
+
+    def counting(values):
+        for value in values:
+            read.append(value)
+            yield value
+
+    for ks, qs, want in (
+        (counting(range(2, 4 * 10**6)), [1], list(range(2, 22))),
+        ([2], counting(range(1, 4 * 10**6)), [1, 2, 3]),
+        (counting(range(0, 5)), counting(range(1, 3)), [0]),
+        (counting([3, 2, 21, 4]), [1], [3, 2, 21]),
+    ):
+        read.clear()
+        with pytest.raises(DomainError, match=r"^grid values must lie in \[1, 20\] x \[1, 2\]$"):
+            grid_search(g, ks, qs, cfg)
+        assert read == want
+
+
 def test_grid_takes_only_integer_sizes():
     # a float k or q is refused, not truncated (k 2.7 fitted K = 2 and was
     # reported as k = 2); numpy integers stay accepted
@@ -329,27 +355,27 @@ def test_grid_propagates_unexpected_errors(monkeypatch):
 
 @pytest.mark.parametrize("exc_type", [DomainError, np.linalg.LinAlgError, FloatingPointError])
 def test_grid_failed_spectral_start_fails_every_cell_of_its_k(monkeypatch, exc_type):
-    # restart 1's start at k = 3, which the q cells of k = 3 share, fails:
+    # the spectral starts at k = 3, which the q cells of k = 3 share, fail:
     # the batch of k = 3 ends, and each of its cells, refit alone, draws its
-    # starts again and fails at restart 1; every cell of k = 3 carries the
-    # error, every other cell keeps its bits
+    # starts again and fails; every cell of k = 3 carries the error, every
+    # other cell keeps its bits
     g = random_graph(np.random.default_rng(23), 10, 3, p=0.4)
     cfg = FitConfig(seed=3, n_restarts=2, init_strategy="per_view_spectral")
     ks, qs = [2, 3, 4], [1, 2, 3]
     clean = grid_search(g, ks, qs, cfg)
-    real = inference._spectral_start
+    real = inference._spectral_starts
     calls = []
 
-    def start(basis, k, rng):
+    def starts(basis, k, rngs):
         calls.append(k)
-        if k == 3 and calls.count(3) % 2 == 0:  # restart 1 of a fit at k = 3
-            raise exc_type("start (3, 1) failed on purpose")
-        return real(basis, k, rng)
+        if k == 3:
+            raise exc_type("starts at k = 3 failed on purpose")
+        return real(basis, k, rngs)
 
-    monkeypatch.setattr(inference, "_spectral_start", start)
+    monkeypatch.setattr(inference, "_spectral_starts", starts)
     res = grid_search(g, ks, qs, cfg)
-    _assert_only_cells_failed(res, clean, {(3, q) for q in qs}, f"{exc_type.__name__}: start (3, 1)")
-    assert calls == [2, 2, 3, 3] + [3, 3] * 3 + [4, 4]
+    _assert_only_cells_failed(res, clean, {(3, q) for q in qs}, f"{exc_type.__name__}: starts at k = 3")
+    assert calls == [2, 3] + [3] * 3 + [4]
     with pytest.raises(exc_type):
         inference.fit(g, 3, 2, cfg)
 
@@ -517,7 +543,9 @@ def test_grid_spectral_matches_per_restart_oracle(monkeypatch):
     ks, qs = range(1, g.n + 1), [1, 2]
     got = [grid_search(g, ks, qs, cfg, jobs=jobs) for jobs in (1, 2)]
     monkeypatch.setattr(inference, "init_variational", init_variational_oracle)
-    monkeypatch.setattr(inference, "_spectral_start", lambda basis, k, rng: spectral_start_oracle(g, k, rng))
+    monkeypatch.setattr(
+        inference, "_spectral_starts", lambda basis, k, rngs: [spectral_start_oracle(g, k, rng) for rng in rngs]
+    )
     want = grid_search(g, ks, qs, cfg, jobs=1)
     assert all(c.error is None for c in want.cells)
     # repr prints every float round-trip exactly, so equal reprs are equal bits
@@ -566,11 +594,20 @@ def test_grid_equals_the_per_cell_oracle_on_acceptance_data(strategy):
 @pytest.mark.parametrize("restarts, labellings", [(1, 7), (3, 21)])
 def test_grid_clusters_the_layers_once_per_k_and_restart(monkeypatch, restarts, labellings):
     # select-grid's shape, K 2..8 x Q 1..5: the per-layer spectral labels
-    # run once per (k, restart), and each restart's cells of one k start from
-    # bit-equal tau; inits come in (q, restart) order within a k
+    # run once per k, the node grouping (`labellings` k-means on the N node
+    # rows) once per (k, restart), and each restart's cells of one k start
+    # from bit-equal tau; inits come in (q, restart) order within a k
     sim = SimulationConfig(n=100, v=12, k=5, q=3, p_in=0.99, p_out=0.01, p_switch=0.0, component_k=(5, 3, 2))
     g, _ = generate_dataset(sim, rng_stream(2001))
     labels = count_calls(monkeypatch, inference, "_spectral_labels")
+    groupings = []
+    real_kmeans = inference._kmeans
+
+    def kmeans(x, k, rng, **kwargs):
+        groupings.append(len(x))
+        return real_kmeans(x, k, rng, **kwargs)
+
+    monkeypatch.setattr(inference, "_kmeans", kmeans)
     taus = {}
     real = inference.init_variational
 
@@ -581,7 +618,8 @@ def test_grid_clusters_the_layers_once_per_k_and_restart(monkeypatch, restarts, 
 
     monkeypatch.setattr(inference, "init_variational", init)
     grid_search(g, range(2, 9), range(1, 6), FitConfig(seed=1, n_restarts=restarts, init_strategy="per_view_spectral"))
-    assert len(labels) == labellings
+    assert len(labels) == 7
+    assert groupings.count(g.n) == labellings
     assert sorted(taus) == list(range(2, 9))
     for k, per_call in taus.items():
         by_q = [per_call[i : i + restarts] for i in range(0, len(per_call), restarts)]
@@ -599,7 +637,7 @@ def test_random_init_grid_and_fit_keep_their_streams(monkeypatch):
     # fits from them are the oracle's
     g = random_graph(np.random.default_rng(24), 12, 4, p=0.4)
     cfg = FitConfig(seed=11, n_restarts=2)
-    starts = count_calls(monkeypatch, inference, "_spectral_start")
+    starts = count_calls(monkeypatch, inference, "_spectral_starts")
     digest = hashlib.sha256()
     real = inference.init_variational
 
@@ -700,6 +738,9 @@ def test_hardened_state_counts_match_dense_oracle():
 
 
 def test_grid_starts_no_more_workers_than_cells(monkeypatch):
+    # nor more than the CPUs the process may run on: the affinity set, or
+    # os.cpu_count() where the platform has no affinity call (None counts as
+    # 1). No process is started, and the cap changes no result
     started = []
 
     class SerialPool:
@@ -721,11 +762,24 @@ def test_grid_starts_no_more_workers_than_cells(monkeypatch):
     cfg = FitConfig(seed=4, n_restarts=1)
     monkeypatch.setattr(selection, "ProcessPoolExecutor", SerialPool)
     serial = grid_search(g, [1, 2, 3], [1, 2], cfg, jobs=1)
-    # a task is one k, so the pool gets min(jobs, k values) workers
-    for ks, qs, jobs, workers in (([2], [1], 100000, []), ([2], [1, 2], 4, []), ([1, 2], [1, 2], 100000, [2]),
-                                  ([1, 2, 3], [1, 2], 2, [2]), ([1, 2, 3], [1], 3, [3]), ([1, 2], [1], 2, [2])):
+    affinity = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity.append(pid) or set(range(cpus)), raising=False)
+    # a task is one k, so the pool gets min(jobs, k values, CPUs) workers
+    for ks, qs, jobs, cpus, workers in (
+        ([2], [1], 100000, 8, []), ([2], [1, 2], 4, 8, []), ([1, 2], [1, 2], 100000, 8, [2]),
+        ([1, 2, 3], [1, 2], 2, 8, [2]), ([1, 2, 3], [1], 3, 8, [3]), ([1, 2], [1], 2, 8, [2]),
+        ([1, 2, 3], [1, 2], 100000, 2, [2]), ([1, 2, 3], [1], 3, 1, []),
+    ):
         started.clear()
         res = grid_search(g, ks, qs, cfg, jobs=jobs)
         assert started == workers
         want = tuple(c for c in serial.cells if c.k in ks and c.q in qs)
         assert repr(res.cells) == repr(want)
+    assert set(affinity) == {0}
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, workers in ((8, [3]), (2, [2]), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        started.clear()
+        res = grid_search(g, [1, 2, 3], [1], cfg, jobs=100000)
+        assert started == workers
+        assert repr(res.cells) == repr(tuple(c for c in serial.cells if c.q == 1))
