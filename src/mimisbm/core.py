@@ -137,8 +137,8 @@ class MultilayerGraph:
     def layer_stack(self) -> np.ndarray:
         """A new float64 copy of the adjacency, layer-major: shape (V, N, N),
         C-contiguous, so layer v is the matrix a[v]. Nothing is cached; each
-        call allocates 8 V N^2 bytes, and fit builds one for all its
-        restarts."""
+        call allocates 8 V N^2 bytes. fit builds one for all its restarts,
+        and spectral_basis one that it normalizes in place."""
         return np.ascontiguousarray(self.adj.transpose(2, 0, 1), dtype=float)
 
     def _edge_blocks(self, step: int) -> Iterator[np.ndarray]:

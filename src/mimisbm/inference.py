@@ -44,14 +44,10 @@ functions are elementwise and every batched product has a solo call's
 shape and layout, so each job gets bit for bit what it gets alone, and
 each cell ends where its restarts would run one after another.
 
-Failure rule. The loop keeps no failure state: a DomainError, LinAlgError
-or FloatingPointError anywhere in a batch (a spectral start, an init, an
-update, state validation, a bound that is not finite) ends it, and fit then
-fits each cell of a batch of several alone, through the same loop, for its
-own FitReport or failure; a cell gets the same bits alone as in a batch.
-Each cell fitted alone computes the spectral starts again from the same
-basis and streams, so a failure in them becomes every cell's. Any other
-exception propagates.
+The loop keeps no failure state: an exception anywhere in a batch (a
+spectral start, an init, an update, state validation, a bound that is not
+finite) ends it and leaves fit. The selection module's failure rule then
+fits the cells of a failed batch one by one.
 
 Spectral init starts from spectral_basis, each layer's top k_max + 1
 eigenpairs of D^-1/2 A D^-1/2, computed once per graph. Above a size rule
@@ -426,7 +422,7 @@ def _normalized_stack(g: MultilayerGraph) -> np.ndarray:
     float stack, entry (i, j) computed as (inv_i A_ij) inv_j. C order
     matters: the batched products on a transposed layout are several times
     slower."""
-    s = np.ascontiguousarray(g.adj.transpose(2, 0, 1), dtype=float)
+    s = g.layer_stack()
     deg = s.sum(axis=2)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     s *= inv_sqrt[:, :, None]
@@ -641,6 +637,19 @@ def _spectral_starts(
     return [(layer_rows, _soften(_first_appearance(_kmeans(node_rows, k, rng)), k)) for rng in rngs]
 
 
+def _check_cell(g: MultilayerGraph, k: int, q: Union[int, List[int]], priors: Optional[PriorHyperparams]) -> None:
+    """The checks init_variational and fit share, in this order: k, q >= 1;
+    k <= N, q <= V; and `priors`, when given, one PriorHyperparams of shape
+    (k, q) for an int q (never for a list of q values)."""
+    qs = q if isinstance(q, list) else [q]
+    if k < 1 or min(qs) < 1:
+        raise DomainError("k and q must be >= 1")
+    if k > g.n or max(qs) > g.v:
+        raise DomainError(f"k={k}, q={max(qs)} out of range for a graph with n={g.n}, v={g.v}")
+    if priors is not None and not (isinstance(priors, PriorHyperparams) and (priors.k, priors.q) == (k, q)):
+        raise DomainError("prior shapes must match (k, q)")
+
+
 def init_variational(
     g: MultilayerGraph,
     k: int,
@@ -670,14 +679,7 @@ def init_variational(
     None it is computed here on spectral_basis(g, k), its node grouping
     drawn from `rng` before the layer grouping.
     """
-    if k < 1 or q < 1:
-        raise DomainError("k and q must be >= 1")
-    if k > g.n or q > g.v:
-        raise DomainError(
-            f"k={k}, q={q} out of range for a graph with n={g.n}, v={g.v}"
-        )
-    if priors.k != k or priors.q != q:
-        raise DomainError("prior shapes must match (k, q)")
+    _check_cell(g, k, q, priors)
     if rng is None:
         rng = rng_stream(0)
 
@@ -906,9 +908,9 @@ def fit(
     k: int,
     q: Union[int, Sequence[int]],
     cfg: FitConfig,
-    priors: Union[None, PriorHyperparams, Sequence[PriorHyperparams]] = None,
+    priors: Optional[PriorHyperparams] = None,
     basis: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Union[FitReport, List[Union[FitReport, Exception]]]:
+) -> Union[FitReport, List[FitReport]]:
     """Fit the model at fixed (k, q) with restarts; return the best restart.
 
     Restart r of cell (k, q) draws from two streams. With spectral init,
@@ -926,6 +928,7 @@ def fit(
     emitted and the flag stays False. The restarts run in lockstep and a
     restart whose init repeats an earlier one's is not run (the module
     docstring has the round); every restart ends where it would alone.
+    `priors` is None (Jeffreys) or one PriorHyperparams of shape (k, q).
 
     With spectral init every restart slices one spectral basis: `basis` when
     given (spectral_basis(g, k_max), k_max >= k, as a grid driver shares it
@@ -934,55 +937,26 @@ def fit(
     DomainError. k and q must be integers (operator.index), else DomainError.
 
     Several cells of one k, as grid_search fits them: `q` may be a sequence
-    of component counts, with `priors` None (Jeffreys) or one
-    PriorHyperparams per entry. Every restart of every cell (k, q) joins the
-    one lockstep batch, and each cell ends bit for bit where it would alone.
-    The result is a list holding, per entry of q, the cell's FitReport or
-    the DomainError, LinAlgError or FloatingPointError of its fit alone: a
-    batch that raises one is refit cell by cell (the module docstring has
-    the failure rule). One q returns its report, or raises its error.
+    of component counts, each cell under its Jeffreys priors. Every restart
+    of every cell (k, q) joins the one lockstep batch, and each cell ends
+    bit for bit where it would alone; the result is the list of their
+    FitReports. A failure anywhere in the batch propagates, as it does from
+    a fit of one q; grid_search then fits the cells one by one (the
+    selection module docstring has the failure rule).
     """
     one = np.ndim(q) == 0
     k = _as_index(k, "k")
     qs = [_as_index(x, "q") for x in ([q] if one else q)]
     if not qs:
         raise DomainError("q must name at least one component count")
-    if k < 1 or min(qs) < 1:
-        raise DomainError("k and q must be >= 1")
-    if k > g.n or max(qs) > g.v:
-        raise DomainError(
-            f"k={k}, q={q} out of range for a graph with n={g.n}, v={g.v}"
-        )
-    if priors is None:
-        priors = [PriorHyperparams.jeffreys(k, x) for x in qs]
-    elif one:
-        priors = [priors]
-    if isinstance(priors, PriorHyperparams) or len(priors) != len(qs) or any(
-        not isinstance(pr, PriorHyperparams) or pr.k != k or pr.q != x for pr, x in zip(priors, qs)
-    ):
-        raise DomainError("prior shapes must match (k, q)")
+    _check_cell(g, k, qs[0] if one else qs, priors)
     if basis is not None:
         _check_basis(basis, g, k)
     elif cfg.init_strategy == "per_view_spectral":
         basis = spectral_basis(g, k)
-    out, batches = [], [(qs, priors)]
-    for cells, cell_priors in batches:  # every cell in one batch; if that fails, each cell alone
-        try:
-            out += _fit_cells(g, k, cells, cfg, cell_priors, basis)
-        except _CELL_ERRORS as exc:
-            if len(cells) == 1:
-                out.append(exc)
-            else:
-                batches += [([x], [pr]) for x, pr in zip(cells, cell_priors)]
-    if not one:
-        return out
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
-
-
-# the failures that stay with their cell; any other exception propagates
-_CELL_ERRORS = (DomainError, np.linalg.LinAlgError, FloatingPointError)
+    cell_priors = [priors] if priors is not None else [PriorHyperparams.jeffreys(k, x) for x in qs]
+    reports = _fit_cells(g, k, qs, cfg, cell_priors, basis)
+    return reports[0] if one else reports
 
 
 def _fit_cells(g, k, qs, cfg, priors, basis) -> List[FitReport]:

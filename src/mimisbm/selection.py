@@ -17,10 +17,19 @@ the data alone, and, within one K, the fit: the cells of one K are one task
 and one fit(g, K, qs) call, which runs them in lockstep (the inference
 module docstring describes the round) and draws with spectral init one
 start per restart for all of them. fit at one (K, Q) draws the same
-streams, so each cell's result is bit for bit that of fitting it alone,
-and a cell fails only when it fails alone (GridCell). A cell is scored from
-its fit's final bound; only icl_exact evaluates a bound of its own, at the
-hardened state.
+streams, so each cell's result is bit for bit that of fitting it alone. A
+cell is scored from its fit's final bound; only icl_exact evaluates a bound
+of its own, at the hardened state.
+
+Failure rule. A cell fails on a DomainError, LinAlgError or
+FloatingPointError (_CELL_ERRORS) of its fit alone or of its scoring. fit
+keeps no failure state: one such error anywhere in a K's lockstep batch
+ends the batch and raises. The task then fits each cell of that K alone,
+as a batch of its own, for its own report or error (a K of one cell is not
+fit again), so a cell fails only when it fails alone, and every other cell
+keeps its bits. Each cell fitted alone computes the spectral starts again
+from the same basis and streams, so a failure in them becomes every cell's
+of its K. Any other exception propagates out of grid_search.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from .core import (
     VariationalState,
     _as_index,
 )
-from .inference import _CELL_ERRORS, _pair_mass, _xlogx, compute_elbo, fit, m_step, spectral_basis
+from .inference import FitReport, _pair_mass, _xlogx, compute_elbo, fit, m_step, spectral_basis
 
 __all__ = [
     "pen",
@@ -57,6 +66,9 @@ __all__ = [
 ]
 
 CRITERIA = ("ilvb", "icl_exact", "icl_variational", "icl_approx")
+
+# the failures that stay with their cell; any other exception propagates
+_CELL_ERRORS = (DomainError, np.linalg.LinAlgError, FloatingPointError)
 
 
 def pen(k: int, q: int, n: int, v: int) -> float:
@@ -117,12 +129,9 @@ def icl_approx(elbo: float, k: int, q: int, n: int, v: int) -> float:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One (k, q) cell's outcome. A cell fails on a DomainError, LinAlgError
-    or FloatingPointError of its fit alone or of its scoring; then `error`
-    carries the message and every criterion is None, and failed cells never
-    win the argmax. The other cells keep their bits, and a failing spectral
-    start fails every cell of its K (the inference module docstring has the
-    failure rule). Any other exception propagates out of grid_search."""
+    """One (k, q) cell's outcome. A cell that fails (the module docstring
+    has the failure rule) carries its error's type and message in `error`
+    and None in every criterion, and never wins the argmax."""
 
     k: int
     q: int
@@ -146,18 +155,20 @@ class SelectionResult:
     best: Optional[Tuple[int, int]]
 
 
-def _score(g: MultilayerGraph, k: int, q: int, priors: PriorHyperparams, report) -> GridCell:
-    """Cell (k, q) from its FitReport under `priors`, or from the exception
-    its fit failed with."""
+def _failed(k: int, q: int, exc: Exception) -> GridCell:
+    return GridCell(k=k, q=q, error=f"{type(exc).__name__}: {exc}")
+
+
+def _score(g: MultilayerGraph, k: int, q: int, report: FitReport) -> GridCell:
+    """Cell (k, q) from its FitReport, under the Jeffreys priors it was fit
+    with; a failure of the scoring is the cell's."""
     try:
-        if isinstance(report, Exception):
-            raise report
         bound = report.elbo_trace[-1]
         return GridCell(
             k=k,
             q=q,
             ilvb=bound,
-            icl_exact=icl_exact(g, report.z_map, report.w_map, priors),
+            icl_exact=icl_exact(g, report.z_map, report.w_map),
             icl_variational=icl_variational(bound, report.state),
             icl_approx=icl_approx(bound, k, q, g.n, g.v),
             converged=report.converged,
@@ -166,15 +177,21 @@ def _score(g: MultilayerGraph, k: int, q: int, priors: PriorHyperparams, report)
     except _CELL_ERRORS as exc:
         # a domain or numerical failure is data, not a crash; anything else
         # is a bug and propagates
-        return GridCell(k=k, q=q, error=f"{type(exc).__name__}: {exc}")
+        return _failed(k, q, exc)
 
 
 def _run_k(args) -> List[GridCell]:
-    """The cells (k, q), q in qs, of one task, in q order, fitted together."""
+    """The cells (k, q), q in qs, of one task, in q order: fitted together,
+    or each alone when that batch fails (the module docstring has the
+    failure rule)."""
     g, k, qs, cfg, basis = args
-    priors = [PriorHyperparams.jeffreys(k, q) for q in qs]
-    reports = fit(g, k, qs, cfg, priors=priors, basis=basis)
-    return [_score(g, k, q, pr, report) for q, pr, report in zip(qs, priors, reports)]
+    try:
+        reports = fit(g, k, qs, cfg, basis=basis)
+    except _CELL_ERRORS as exc:
+        if len(qs) == 1:  # the batch was the cell alone
+            return [_failed(k, qs[0], exc)]
+        return [cell for q in qs for cell in _run_k((g, k, [q], cfg, basis))]
+    return [_score(g, k, q, report) for q, report in zip(qs, reports)]
 
 
 def grid_search(

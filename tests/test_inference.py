@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mimisbm.inference as inference
+import mimisbm.selection as selection
 from mimisbm import (
     ConvergenceWarning,
     DomainError,
@@ -1310,7 +1311,9 @@ def test_fit_builds_the_layer_stack_once(monkeypatch):
             builds.clear()
             rep = fit(g, 3, 2, FitConfig(seed=5, n_restarts=restarts, init_strategy=strategy))
             assert rep.iterations > 1
-            assert len(builds) == 1
+            # one for all the restarts, and with spectral init one that
+            # spectral_basis normalizes in place
+            assert len(builds) == 1 + (strategy == "per_view_spectral")
     assert list(vars(g)) == ["adj"]  # nothing is kept on the graph
 
 
@@ -1376,7 +1379,7 @@ def test_prior_log_gammas_are_computed_once_per_prior(monkeypatch):
                 priors.append(PriorHyperparams.jeffreys(k, q) if jeffreys else drawn)
             for calls in (sizes, sides, swept):
                 calls.clear()
-            fit(g, k, qs, FitConfig(seed=1, n_restarts=2), priors=priors)
+            inference._fit_cells(g, k, qs, FitConfig(seed=1, n_restarts=2), priors, None)
             assert sizes[0] == sum(size(k, q) for q in qs) and len(sides[0]) == len(qs)
             for pr, got in zip(priors, sides[0]):
                 assert len(got) == 6
@@ -1448,19 +1451,20 @@ def test_tau_sweep_makes_one_digamma_call_for_states_of_any_q(monkeypatch):
 
 def test_fit_of_several_q_equals_each_fit_alone(monkeypatch):
     # the cells of one k in one lockstep batch under their own priors: each
-    # report is byte for byte its one-cell fit's, and a failing cell returns
-    # its error in its place
+    # report is byte for byte its one-cell fit's, and a failing cell fails
+    # the batch with its error
     g = random_graph(np.random.default_rng(93), 14, 4, p=0.4)
     qs = [1, 3, 2]
     priors = [PriorHyperparams.jeffreys(3, q) for q in qs]
     priors[1] = replace(priors[1], beta0=np.full(3, 0.8))
     for strategy in ("random", "per_view_spectral"):
         cfg = FitConfig(seed=3, n_restarts=3, init_strategy=strategy)
-        got = fit(g, 3, qs, cfg, priors=priors)
+        basis = spectral_basis(g, 3) if strategy == "per_view_spectral" else None
+        got = inference._fit_cells(g, 3, qs, cfg, priors, basis)
         assert isinstance(got, list) and len(got) == len(qs)
         for q, pr, rep in zip(qs, priors, got):
             _assert_same_report(rep, fit(g, 3, q, cfg, priors=pr), (strategy, q))
-        jeffreys = fit(g, 3, qs, cfg)  # priors None: each cell's Jeffreys priors
+        jeffreys = fit(g, 3, qs, cfg)  # each cell's Jeffreys priors
         _assert_same_report(jeffreys[1], fit(g, 3, 3, cfg), (strategy, 3))
     real = inference.init_variational
 
@@ -1471,19 +1475,21 @@ def test_fit_of_several_q_equals_each_fit_alone(monkeypatch):
 
     monkeypatch.setattr(inference, "init_variational", init)
     cfg = FitConfig(seed=3, n_restarts=2)
-    got = fit(g, 3, qs, cfg)
-    assert isinstance(got[1], DomainError) and "on purpose" in str(got[1])
-    _assert_same_report(got[2], fit(g, 3, 2, cfg))
+    with pytest.raises(DomainError, match="on purpose"):
+        fit(g, 3, qs, cfg)
     with pytest.raises(DomainError, match="on purpose"):
         fit(g, 3, 3, cfg)
+    _assert_same_report(fit(g, 3, [1, 2], cfg)[1], fit(g, 3, 2, cfg))
     shapes = r"^prior shapes must match \(k, q\)$"
     for bad_q, bad_priors, message in (
         ([], None, None),
         ([1, 5], None, None),
         ([0, 2], None, None),
+        (qs, priors, shapes),  # priors per q: only the driver takes them
         ([1, 2], priors[:1], shapes),
         ([1, 2], priors[:2], shapes),
         ([1, 2], PriorHyperparams.jeffreys(3, 2), shapes),  # one prior for a sequence of q
+        ([2], PriorHyperparams.jeffreys(3, 2), shapes),
         (2, [PriorHyperparams.jeffreys(3, 2)], shapes),  # a sequence for one q
     ):
         with pytest.raises(DomainError, match=message):
@@ -1505,8 +1511,8 @@ def test_a_bound_that_is_not_finite_fails_its_cell():
     # eta0 = 1e308 is a valid prior, but log_gamma overflows to inf on its
     # prior side and on its posterior side, and the cell term is inf - inf.
     # That cell fails with FloatingPointError instead of running 200
-    # iterations on a NaN bound; its batch is refit cell by cell, and each
-    # other cell gets its solo report and warns once at max_iter
+    # iterations on a NaN bound, and so does its batch; each other cell,
+    # fitted alone, gets its solo report and warns once at max_iter
     g = random_graph(np.random.default_rng(95), 12, 3, p=0.4)
     huge = replace(PriorHyperparams.jeffreys(2, 2), eta0=np.full((2, 2, 2), 1e308))
     priors = [PriorHyperparams.jeffreys(2, 1), huge, PriorHyperparams.jeffreys(2, 3)]
@@ -1516,22 +1522,25 @@ def test_a_bound_that_is_not_finite_fails_its_cell():
     def expected():  # log_gamma's overflow, then the cell term's inf - inf
         return pytest.warns(RuntimeWarning, match=f"{overflow}|invalid value encountered in subtract")
 
-    with expected():
-        got = fit(g, 2, [1, 2, 3], cfg, priors=priors)
-    assert [type(x) for x in got] == [inference.FitReport, FloatingPointError, inference.FitReport]
-    assert str(got[1]) == "the bound is not finite: nan"
-    for q in (1, 3):
-        _assert_same_report(got[q - 1], fit(g, 2, q, cfg, priors=priors[q - 1]), q)
+    with expected(), pytest.raises(FloatingPointError, match="^the bound is not finite: nan$"):
+        inference._fit_cells(g, 2, [1, 2, 3], cfg, priors, None)
+    got = inference._fit_cells(g, 2, [1, 3], cfg, priors[::2], None)
+    for q, rep in zip((1, 3), got):
+        _assert_same_report(rep, fit(g, 2, q, cfg, priors=priors[q - 1]), q)
     with expected(), pytest.raises(FloatingPointError, match="not finite"):
         fit(g, 2, 2, cfg, priors=huge)
     z, w = got[0].z_map, inference.map_assign(np.eye(2)[np.arange(g.v) % 2])
     with expected(), pytest.raises(FloatingPointError, match="not finite"):
         icl_exact(g, z, w, huge)
 
+    # the failing batch ends before any cell warns; then each other cell alone
+    cfg = replace(cfg, max_iter=2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = fit(g, 2, [1, 2, 3], replace(cfg, max_iter=2), priors=priors)
-    assert isinstance(got[1], FloatingPointError) and not got[0].converged and not got[2].converged
+        with pytest.raises(FloatingPointError):
+            inference._fit_cells(g, 2, [1, 2, 3], cfg, priors, None)
+        got = [inference._fit_cells(g, 2, [q], cfg, [priors[q - 1]], None)[0] for q in (1, 3)]
+    assert not got[0].converged and not got[1].converged
     assert any(issubclass(w.category, RuntimeWarning) and overflow in str(w.message) for w in caught)
     assert [str(w.message) for w in caught if issubclass(w.category, ConvergenceWarning)] == [
         f"fit(k=2, q={q}) stopped at max_iter=2 without meeting eps={cfg.eps}" for q in (1, 3)
@@ -1578,27 +1587,74 @@ def _layered_graph(kinds, n, seed, isolated):
     return MultilayerGraph(adj)
 
 
+# the explicit examples: an empty, a complete and a repeated layer, and a
+# node isolated in every layer
+_EXAMPLES = (
+    (["empty", "complete", "copy"], 7, 1, 3, 2, [2, 1, 3], FitConfig(seed=1, n_restarts=2, init_strategy="per_view_spectral")),
+    (["random", "copy", "empty", "complete"], 12, 2, 0, 3, [1, 4], FitConfig(seed=2, n_restarts=2)),
+)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_small_problems())
-@example((["empty", "complete", "copy"], 7, 1, 3, 2, [2, 1, 3], FitConfig(seed=1, n_restarts=2, init_strategy="per_view_spectral")))
-@example((["random", "copy", "empty", "complete"], 12, 2, 0, 3, [1, 4], FitConfig(seed=2, n_restarts=2)))
+@example(_EXAMPLES[0])
+@example(_EXAMPLES[1])
 def test_exactness_contracts_on_generated_graphs(problem):
-    # (i) fit(g, k, qs) is, cell for cell, fit(g, k, q) alone, byte for
-    # byte, a failure included; (iii) the grid equals its per-cell dense
-    # oracle. The explicit examples hold an empty, a complete and a repeated
-    # layer, and a node isolated in every layer
+    # (i) when every cell fits alone, fit(g, k, qs) is, cell for cell,
+    # fit(g, k, q) alone, byte for byte; otherwise it raises one of the
+    # cells' errors. (iii) The grid equals its per-cell dense oracle, on the
+    # explicit examples at jobs 2 too. On every report: (iv) the bound never
+    # decreases, and (v) the final state has absorbed N node, V layer and
+    # V N(N-1)/2 dyad masses
     kinds, n, seed, isolated, k, qs, cfg = problem
     g = _layered_graph(kinds, n, seed, isolated)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        for q, got in zip(qs, fit(g, k, qs, cfg)):
+        solo = {}
+        for q in qs:
             try:
-                want = fit(g, k, q, cfg)
-            except inference._CELL_ERRORS as exc:
-                want = exc
-            if isinstance(want, Exception):
-                assert repr(got) == repr(want), q
-            else:
-                _assert_same_report(got, want, q)
+                solo[q] = fit(g, k, q, cfg)
+            except selection._CELL_ERRORS as exc:
+                solo[q] = exc
+        errors = [repr(x) for x in solo.values() if isinstance(x, Exception)]
+        if errors:
+            with pytest.raises(selection._CELL_ERRORS) as raised:
+                fit(g, k, qs, cfg)
+            assert repr(raised.value) in errors
+        else:
+            for q, got in zip(qs, fit(g, k, qs, cfg)):
+                _assert_same_report(got, solo[q], q)
+        for q, rep in solo.items():
+            if isinstance(rep, Exception):
+                continue
+            assert np.diff(rep.elbo_trace).min(initial=0.0) >= -1e-8, q
+            pr = PriorHyperparams.jeffreys(k, q)
+            st = rep.state
+            assert st.beta.sum() - pr.beta0.sum() == pytest.approx(g.n, abs=1e-8)
+            assert st.theta.sum() - pr.theta0.sum() == pytest.approx(g.v, abs=1e-8)
+            iu, ju = np.triu_indices(k)
+            mass = ((st.eta - pr.eta0) + (st.xi - pr.xi0))[iu, ju, :].sum()
+            assert mass == pytest.approx(g.v * (g.n * (g.n - 1) // 2), abs=1e-6)
         ks = range(1, k + 1)
-        assert repr(grid_search(g, ks, qs, cfg, jobs=1)) == repr(grid_search_oracle(g, ks, qs, cfg))
+        want = repr(grid_search_oracle(g, ks, qs, cfg))
+        for jobs in (1, 2) if problem in _EXAMPLES else (1,):
+            assert repr(grid_search(g, ks, qs, cfg, jobs=jobs)) == want, jobs
+
+
+def test_grid_fits_a_failing_one_cell_k_once(monkeypatch):
+    # a k with one cell is its own solo fit: when it fails it is not refit
+    g = random_graph(np.random.default_rng(96), 10, 3, p=0.4)
+    real = inference._fit_cells
+    calls = []
+
+    def failing(g, k, qs, *args):
+        calls.append((k, list(qs)))
+        if k == 2:
+            raise np.linalg.LinAlgError("k = 2 failed on purpose")
+        return real(g, k, qs, *args)
+
+    monkeypatch.setattr(inference, "_fit_cells", failing)
+    res = grid_search(g, [2, 3], [2], FitConfig(seed=4, n_restarts=2))
+    assert calls == [(2, [2]), (3, [2])]
+    assert [c.error for c in res.cells] == ["LinAlgError: k = 2 failed on purpose", None]
+    assert res.best == (3, 2)
